@@ -60,9 +60,47 @@ DT_RESOLUTION = 250.0
 
 
 def _no_extras(d: dict, allowed, ctx: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{ctx} must be a JSON object")
     extras = sorted(set(d) - set(allowed))
     if extras:
         raise ConfigError(f"{ctx}: unknown keys {extras}")
+
+
+_REQUIRED = object()
+
+
+def _number(d: dict, key: str, ctx: str, default=_REQUIRED, *, integer: bool = False,
+            vector: bool = False):
+    """Numeric field ``key`` of section ``ctx``: a JSON number or, with
+    ``vector``, a list (nested for matrices) of numbers, as float or, with
+    ``integer``, int. Bools, strings, non-finite values, a list where a
+    number belongs and the reverse, and non-integral values of integer
+    fields raise ConfigError naming ``ctx.key``. An absent key, or null
+    where the default is None, gives the default."""
+    name = f"{ctx}.{key}"
+    if key not in d or (d[key] is None and default is None):
+        if default is _REQUIRED:
+            raise ConfigError(f"{ctx}: missing {key}")
+        return default
+    if isinstance(d[key], list) != vector:
+        raise ConfigError(f"{name} must be {'a list' if vector else 'a single number'}, "
+                          f"got {d[key]!r}")
+
+    def convert(v):
+        if isinstance(v, list):
+            return [convert(x) for x in v]
+        finite = not isinstance(v, float) or math.isfinite(v)
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not finite:
+            raise ConfigError(f"{name} must be a finite {'integer' if integer else 'number'}, "
+                              f"got {v!r}")
+        if not integer:
+            return float(v)
+        if isinstance(v, float) and not v.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {v!r}")
+        return int(v)
+
+    return convert(d[key])
 
 
 @dataclasses.dataclass
@@ -79,14 +117,14 @@ class DetectorConfig:
     def from_dict(cls, d: dict, ctx: str) -> "DetectorConfig":
         _no_extras(d, ("axis", "phi_a_deg", "tau_min_us", "tau_m_us", "eta",
                        "response", "offset"), ctx)
-        if "axis" not in d:
-            raise ConfigError(f"{ctx}: missing axis")
+        axis = _number(d, "axis", ctx, vector=True)
         if "tau_min_us" not in d and "tau_m_us" not in d:
             raise ConfigError(f"{ctx}: need tau_min_us or tau_m_us")
-        return cls(axis=d["axis"], phi_a_deg=float(d.get("phi_a_deg", 0.0)),
-                   tau_min_us=d.get("tau_min_us"), tau_m_us=d.get("tau_m_us"),
-                   eta=float(d.get("eta", 1.0)), response=float(d.get("response", 1.0)),
-                   offset=float(d.get("offset", 0.0)))
+        return cls(axis=axis, phi_a_deg=_number(d, "phi_a_deg", ctx, 0.0),
+                   tau_min_us=_number(d, "tau_min_us", ctx, None),
+                   tau_m_us=_number(d, "tau_m_us", ctx, None),
+                   eta=_number(d, "eta", ctx, 1.0), response=_number(d, "response", ctx, 1.0),
+                   offset=_number(d, "offset", ctx, 0.0))
 
 
 @dataclasses.dataclass
@@ -99,11 +137,10 @@ class SegmentConfig:
     @classmethod
     def from_dict(cls, d: dict, ctx: str) -> "SegmentConfig":
         _no_extras(d, ("matrix", "r_st", "t_start_us", "t_end_us"), ctx)
-        for key in ("matrix", "t_start_us", "t_end_us"):
-            if key not in d:
-                raise ConfigError(f"{ctx}: missing {key}")
-        return cls(matrix=d["matrix"], r_st=d.get("r_st", [0.0, 0.0, 0.0]),
-                   t_start_us=float(d["t_start_us"]), t_end_us=float(d["t_end_us"]))
+        return cls(matrix=_number(d, "matrix", ctx, vector=True),
+                   r_st=_number(d, "r_st", ctx, [0.0, 0.0, 0.0], vector=True),
+                   t_start_us=_number(d, "t_start_us", ctx),
+                   t_end_us=_number(d, "t_end_us", ctx))
 
 
 @dataclasses.dataclass
@@ -121,11 +158,13 @@ class EvolutionConfig:
             raise ConfigError("evolution: give omega_r_rad_per_us or rabi_mhz, not both")
         segments = None
         if d.get("segments") is not None:
+            if not isinstance(d["segments"], list):
+                raise ConfigError("evolution.segments must be a list")
             segments = [SegmentConfig.from_dict(s, f"evolution.segments[{i}]")
                         for i, s in enumerate(d["segments"])]
-        return cls(gamma_per_us=float(d.get("gamma_per_us", 0.0)),
-                   omega_r_rad_per_us=d.get("omega_r_rad_per_us"),
-                   rabi_mhz=d.get("rabi_mhz"), segments=segments)
+        return cls(gamma_per_us=_number(d, "gamma_per_us", "evolution", 0.0),
+                   omega_r_rad_per_us=_number(d, "omega_r_rad_per_us", "evolution", None),
+                   rabi_mhz=_number(d, "rabi_mhz", "evolution", None), segments=segments)
 
     @property
     def omega_r(self) -> float:
@@ -146,10 +185,10 @@ class GridConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "GridConfig":
         _no_extras(d, ("duration_us", "dt_us", "t0_us", "decimate"), "grid")
-        if "duration_us" not in d:
-            raise ConfigError("grid: missing duration_us")
-        return cls(duration_us=float(d["duration_us"]), dt_us=d.get("dt_us"),
-                   t0_us=float(d.get("t0_us", 0.0)), decimate=int(d.get("decimate", 1)))
+        return cls(duration_us=_number(d, "duration_us", "grid"),
+                   dt_us=_number(d, "dt_us", "grid", None),
+                   t0_us=_number(d, "t0_us", "grid", 0.0),
+                   decimate=_number(d, "decimate", "grid", 1, integer=True))
 
 
 @dataclasses.dataclass
@@ -162,9 +201,11 @@ class EnsembleConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "EnsembleConfig":
         _no_extras(d, ("n_traj", "seed", "batch_size", "threads"), "ensemble")
-        return cls(n_traj=int(d.get("n_traj", 1)), seed=int(d.get("seed", 0)),
-                   batch_size=int(d.get("batch_size", DEFAULT_BATCH_SIZE)),
-                   threads=int(d.get("threads", 1)))
+        return cls(n_traj=_number(d, "n_traj", "ensemble", 1, integer=True),
+                   seed=_number(d, "seed", "ensemble", 0, integer=True),
+                   batch_size=_number(d, "batch_size", "ensemble", DEFAULT_BATCH_SIZE,
+                                      integer=True),
+                   threads=_number(d, "threads", "ensemble", 1, integer=True))
 
 
 @dataclasses.dataclass
@@ -182,11 +223,15 @@ class CorrelatorConfig:
     def from_dict(cls, d: dict) -> "CorrelatorConfig":
         _no_extras(d, ("mode", "t_skip_us", "t_avg_us", "block_size", "max_lag_us",
                        "lag_step_us", "times", "detector_indices"), "correlator")
-        return cls(mode=d.get("mode", "mc"), t_skip_us=float(d.get("t_skip_us", 0.0)),
-                   t_avg_us=d.get("t_avg_us"),
-                   block_size=int(d.get("block_size", DEFAULT_BLOCK_SIZE)),
-                   max_lag_us=d.get("max_lag_us"), lag_step_us=d.get("lag_step_us"),
-                   times=d.get("times"), detector_indices=d.get("detector_indices"))
+        ctx = "correlator"
+        return cls(mode=d.get("mode", "mc"), t_skip_us=_number(d, "t_skip_us", ctx, 0.0),
+                   t_avg_us=_number(d, "t_avg_us", ctx, None),
+                   block_size=_number(d, "block_size", ctx, DEFAULT_BLOCK_SIZE, integer=True),
+                   max_lag_us=_number(d, "max_lag_us", ctx, None),
+                   lag_step_us=_number(d, "lag_step_us", ctx, None),
+                   times=_number(d, "times", ctx, None, vector=True),
+                   detector_indices=_number(d, "detector_indices", ctx, None, integer=True,
+                                            vector=True))
 
 
 @dataclasses.dataclass
@@ -196,7 +241,8 @@ class CalibrateConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "CalibrateConfig":
         _no_extras(d, ("fit_window_us",), "calibrate")
-        return cls(fit_window_us=float(d.get("fit_window_us", DEFAULT_RESPONSE_FIT_WINDOW)))
+        return cls(fit_window_us=_number(d, "fit_window_us", "calibrate",
+                                         DEFAULT_RESPONSE_FIT_WINDOW))
 
 
 @dataclasses.dataclass
@@ -212,10 +258,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
         _no_extras(raw, ("detectors", "evolution", "grid", "ensemble", "correlator",
                          "calibrate", "initial_state"), "config")
+        if not isinstance(raw.get("detectors", []), list):
+            raise ConfigError("detectors must be a list")
         detectors = [DetectorConfig.from_dict(d, f"detectors[{i}]")
                      for i, d in enumerate(raw.get("detectors", []))]
         digest = hashlib.sha256(
@@ -227,7 +273,8 @@ class ExperimentConfig:
             ensemble=EnsembleConfig.from_dict(raw.get("ensemble", {})),
             correlator=CorrelatorConfig.from_dict(raw.get("correlator", {})),
             calibrate=CalibrateConfig.from_dict(raw.get("calibrate", {})),
-            initial_state=raw.get("initial_state", [0.0, 0.0, 1.0]),
+            initial_state=_number(raw, "initial_state", "config", [0.0, 0.0, 1.0],
+                                  vector=True),
             digest=digest,
         )
 
@@ -313,7 +360,19 @@ def _write_csv(out, config: ExperimentConfig, seed, lags, kp, ep, km, em) -> Non
     lines = [f"# config sha256 {config.digest} seed {seed}", CSV_HEADER]
     for row in zip(lags, kp, ep, km, em, dk, edk):
         lines.append(",".join(f"{v:.12g}" for v in row))
-    text = "\n".join(lines) + "\n"
+    _emit(out, "\n".join(lines) + "\n")
+
+
+def _write_json(out, report: dict) -> None:
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as err:
+        raise DiagnosticError(f"non-finite value in the report: {err}") from None
+    _emit(out, text)
+
+
+def _emit(out, text: str) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when it is None."""
     if out is None:
         sys.stdout.write(text)
     else:
@@ -362,6 +421,11 @@ def cmd_correlate(args) -> int:
     threads = args.threads if args.threads is not None else config.ensemble.threads
 
     if corr.mode == "mc":
+        if config.ensemble.n_traj < 2 * corr.block_size:
+            raise ConfigError(
+                f"correlator.block_size {corr.block_size} leaves fewer than two jackknife "
+                f"blocks for ensemble.n_traj {config.ensemble.n_traj}; "
+                "need n_traj >= 2 * block_size")
         grid = build_grid(config, detectors)
         plus, minus = _run_pair(config, detectors, segments, grid, seed, threads)
         delta_i = 2.0 * detectors[det_idx].response
@@ -427,12 +491,7 @@ def cmd_calibrate(args) -> int:
         "seed": seed,
         "tau_m_us": tau_m,
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_json(args.out, report)
     return 0
 
 
@@ -447,10 +506,15 @@ def cmd_fit_phase(args) -> int:
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{args.dk}: expected header {CSV_HEADER!r}")
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 7:
+        try:
+            values = [float(v) for v in ln.split(",")]
+        except ValueError:
+            values = []
+        if len(values) != 7:
             raise ConfigError(f"{args.dk}: malformed row {ln!r}")
-        rows.append((float(parts[0]), float(parts[5]), float(parts[6])))
+        if not all(math.isfinite(v) for v in values):
+            raise ConfigError(f"{args.dk}: non-finite value in row {ln!r}")
+        rows.append((values[0], values[5], values[6]))
     lags = np.array([r[0] for r in rows])
     dk = np.array([r[1] for r in rows])
     err = np.array([r[2] for r in rows])
@@ -467,12 +531,7 @@ def cmd_fit_phase(args) -> int:
         "tan_phi": fit.tan_phi,
         "tan_sigma": fit.tan_sigma,
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write_json(args.out, report)
     return 0
 
 

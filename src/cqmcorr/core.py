@@ -300,10 +300,9 @@ def validate_experiment(config) -> list[str]:
             times = list(corr.times)
             if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
                 problems.append("correlator times not strictly ordered")
-            n_det = len(detectors)
-            for idx in corr.detector_indices or []:
-                if not 0 <= idx < max(n_det, 1):
-                    problems.append(f"correlator detector index {idx} out of range")
+        for idx in corr.detector_indices or []:
+            if not 0 <= idx < max(len(detectors), 1):
+                problems.append(f"correlator detector index {idx} out of range")
         if corr.mode not in ("mc", "gcr", "analytic"):
             problems.append(f"correlator.mode must be mc|gcr|analytic, got {corr.mode!r}")
         if corr.t_avg_us is not None and corr.t_avg_us <= 0:

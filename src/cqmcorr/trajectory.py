@@ -23,9 +23,7 @@ model, so the draw is made once and reused.
 
 Reproducibility: noise is counter-based. The normal for (trajectory, step,
 detector) is a pure function of (seed, trajectory, step, detector), so
-results never depend on thread count, batch size, or evaluation order. Batch
-reductions (ensemble mean states) are combined in fixed batch-index order,
-which makes them thread-count independent as well.
+results never depend on thread count, batch size, or evaluation order.
 """
 
 from __future__ import annotations
@@ -179,38 +177,41 @@ def step_ito(r, detectors, generator, dt: float, noise_draws) -> tuple[np.ndarra
     return np.array([x, y, z]), np.array(signals)
 
 
+def _prepare(initial_state, grid: TimeGrid, detectors, segments):
+    """Checked preparation and the stepper's per-detector and per-step
+    segment constants."""
+    r0 = require_physical(initial_state)
+    detectors = tuple(detectors)
+    if not detectors:
+        raise ConfigError("need at least one detector")
+    seg_consts, seg_idx = _segment_table(segments, grid)
+    return r0, detectors, _detector_constants(detectors, grid.dt), seg_consts, seg_idx
+
+
 def _simulate_batch(r0s, grid: TimeGrid, det_consts, seg_consts, seg_idx, noise,
-                    record_states: bool, norm_tol: float, traj_lo: int):
+                    record_states: bool, traj_lo: int):
     """Simulate a batch. Returns (signals (B, n_det, n_steps) normalized,
-    state_sum (n_steps+1, 3), state_sumsq (n_steps+1, 3), states or None)."""
+    states (B, n_steps+1, 3) or None)."""
     n_steps = grid.n_steps
     n_det = noise.shape[2]
     batch = r0s.shape[0]
     dt = grid.dt
     sqrt_dt = math.sqrt(dt)
-    max_norm2 = (1.0 + norm_tol) ** 2
+    max_norm2 = (1.0 + NORM_OVERSHOOT_TOL) ** 2
 
     x = r0s[:, 0].copy()
     y = r0s[:, 1].copy()
     z = r0s[:, 2].copy()
     signals = np.empty((batch, n_det, n_steps))
-    state_sum = np.zeros((n_steps + 1, 3))
-    state_sumsq = np.zeros((n_steps + 1, 3))
     states = np.empty((batch, n_steps + 1, 3)) if record_states else None
 
-    def tally(k):
-        state_sum[k, 0] = x.sum()
-        state_sum[k, 1] = y.sum()
-        state_sum[k, 2] = z.sum()
-        state_sumsq[k, 0] = (x * x).sum()
-        state_sumsq[k, 1] = (y * y).sum()
-        state_sumsq[k, 2] = (z * z).sum()
+    def record(k):
         if record_states:
             states[:, k, 0] = x
             states[:, k, 1] = y
             states[:, k, 2] = z
 
-    tally(0)
+    record(0)
     for k in range(n_steps):
         noise_step = [noise[:, k, ell] for ell in range(n_det)]
         x, y, z, sigs = _ito_update(x, y, z, noise_step, det_consts,
@@ -223,40 +224,28 @@ def _simulate_batch(r0s, grid: TimeGrid, det_consts, seg_consts, seg_idx, noise,
             raise DiagnosticError(
                 f"trajectory {traj_lo + worst} norm {math.sqrt(float(norm2[worst])):.6g} "
                 f"at t = {grid.t0 + (k + 1) * dt:.6g} overshoots the Bloch sphere "
-                f"by more than {norm_tol}; reduce dt")
-        tally(k + 1)
-    return signals, state_sum, state_sumsq, states
+                f"by more than {NORM_OVERSHOOT_TOL}; reduce dt")
+        record(k + 1)
+    return signals, states
 
 
-@dataclasses.dataclass
-class TrajectoryRecord:
-    """One simulated trajectory: conditioned states on the step endpoints and
-    normalized output samples per detector."""
+def simulate_states(initial_state, grid: TimeGrid, detectors, segments, plan: NoisePlan,
+                    traj_lo: int, traj_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trajectories traj_lo..traj_hi-1 with their full state history.
 
-    grid: TimeGrid
-    detectors: tuple
-    states: np.ndarray   # (n_steps + 1, 3)
-    signals: np.ndarray  # (n_detectors, n_steps), normalized units
-    traj_index: int
-    seed: int
-
-
-def simulate_trajectory(r0, grid: TimeGrid, detectors, segments, plan: NoisePlan,
-                        traj_index: int = 0,
-                        norm_tol: float = NORM_OVERSHOOT_TOL) -> TrajectoryRecord:
-    """Single conditioned trajectory with full state history."""
-    r0 = require_physical(r0)
-    detectors = tuple(detectors)
-    if not detectors:
-        raise ConfigError("need at least one detector")
-    det_consts = _detector_constants(detectors, grid.dt)
-    seg_consts, seg_idx = _segment_table(segments, grid)
-    noise = _batch_normals(plan, traj_index, traj_index + 1, grid.n_steps, len(detectors))
-    signals, _, _, states = _simulate_batch(
-        r0[None, :], grid, det_consts, seg_consts, seg_idx, noise,
-        record_states=True, norm_tol=norm_tol, traj_lo=traj_index)
-    return TrajectoryRecord(grid=grid, detectors=detectors, states=states[0],
-                            signals=signals[0], traj_index=traj_index, seed=plan.seed)
+    Returns (states (B, n_steps+1, 3) on the step endpoints, signals
+    (B, n_detectors, n_steps) in normalized units). Trajectory j uses noise
+    stream (plan.seed, j), so its signals equal record j of ``run_ensemble``
+    on the same arguments, before the raw-units map."""
+    if not 0 <= traj_lo < traj_hi:
+        raise ConfigError(f"need 0 <= traj_lo < traj_hi, got {traj_lo!r}, {traj_hi!r}")
+    r0, detectors, det_consts, seg_consts, seg_idx = _prepare(
+        initial_state, grid, detectors, segments)
+    noise = _batch_normals(plan, traj_lo, traj_hi, grid.n_steps, len(detectors))
+    r0s = np.broadcast_to(r0, (traj_hi - traj_lo, 3))
+    signals, states = _simulate_batch(r0s, grid, det_consts, seg_consts, seg_idx, noise,
+                                      record_states=True, traj_lo=traj_lo)
+    return states, signals
 
 
 def synthesize_raw(signals, detector) -> np.ndarray:
@@ -268,8 +257,8 @@ def synthesize_raw(signals, detector) -> np.ndarray:
 
 @dataclasses.dataclass
 class EnsembleArchive:
-    """Ensemble of output records on a common grid, in raw detector units,
-    plus ensemble state statistics from the underlying fine simulation.
+    """Ensemble of output records on a common grid, in raw detector units.
+    Every field is stored in the serialized file, so ``load`` restores it.
 
     Serialized format (little-endian): magic ``CQMARCH1``, uint32 header
     length, JSON header with sorted keys (config_digest, dt, kind,
@@ -283,10 +272,6 @@ class EnsembleArchive:
     signals: np.ndarray  # (n_traj, n_detectors, n_samples)
     kind: str = "raw"
     config_digest: str = ""
-    detectors: tuple | None = None
-    base_grid: TimeGrid | None = None
-    mean_states: np.ndarray | None = None  # (base n_steps + 1, 3)
-    sem_states: np.ndarray | None = None
 
     @property
     def n_traj(self) -> int:
@@ -340,35 +325,45 @@ class EnsembleArchive:
             blob = fh.read()
         if blob[:8] != ARCHIVE_MAGIC:
             raise ConfigError(f"{path}: not an ensemble archive")
+        if len(blob) < 12:
+            raise ConfigError(f"{path}: truncated archive ({len(blob)} bytes, no header)")
         (hlen,) = struct.unpack_from("<I", blob, 8)
-        header = json.loads(blob[12:12 + hlen].decode())
+        try:
+            header = json.loads(blob[12:12 + hlen])
+        except ValueError as err:
+            raise ConfigError(f"{path}: archive header is not valid JSON ({err})") from None
+        if not isinstance(header, dict):
+            raise ConfigError(f"{path}: archive header is not a JSON object")
         if header.get("version") != ARCHIVE_VERSION:
             raise ConfigError(f"{path}: unsupported archive version {header.get('version')}")
-        shape = (header["n_traj"], header["n_detectors"], header["n_samples"])
+        try:
+            shape = (header["n_traj"], header["n_detectors"], header["n_samples"])
+            grid = TimeGrid(t0=header["t0"], dt=header["dt"], n_steps=header["n_samples"])
+            fields = dict(seed=header["seed"], kind=header["kind"],
+                          config_digest=header["config_digest"])
+        except KeyError as err:
+            raise ConfigError(f"{path}: archive header lacks key {err}") from None
         expected = 12 + hlen + 8 * shape[0] * shape[1] * shape[2]
         if len(blob) != expected:
             raise ConfigError(f"{path}: truncated archive ({len(blob)} of {expected} bytes)")
         signals = np.frombuffer(blob, dtype="<f8", offset=12 + hlen).reshape(shape)
-        grid = TimeGrid(t0=header["t0"], dt=header["dt"], n_steps=header["n_samples"])
-        return cls(grid=grid, seed=header["seed"], signals=signals,
-                   kind=header["kind"], config_digest=header["config_digest"])
+        return cls(grid=grid, signals=signals, **fields)
 
 
 def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
                  detectors, segments, *, threads: int = 1,
                  batch_size: int = DEFAULT_BATCH_SIZE, decimate: int = 1,
-                 norm_tol: float = NORM_OVERSHOOT_TOL,
                  config_digest: str = "") -> EnsembleArchive:
-    """Simulate n_traj trajectories and collect their raw output records.
+    """Simulate n_traj trajectories and return their raw output records.
 
     Trajectory j uses noise stream (plan.seed, j), so the ensemble content is
     a pure function of the arguments. ``decimate`` averages each group of
     that many consecutive samples into one (dt grows accordingly), which is
     how a fine integration grid turns into a coarse acquisition grid.
     ``threads`` distributes whole batches (fixed size ``batch_size``) over a
-    thread pool; per-trajectory outputs are written to disjoint slices and
-    per-batch state sums are combined in batch order, so every output bit is
-    independent of ``threads``.
+    thread pool; each batch writes its own slice of the records, so every
+    output bit is independent of ``threads``. States are not kept; use
+    ``simulate_states`` for a state history.
     """
     if n_traj < 1:
         raise ConfigError(f"n_traj must be >= 1, got {n_traj!r}")
@@ -377,13 +372,9 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     if decimate < 1 or grid.n_steps % decimate != 0:
         raise ConfigError(
             f"decimate must divide n_steps, got {decimate!r} for {grid.n_steps} steps")
-    r0 = require_physical(initial_state)
-    detectors = tuple(detectors)
-    if not detectors:
-        raise ConfigError("need at least one detector")
+    r0, detectors, det_consts, seg_consts, seg_idx = _prepare(
+        initial_state, grid, detectors, segments)
     n_det = len(detectors)
-    det_consts = _detector_constants(detectors, grid.dt)
-    seg_consts, seg_idx = _segment_table(segments, grid)
 
     n_dec = grid.n_steps // decimate
     out = np.empty((n_traj, n_det, n_dec))
@@ -391,40 +382,24 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     offsets = np.array([det.offset for det in detectors])
     responses = np.array([det.response for det in detectors])
 
-    def run_batch(b: int):
+    def run_batch(b: int) -> None:
         lo = b * batch_size
         hi = min(lo + batch_size, n_traj)
         noise = _batch_normals(plan, lo, hi, grid.n_steps, n_det)
         r0s = np.broadcast_to(r0, (hi - lo, 3))
-        signals, ssum, ssq, _ = _simulate_batch(
-            r0s, grid, det_consts, seg_consts, seg_idx, noise,
-            record_states=False, norm_tol=norm_tol, traj_lo=lo)
+        signals, _ = _simulate_batch(r0s, grid, det_consts, seg_consts, seg_idx, noise,
+                                     record_states=False, traj_lo=lo)
         if decimate > 1:
             signals = signals.reshape(hi - lo, n_det, n_dec, decimate).mean(axis=3)
         out[lo:hi] = offsets[:, None] + responses[:, None] * signals
-        return ssum, ssq
 
     if threads == 1:
-        tallies = [run_batch(b) for b in range(n_batches)]
+        for b in range(n_batches):
+            run_batch(b)
     else:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(run_batch, b) for b in range(n_batches)]
-            tallies = [f.result() for f in futures]
-
-    state_sum = np.zeros((grid.n_steps + 1, 3))
-    state_sumsq = np.zeros((grid.n_steps + 1, 3))
-    for ssum, ssq in tallies:
-        state_sum += ssum
-        state_sumsq += ssq
-    mean_states = state_sum / n_traj
-    if n_traj > 1:
-        var = (state_sumsq - n_traj * mean_states**2) / (n_traj - 1)
-        sem_states = np.sqrt(np.maximum(var, 0.0) / n_traj)
-    else:
-        sem_states = None
+            list(pool.map(run_batch, range(n_batches)))
 
     dec_grid = TimeGrid(t0=grid.t0, dt=grid.dt * decimate, n_steps=n_dec)
     return EnsembleArchive(grid=dec_grid, seed=plan.seed, signals=out,
-                           kind="raw", config_digest=config_digest,
-                           detectors=detectors, base_grid=grid,
-                           mean_states=mean_states, sem_states=sem_states)
+                           kind="raw", config_digest=config_digest)

@@ -42,6 +42,7 @@ from cqmcorr import (
     rabi_dephasing_generator,
     rotation_matrix,
     run_ensemble,
+    simulate_states,
 )
 
 GAMMA = 1.0 / 1.8            # ensemble dephasing rate, 1/us
@@ -526,9 +527,18 @@ def test_criterion_9a_ito_mean(criteria):
     det = production_detector(70.0)
     gen = rabi_dephasing_generator(GAMMA, OMEGA)
     dt, n_steps = 0.002, 250
-    arch = run_ensemble(20_000, NoisePlan(99), X_PLUS,
-                        TimeGrid(0.0, dt, n_steps), (det,), (gen,))
-    mean, sem = arch.mean_states, arch.sem_states
+    n_traj, chunk = 20_000, 4096
+    grid = TimeGrid(0.0, dt, n_steps)
+    total = np.zeros((n_steps + 1, 3))
+    total_sq = np.zeros((n_steps + 1, 3))
+    for lo in range(0, n_traj, chunk):
+        states, _ = simulate_states(X_PLUS, grid, (det,), (gen,), NoisePlan(99),
+                                    lo, min(lo + chunk, n_traj))
+        total += states.sum(axis=0)
+        total_sq += (states * states).sum(axis=0)
+    mean = total / n_traj
+    var = (total_sq - n_traj * mean**2) / (n_traj - 1)
+    sem = np.sqrt(np.maximum(var, 0.0) / n_traj)
 
     # the scheme's exact mean: kicks are zero-mean and independent of the
     # pre-step state, so E[r_{k+1}] = (I + dt L) E[r_k]

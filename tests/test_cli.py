@@ -10,6 +10,7 @@ import pytest
 
 from cqmcorr import (
     ConfigError,
+    DiagnosticError,
     EnsembleArchive,
     NoisePlan,
     RabiCaseParams,
@@ -211,6 +212,17 @@ class TestCorrelateCommand:
         np.testing.assert_allclose(rows[:, 6], np.hypot(rows[:, 2], rows[:, 4]),
                                    atol=1e-12)
 
+    def test_mc_mode_needs_two_jackknife_blocks(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["correlator"] = {"mode": "mc", "t_skip_us": 0.28, "t_avg_us": 0.28,
+                             "block_size": 200, "max_lag_us": 0.4}
+        out = tmp_path / "mc.csv"
+        assert main(["correlate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "correlator.block_size" in err and "ensemble.n_traj" in err
+        assert not out.exists()
+
     def test_seed_override_changes_mc_output(self, tmp_path):
         cfg = base_config()
         cfg["correlator"] = {"mode": "mc", "t_skip_us": 0.28, "t_avg_us": 0.28,
@@ -288,17 +300,70 @@ class TestFitPhaseCommand:
         bad.write_text("tau,K\n0.1,0.5\n")
         assert main(["fit-phase", "--config", path, "--dk", str(bad)]) == 2
 
+    def test_rejects_non_finite_row(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        csv_path = tmp_path / "dk.csv"
+        main(["correlate", "--config", path, "--out", str(csv_path)])
+        lines = csv_path.read_text().split("\n")
+        parts = lines[4].split(",")
+        parts[5] = "nan"
+        lines[4] = ",".join(parts)
+        csv_path.write_text("\n".join(lines))
+        out = tmp_path / "fit.json"
+        assert main(["fit-phase", "--config", path, "--dk", str(csv_path),
+                     "--out", str(out)]) == 2
+        assert "non-finite value in row" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_report_is_diagnostic(self, tmp_path):
+        from cqmcorr.cli import _write_json
+
+        out = tmp_path / "r.json"
+        with pytest.raises(DiagnosticError, match="non-finite"):
+            _write_json(str(out), {"tau_m_us": float("nan")})
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["correlate", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o.csv")]) == 4
 
-    def test_bad_config_is_config_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{]")
+    @pytest.mark.parametrize("field, value, names", [
+        (None, None, "invalid JSON"),
+        (("ensemble", "n_traj"), 2.7, "ensemble.n_traj"),
+        (("ensemble", "n_traj"), True, "ensemble.n_traj"),
+        (("ensemble", "seed"), "5", "ensemble.seed"),
+        (("grid", "decimate"), 2.7, "grid.decimate"),
+        (("detectors", 0, "eta"), "high", "detectors[0].eta"),
+        (("detectors", 0, "axis"), "zz", "detectors[0].axis"),
+        (("correlator", "t_skip_us"), True, "correlator.t_skip_us"),
+        (("initial_state",), "up", "config.initial_state"),
+        (("grid",), 5, "grid must be a JSON object"),
+        (("detectors", 0, "eta"), [0.5], "detectors[0].eta"),
+        (("correlator", "times"), 1.0, "correlator.times"),
+        (("detectors",), 5, "detectors must be a list"),
+        (("evolution", "segments"), 5, "evolution.segments must be a list"),
+        (("correlator", "max_lag_us"), float("nan"), "correlator.max_lag_us"),
+        (("correlator", "detector_indices"), [3], "detector index 3 out of range"),
+    ], ids=["invalid-json", "n_traj-2.7", "n_traj-bool", "seed-string", "decimate-2.7",
+            "eta-high", "axis-zz", "t_skip-bool", "initial_state-string", "grid-number",
+            "eta-list", "times-number", "detectors-number", "segments-number", "max_lag-nan",
+            "index-range"])
+    def test_bad_config_is_config_error(self, tmp_path, capsys, field, value, names):
+        if field is None:
+            path = tmp_path / "bad.json"
+            path.write_text("{]")
+        else:
+            cfg = base_config()
+            target = cfg
+            for key in field[:-1]:
+                target = target[key]
+            target[field[-1]] = value
+            path = write_config(tmp_path, cfg)
         assert main(["correlate", "--config", str(path),
                      "--out", str(tmp_path / "o.csv")]) == 2
+        assert names in capsys.readouterr().err
 
     def test_overdamped_closed_form_is_diagnostic(self, tmp_path):
         cfg = base_config()

@@ -1,6 +1,8 @@
 """Stochastic trajectory engine: noise plan, stepper, ensembles, archives."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from cqmcorr import (
     EnsembleGenerator,
     rabi_dephasing_generator,
     run_ensemble,
-    simulate_trajectory,
+    simulate_states,
     step_ito,
     synthesize_raw,
 )
@@ -120,28 +122,36 @@ class TestTrajectory:
         det = reference_detector(40.0)
         grid = TimeGrid(0.0, 0.004, 25)
         plan = NoisePlan(seed=17)
-        rec = simulate_trajectory([1, 0, 0], grid, [det], drive_segments(), plan,
-                                  traj_index=5)
+        states, signals = simulate_states([1, 0, 0], grid, [det], drive_segments(), plan,
+                                          5, 6)
         draws = plan.normals(5, grid.n_steps, 1)
         r = np.array([1.0, 0.0, 0.0])
         for k in range(grid.n_steps):
             r, sig = step_ito(r, [det], drive_segments()[0], grid.dt, draws[k])
-            np.testing.assert_array_equal(r, rec.states[k + 1])
-            np.testing.assert_array_equal(sig, rec.signals[:, k])
+            np.testing.assert_array_equal(r, states[0, k + 1])
+            np.testing.assert_array_equal(sig, signals[0, :, k])
 
     def test_states_start_at_preparation(self):
         det = reference_detector()
         grid = TimeGrid(0.0, 0.004, 10)
-        rec = simulate_trajectory([0, 1, 0], grid, [det], drive_segments(), NoisePlan(1))
-        np.testing.assert_array_equal(rec.states[0], [0, 1, 0])
-        assert rec.states.shape == (11, 3)
-        assert rec.signals.shape == (1, 10)
+        states, signals = simulate_states([0, 1, 0], grid, [det], drive_segments(),
+                                          NoisePlan(1), 0, 3)
+        np.testing.assert_array_equal(states[:, 0], [[0, 1, 0]] * 3)
+        assert states.shape == (3, 11, 3)
+        assert signals.shape == (3, 1, 10)
+
+    def test_rejects_empty_trajectory_range(self):
+        grid = TimeGrid(0.0, 0.004, 10)
+        for lo, hi in ((3, 3), (-1, 2)):
+            with pytest.raises(ConfigError, match="traj_lo"):
+                simulate_states([0, 1, 0], grid, [reference_detector()], drive_segments(),
+                                NoisePlan(1), lo, hi)
 
     def test_norm_guard_trips_on_coarse_step(self):
         det = reference_detector(70.0)
         grid = TimeGrid(0.0, 0.02, 400)  # kick std ~ 0.1 per step: must trip
         with pytest.raises(DiagnosticError, match="trajectory"):
-            simulate_trajectory([0, 0, 1], grid, [det], drive_segments(), NoisePlan(2))
+            simulate_states([0, 0, 1], grid, [det], drive_segments(), NoisePlan(2), 0, 1)
 
 
 class TestRunEnsemble:
@@ -156,32 +166,27 @@ class TestRunEnsemble:
         args = self.small_args()
         arch = run_ensemble(**args)
         for j in (0, 13, 63):
-            rec = simulate_trajectory(args["initial_state"], args["grid"],
-                                      args["detectors"], args["segments"],
-                                      args["plan"], traj_index=j)
-            np.testing.assert_array_equal(arch.signals[j], rec.signals)
+            _, signals = simulate_states(args["initial_state"], args["grid"],
+                                         args["detectors"], args["segments"],
+                                         args["plan"], j, j + 1)
+            np.testing.assert_array_equal(arch.signals[j], signals[0])
 
     def test_batch_size_invariance(self):
         a = run_ensemble(**self.small_args(), batch_size=7)
         b = run_ensemble(**self.small_args(), batch_size=64)
         np.testing.assert_array_equal(a.signals, b.signals)
-        # state tallies are summed per batch, so only the reduction tree moves
-        np.testing.assert_allclose(a.mean_states, b.mean_states, rtol=1e-12, atol=1e-15)
 
     def test_thread_invariance_bitwise(self):
         a = run_ensemble(**self.small_args(), threads=1, batch_size=16)
         b = run_ensemble(**self.small_args(), threads=4, batch_size=16)
         assert a.digest() == b.digest()
-        np.testing.assert_array_equal(a.mean_states, b.mean_states)
-        np.testing.assert_array_equal(a.sem_states, b.sem_states)
 
     def test_efficiency_never_touches_trajectories(self):
         """eta enters the ensemble generator, not the stepper: with the
         generator held fixed, records are bit-identical across eta."""
         base = self.small_args()
         lo = run_ensemble(**{**base, "detectors": (reference_detector(40.0),)})
-        det_hi = DetectorModel(axis=(0, 0, 1), tau_m=lo.detectors[0].tau_m
-                               if lo.detectors else reference_detector(40.0).tau_m,
+        det_hi = DetectorModel(axis=(0, 0, 1), tau_m=reference_detector(40.0).tau_m,
                                k_phase=reference_detector(40.0).k_phase, eta=1.0)
         hi = run_ensemble(**{**base, "detectors": (det_hi,)})
         np.testing.assert_array_equal(lo.signals, hi.signals)
@@ -193,7 +198,6 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(coarse.signals, want)
         assert coarse.grid.dt == pytest.approx(0.016)
         assert coarse.grid.n_steps == 10
-        assert coarse.base_grid.n_steps == 40
 
     def test_decimate_must_divide(self):
         with pytest.raises(ConfigError):
@@ -204,15 +208,6 @@ class TestRunEnsemble:
         raw = run_ensemble(**self.small_args(detectors=(det,)), decimate=4)
         norm = run_ensemble(**self.small_args(), decimate=4)
         np.testing.assert_array_equal(raw.signals, -0.4 + 0.33 * norm.signals)
-
-    def test_mean_state_statistics_shapes(self):
-        arch = run_ensemble(**self.small_args())
-        assert arch.mean_states.shape == (41, 3)
-        assert arch.sem_states.shape == (41, 3)
-        np.testing.assert_array_equal(arch.mean_states[0], [1, 0, 0])
-        assert np.all(arch.sem_states[0] == 0.0)
-        assert np.all(arch.sem_states[1:].ravel()[
-            np.abs(arch.mean_states[1:]).ravel() > 0] >= 0.0)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -266,4 +261,25 @@ class TestArchiveSerialization:
             EnsembleArchive.load(bad)
         bad.write_bytes(b"NOTMAGIC" + blob[8:])
         with pytest.raises(ConfigError, match="not an ensemble archive"):
+            EnsembleArchive.load(bad)
+        bad.write_bytes(blob[:10])
+        with pytest.raises(ConfigError, match="bad.cqm: truncated"):
+            EnsembleArchive.load(bad)
+
+        hlen = struct.unpack_from("<I", blob, 8)[0]
+        header, data = json.loads(blob[12:12 + hlen]), blob[12 + hlen:]
+
+        def with_header(text):
+            raw = text.encode()
+            return blob[:8] + struct.pack("<I", len(raw)) + raw + data
+
+        bad.write_bytes(with_header("{" + json.dumps(header)))
+        with pytest.raises(ConfigError, match="bad.cqm: archive header is not valid JSON"):
+            EnsembleArchive.load(bad)
+        bad.write_bytes(with_header("[1]"))
+        with pytest.raises(ConfigError, match="bad.cqm: archive header is not a JSON object"):
+            EnsembleArchive.load(bad)
+        del header["seed"]
+        bad.write_bytes(with_header(json.dumps(header, sort_keys=True)))
+        with pytest.raises(ConfigError, match="bad.cqm: archive header lacks key 'seed'"):
             EnsembleArchive.load(bad)
