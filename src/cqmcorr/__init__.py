@@ -14,7 +14,6 @@ from .core import (
     rabi_mhz,
     rabi_rad_per_us,
     require_physical,
-    validate_experiment,
 )
 from .ensemble import (
     Propagator,
@@ -72,7 +71,6 @@ __all__ = [
     "check_segments",
     "rabi_rad_per_us",
     "rabi_mhz",
-    "validate_experiment",
     "Propagator",
     "propagator",
     "evolve",

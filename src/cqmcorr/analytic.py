@@ -44,6 +44,19 @@ def c_factor(gamma: float, t_skip: float, t_avg: float) -> float:
     return math.exp(-gamma * t_skip) * window
 
 
+def _omega_tilde(gamma: float, omega_r: float) -> float:
+    """Damped oscillation frequency sqrt(omega_r^2 - gamma^2/4)."""
+    try:
+        s = omega_r**2 - 0.25 * gamma**2
+    except OverflowError:
+        raise DiagnosticError(f"omega_tilde overflows at omega_r = {omega_r}, gamma = {gamma}") from None
+    if s <= 0:
+        raise DiagnosticError(
+            f"overdamped: |omega_r| = {abs(omega_r)} <= gamma/2 = {gamma / 2};"
+            " the closed forms here cover only the underdamped regime")
+    return math.sqrt(s)
+
+
 @dataclasses.dataclass(frozen=True)
 class RabiCaseParams:
     """Parameters of the driven-qubit closed forms.
@@ -67,6 +80,8 @@ class RabiCaseParams:
             raise ConfigError(f"gamma must be >= 0, got {self.gamma!r}")
         if not math.isfinite(self.omega_r):
             raise ConfigError("omega_r must be finite")
+        if not self.t_skip >= 0:
+            raise ConfigError(f"t_skip must be >= 0, got {self.t_skip!r}")
         if not -1.0 <= self.x0 <= 1.0:
             raise ConfigError(f"x0 must lie in [-1, 1], got {self.x0!r}")
         if self.t_avg is not None and not self.t_avg > 0:
@@ -81,12 +96,7 @@ class RabiCaseParams:
     @property
     def omega_tilde(self) -> float:
         """Damped oscillation frequency sqrt(omega_r^2 - gamma^2/4)."""
-        s = self.omega_r**2 - 0.25 * self.gamma**2
-        if s <= 0:
-            raise DiagnosticError(
-                f"overdamped: |omega_r| = {abs(self.omega_r)} <= gamma/2 = {self.gamma / 2};"
-                " the closed forms here cover only the underdamped regime")
-        return math.sqrt(s)
+        return _omega_tilde(self.gamma, self.omega_r)
 
     @property
     def c(self) -> float:
@@ -109,11 +119,7 @@ def _phase_design(gamma: float, omega_r: float, c: float, tau) -> np.ndarray:
     """Paired-difference template per unit tan(phi_a):
     2 c (omega_r/wt) sin(wt tau) exp(-gamma tau/2)."""
     tau = np.asarray(tau, dtype=np.float64)
-    s = omega_r**2 - 0.25 * gamma**2
-    if s <= 0:
-        raise DiagnosticError(
-            f"overdamped: |omega_r| = {abs(omega_r)} <= gamma/2 = {gamma / 2}")
-    wt = math.sqrt(s)
+    wt = _omega_tilde(gamma, omega_r)
     return 2.0 * c * (omega_r / wt) * np.sin(wt * tau) * np.exp(-0.5 * gamma * tau)
 
 

@@ -45,8 +45,9 @@ from .core import (
     DiagnosticError,
     EnsembleGenerator,
     TimeGrid,
+    check_segments,
     rabi_rad_per_us,
-    validate_experiment,
+    require_physical,
 )
 from .ensemble import dephasing_matrix, rabi_dephasing_generator
 from .gcr import correlator_time_averaged
@@ -58,6 +59,10 @@ CSV_HEADER = "tau_us,K_plus,err_plus,K_minus,err_minus,dK,err_dK"
 # timescales, divided by this
 DT_RESOLUTION = 250.0
 
+# most lags a deterministic route evaluates: far finer than any lag grid in
+# use, far smaller than an array that exhausts memory
+MAX_LAGS = 100_000
+
 
 def _no_extras(d: dict, allowed, ctx: str) -> None:
     if not isinstance(d, dict):
@@ -67,45 +72,66 @@ def _no_extras(d: dict, allowed, ctx: str) -> None:
         raise ConfigError(f"{ctx}: unknown keys {extras}")
 
 
-_REQUIRED = object()
+def _number(v, name: str, integer: bool, depth: int):
+    """Value ``v`` of the numeric field ``name``: a JSON number or, at
+    ``depth`` > 0, lists nested that deep (rows of equal length) around
+    numbers, as float or, with ``integer``, int. Bools, strings, non-finite
+    values, wrong nesting and non-integral values of integer fields raise
+    ConfigError naming the field."""
+    if depth:
+        if not isinstance(v, list):
+            raise ConfigError(f"{name} must be a list, got {v!r}")
+        rows = [_number(x, name, integer, depth - 1) for x in v]
+        if depth > 1 and len({len(row) for row in rows}) > 1:
+            raise ConfigError(f"{name} has rows of unequal length")
+        return rows
+    finite = not isinstance(v, float) or math.isfinite(v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not finite:
+        raise ConfigError(f"{name} must be a finite {'integer' if integer else 'number'}, got {v!r}")
+    if not integer:
+        return float(v)
+    if isinstance(v, float) and not v.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {v!r}")
+    return int(v)
 
 
-def _number(d: dict, key: str, ctx: str, default=_REQUIRED, *, integer: bool = False,
-            vector: bool = False):
-    """Numeric field ``key`` of section ``ctx``: a JSON number or, with
-    ``vector``, a list (nested for matrices) of numbers, as float or, with
-    ``integer``, int. Bools, strings, non-finite values, a list where a
-    number belongs and the reverse, and non-integral values of integer
-    fields raise ConfigError naming ``ctx.key``. An absent key, or null
-    where the default is None, gives the default."""
-    name = f"{ctx}.{key}"
-    if key not in d or (d[key] is None and default is None):
-        if default is _REQUIRED:
-            raise ConfigError(f"{ctx}: missing {key}")
-        return default
-    if isinstance(d[key], list) != vector:
-        raise ConfigError(f"{name} must be {'a list' if vector else 'a single number'}, "
-                          f"got {d[key]!r}")
-
-    def convert(v):
-        if isinstance(v, list):
-            return [convert(x) for x in v]
-        finite = not isinstance(v, float) or math.isfinite(v)
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not finite:
-            raise ConfigError(f"{name} must be a finite {'integer' if integer else 'number'}, "
-                              f"got {v!r}")
-        if not integer:
-            return float(v)
-        if isinstance(v, float) and not v.is_integer():
-            raise ConfigError(f"{name} must be an integer, got {v!r}")
-        return int(v)
-
-    return convert(d[key])
+def _parse(cls, d, ctx: str):
+    """The config dataclass ``cls`` read from the JSON object ``d`` of
+    section ``ctx``. A field's annotation gives its kind: ``str``, ``int``,
+    ``float``, a config class (a nested section), or ``list[...]`` of any of
+    these but ``str``. An absent key, or null where the default is None,
+    gives the dataclass default; a field without one is required."""
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    _no_extras(d, [f.name for f in fields], ctx)
+    values = {}
+    for f in fields:
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        name, value = f"{ctx}.{f.name}", d.get(f.name)
+        if value is None and (f.name not in d or default is None):
+            if default is dataclasses.MISSING:
+                raise ConfigError(f"{ctx}: missing {f.name}")
+            values[f.name] = default
+            continue
+        kind = f.type.removesuffix(" | None")
+        base, depth = kind.replace("list[", "").rstrip("]"), kind.count("list[")
+        section = globals().get(base)
+        path = f.name if ctx == "config" else name
+        if base == "str" and not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
+        if depth and section is not None and not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list")
+        if section is None:
+            values[f.name] = value if base == "str" else _number(value, name, base == "int", depth)
+        elif depth:
+            values[f.name] = [_parse(section, v, f"{path}[{i}]") for i, v in enumerate(value)]
+        else:
+            values[f.name] = _parse(section, value, path)
+    return cls(**values)
 
 
 @dataclasses.dataclass
 class DetectorConfig:
-    axis: list
+    axis: list[float]
     phi_a_deg: float = 0.0
     tau_min_us: float | None = None
     tau_m_us: float | None = None
@@ -113,34 +139,13 @@ class DetectorConfig:
     response: float = 1.0
     offset: float = 0.0
 
-    @classmethod
-    def from_dict(cls, d: dict, ctx: str) -> "DetectorConfig":
-        _no_extras(d, ("axis", "phi_a_deg", "tau_min_us", "tau_m_us", "eta",
-                       "response", "offset"), ctx)
-        axis = _number(d, "axis", ctx, vector=True)
-        if "tau_min_us" not in d and "tau_m_us" not in d:
-            raise ConfigError(f"{ctx}: need tau_min_us or tau_m_us")
-        return cls(axis=axis, phi_a_deg=_number(d, "phi_a_deg", ctx, 0.0),
-                   tau_min_us=_number(d, "tau_min_us", ctx, None),
-                   tau_m_us=_number(d, "tau_m_us", ctx, None),
-                   eta=_number(d, "eta", ctx, 1.0), response=_number(d, "response", ctx, 1.0),
-                   offset=_number(d, "offset", ctx, 0.0))
-
 
 @dataclasses.dataclass
 class SegmentConfig:
-    matrix: list
-    r_st: list
+    matrix: list[list[float]]
     t_start_us: float
     t_end_us: float
-
-    @classmethod
-    def from_dict(cls, d: dict, ctx: str) -> "SegmentConfig":
-        _no_extras(d, ("matrix", "r_st", "t_start_us", "t_end_us"), ctx)
-        return cls(matrix=_number(d, "matrix", ctx, vector=True),
-                   r_st=_number(d, "r_st", ctx, [0.0, 0.0, 0.0], vector=True),
-                   t_start_us=_number(d, "t_start_us", ctx),
-                   t_end_us=_number(d, "t_end_us", ctx))
+    r_st: list[float] = (0.0, 0.0, 0.0)
 
 
 @dataclasses.dataclass
@@ -148,23 +153,7 @@ class EvolutionConfig:
     gamma_per_us: float = 0.0
     omega_r_rad_per_us: float | None = None
     rabi_mhz: float | None = None
-    segments: list | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvolutionConfig":
-        _no_extras(d, ("gamma_per_us", "omega_r_rad_per_us", "rabi_mhz", "segments"),
-                   "evolution")
-        if d.get("omega_r_rad_per_us") is not None and d.get("rabi_mhz") is not None:
-            raise ConfigError("evolution: give omega_r_rad_per_us or rabi_mhz, not both")
-        segments = None
-        if d.get("segments") is not None:
-            if not isinstance(d["segments"], list):
-                raise ConfigError("evolution.segments must be a list")
-            segments = [SegmentConfig.from_dict(s, f"evolution.segments[{i}]")
-                        for i, s in enumerate(d["segments"])]
-        return cls(gamma_per_us=_number(d, "gamma_per_us", "evolution", 0.0),
-                   omega_r_rad_per_us=_number(d, "omega_r_rad_per_us", "evolution", None),
-                   rabi_mhz=_number(d, "rabi_mhz", "evolution", None), segments=segments)
+    segments: list[SegmentConfig] | None = None
 
     @property
     def omega_r(self) -> float:
@@ -182,14 +171,6 @@ class GridConfig:
     t0_us: float = 0.0
     decimate: int = 1
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GridConfig":
-        _no_extras(d, ("duration_us", "dt_us", "t0_us", "decimate"), "grid")
-        return cls(duration_us=_number(d, "duration_us", "grid"),
-                   dt_us=_number(d, "dt_us", "grid", None),
-                   t0_us=_number(d, "t0_us", "grid", 0.0),
-                   decimate=_number(d, "decimate", "grid", 1, integer=True))
-
 
 @dataclasses.dataclass
 class EnsembleConfig:
@@ -197,15 +178,6 @@ class EnsembleConfig:
     seed: int = 0
     batch_size: int = DEFAULT_BATCH_SIZE
     threads: int = 1
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EnsembleConfig":
-        _no_extras(d, ("n_traj", "seed", "batch_size", "threads"), "ensemble")
-        return cls(n_traj=_number(d, "n_traj", "ensemble", 1, integer=True),
-                   seed=_number(d, "seed", "ensemble", 0, integer=True),
-                   batch_size=_number(d, "batch_size", "ensemble", DEFAULT_BATCH_SIZE,
-                                      integer=True),
-                   threads=_number(d, "threads", "ensemble", 1, integer=True))
 
 
 @dataclasses.dataclass
@@ -216,67 +188,26 @@ class CorrelatorConfig:
     block_size: int = DEFAULT_BLOCK_SIZE
     max_lag_us: float | None = None
     lag_step_us: float | None = None
-    times: list | None = None
-    detector_indices: list | None = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CorrelatorConfig":
-        _no_extras(d, ("mode", "t_skip_us", "t_avg_us", "block_size", "max_lag_us",
-                       "lag_step_us", "times", "detector_indices"), "correlator")
-        ctx = "correlator"
-        return cls(mode=d.get("mode", "mc"), t_skip_us=_number(d, "t_skip_us", ctx, 0.0),
-                   t_avg_us=_number(d, "t_avg_us", ctx, None),
-                   block_size=_number(d, "block_size", ctx, DEFAULT_BLOCK_SIZE, integer=True),
-                   max_lag_us=_number(d, "max_lag_us", ctx, None),
-                   lag_step_us=_number(d, "lag_step_us", ctx, None),
-                   times=_number(d, "times", ctx, None, vector=True),
-                   detector_indices=_number(d, "detector_indices", ctx, None, integer=True,
-                                            vector=True))
+    times: list[float] | None = None
+    detector_indices: list[int] | None = None
 
 
 @dataclasses.dataclass
 class CalibrateConfig:
     fit_window_us: float = DEFAULT_RESPONSE_FIT_WINDOW
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CalibrateConfig":
-        _no_extras(d, ("fit_window_us",), "calibrate")
-        return cls(fit_window_us=_number(d, "fit_window_us", "calibrate",
-                                         DEFAULT_RESPONSE_FIT_WINDOW))
-
 
 @dataclasses.dataclass
 class ExperimentConfig:
-    detectors: list
-    evolution: EvolutionConfig
-    grid: GridConfig | None
-    ensemble: EnsembleConfig
-    correlator: CorrelatorConfig
-    calibrate: CalibrateConfig
-    initial_state: list
-    digest: str
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        _no_extras(raw, ("detectors", "evolution", "grid", "ensemble", "correlator",
-                         "calibrate", "initial_state"), "config")
-        if not isinstance(raw.get("detectors", []), list):
-            raise ConfigError("detectors must be a list")
-        detectors = [DetectorConfig.from_dict(d, f"detectors[{i}]")
-                     for i, d in enumerate(raw.get("detectors", []))]
-        digest = hashlib.sha256(
-            json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-        return cls(
-            detectors=detectors,
-            evolution=EvolutionConfig.from_dict(raw.get("evolution", {})),
-            grid=GridConfig.from_dict(raw["grid"]) if "grid" in raw else None,
-            ensemble=EnsembleConfig.from_dict(raw.get("ensemble", {})),
-            correlator=CorrelatorConfig.from_dict(raw.get("correlator", {})),
-            calibrate=CalibrateConfig.from_dict(raw.get("calibrate", {})),
-            initial_state=_number(raw, "initial_state", "config", [0.0, 0.0, 1.0],
-                                  vector=True),
-            digest=digest,
-        )
+    detectors: list[DetectorConfig] = dataclasses.field(default_factory=list)
+    evolution: EvolutionConfig = dataclasses.field(default_factory=EvolutionConfig)
+    grid: GridConfig | None = None
+    ensemble: EnsembleConfig = dataclasses.field(default_factory=EnsembleConfig)
+    correlator: CorrelatorConfig = dataclasses.field(default_factory=CorrelatorConfig)
+    calibrate: CalibrateConfig = dataclasses.field(default_factory=CalibrateConfig)
+    initial_state: list[float] = (0.0, 0.0, 1.0)
+    # sha256 of the canonical JSON, set by load_config
+    digest: str = dataclasses.field(default="", init=False)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -286,32 +217,90 @@ def load_config(path: str) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON: {err}")
-    config = ExperimentConfig.from_dict(raw)
+    config = _parse(ExperimentConfig, raw, "config")
+    config.digest = hashlib.sha256(
+        json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     problems = validate_experiment(config)
     if problems:
         raise ConfigError(f"{path}: invalid config:\n  " + "\n  ".join(problems))
     return config
 
 
+def validate_experiment(config: ExperimentConfig) -> list[str]:
+    """Every problem in a parsed config, each led by its JSON path; empty
+    means valid. The value rules live in the model constructors: this
+    builds each model and reports the ConfigError it raises. It checks
+    directly only the rules that no model holds."""
+    problems = []
+
+    def need(ok, problem: str) -> None:
+        if not ok:
+            problems.append(problem)
+
+    def build(path: str, make):
+        try:
+            return make()
+        except ConfigError as err:
+            problems.append(f"{path}: {err}")
+
+    need(config.detectors, "detectors: none configured")
+    for i, dc in enumerate(config.detectors):
+        if dc.tau_min_us is None and dc.tau_m_us is None:
+            problems.append(f"detectors[{i}]: need tau_min_us or tau_m_us")
+        else:
+            build(f"detectors[{i}]", lambda: build_detector(dc))
+
+    evo = config.evolution
+    need(evo.omega_r_rad_per_us is None or evo.rabi_mhz is None,
+         "evolution: give omega_r_rad_per_us or rabi_mhz, not both")
+    if evo.gamma_per_us < 0:
+        problems.append(f"evolution.gamma_per_us must be >= 0, got {evo.gamma_per_us!r}")
+    elif not evo.segments:
+        build("evolution", lambda: build_segments(config))
+    segments = [build(f"evolution.segments[{j}]", lambda: _build_segment(s))
+                for j, s in enumerate(evo.segments or ())]
+    if segments and None not in segments:
+        build("evolution.segments",
+              lambda: check_segments(segments, segments[0].t_start, segments[-1].t_end))
+
+    gc = config.grid
+    if gc is not None:
+        need(gc.duration_us > 0, f"grid.duration_us must be positive, got {gc.duration_us!r}")
+        need(gc.decimate >= 1, f"grid.decimate must be >= 1, got {gc.decimate!r}")
+        # build_grid also wants a whole number of steps, which only the
+        # commands that run on the grid require
+        if gc.dt_us is not None:
+            build("grid.dt_us", lambda: TimeGrid(t0=gc.t0_us, dt=gc.dt_us, n_steps=1))
+    need(config.ensemble.n_traj >= 1, f"ensemble.n_traj must be >= 1, got {config.ensemble.n_traj!r}")
+
+    corr = config.correlator
+    need(corr.mode in ("mc", "gcr", "analytic"),
+         f"correlator.mode must be mc|gcr|analytic, got {corr.mode!r}")
+    need(corr.t_avg_us is None or corr.t_avg_us > 0,
+         f"correlator.t_avg_us must be positive, got {corr.t_avg_us!r}")
+    times = corr.times or []
+    need(all(t1 < t2 for t1, t2 in zip(times, times[1:])), "correlator.times not strictly ordered")
+    for idx in corr.detector_indices or []:
+        need(0 <= idx < max(len(config.detectors), 1),
+             f"correlator.detector_indices: detector index {idx} out of range")
+    build("initial_state", lambda: require_physical(config.initial_state))
+    return problems
+
+
 def build_detector(dc: DetectorConfig) -> DetectorModel:
-    if dc.tau_min_us is not None:
-        return DetectorModel.from_quadrature_angle(
-            axis=dc.axis, tau_min=float(dc.tau_min_us), phi_a_deg=dc.phi_a_deg,
-            eta=dc.eta, response=dc.response, offset=dc.offset,
-            tau_m=None if dc.tau_m_us is None else float(dc.tau_m_us))
-    return DetectorModel(axis=dc.axis, tau_m=float(dc.tau_m_us),
-                         k_phase=math.tan(math.radians(dc.phi_a_deg)),
-                         eta=dc.eta, response=dc.response, offset=dc.offset)
+    return DetectorModel.from_quadrature_angle(
+        axis=dc.axis, tau_min=dc.tau_min_us, phi_a_deg=dc.phi_a_deg, eta=dc.eta,
+        response=dc.response, offset=dc.offset, tau_m=dc.tau_m_us)
+
+
+def _build_segment(s: SegmentConfig) -> EnsembleGenerator:
+    return EnsembleGenerator(matrix=s.matrix, r_st=s.r_st, t_start=s.t_start_us, t_end=s.t_end_us)
 
 
 def build_segments(config: ExperimentConfig):
     evo = config.evolution
     if evo.segments:
-        return tuple(
-            EnsembleGenerator(matrix=np.asarray(s.matrix, dtype=np.float64),
-                              r_st=np.asarray(s.r_st, dtype=np.float64),
-                              t_start=s.t_start_us, t_end=s.t_end_us)
-            for s in evo.segments)
+        return tuple(_build_segment(s) for s in evo.segments)
     return (rabi_dephasing_generator(evo.gamma_per_us, evo.omega_r),)
 
 
@@ -333,18 +322,26 @@ def build_grid(config: ExperimentConfig, detectors) -> TimeGrid:
     if gc is None:
         raise ConfigError("config needs a grid section for this command")
     dt = gc.dt_us if gc.dt_us is not None else default_dt(config, detectors)
+    if not math.isfinite(gc.duration_us / dt):
+        raise ConfigError(f"grid.duration_us {gc.duration_us} over dt {dt} is no finite step count")
     n_steps = int(round(gc.duration_us / dt))
     if n_steps < 1 or abs(n_steps * dt - gc.duration_us) > 1e-6 * gc.duration_us:
         raise ConfigError(
-            f"grid duration {gc.duration_us} is not a whole number of steps of dt {dt}")
+            f"grid.duration_us {gc.duration_us} is not a whole number of steps of dt {dt}")
     return TimeGrid(t0=gc.t0_us, dt=dt, n_steps=n_steps)
 
 
-def _run_pair(config: ExperimentConfig, detectors, segments, grid, seed: int,
-              threads: int) -> tuple[EnsembleArchive, EnsembleArchive]:
-    """Two ensembles: the configured initial state and its antipode, on
-    disjoint noise streams (seed and seed + 1)."""
-    r0 = np.asarray(config.initial_state, dtype=np.float64)
+def _seed_threads(args, config: ExperimentConfig) -> tuple[int, int]:
+    """The --seed and --threads overrides, else the ensemble section's values."""
+    ens = config.ensemble
+    return (ens.seed if args.seed is None else args.seed,
+            ens.threads if args.threads is None else args.threads)
+
+
+def _run_pair(config: ExperimentConfig, detectors, segments, grid, seed: int, threads: int,
+              r0) -> tuple[EnsembleArchive, EnsembleArchive]:
+    """Two ensembles: initial state ``r0`` and its antipode, on disjoint
+    noise streams (seed and seed + 1)."""
     ens = config.ensemble
     common = dict(grid=grid, detectors=detectors, segments=segments,
                   threads=threads, batch_size=ens.batch_size,
@@ -355,10 +352,11 @@ def _run_pair(config: ExperimentConfig, detectors, segments, grid, seed: int,
 
 
 def _write_csv(out, config: ExperimentConfig, seed, lags, kp, ep, km, em) -> None:
-    dk = kp - km
-    edk = np.sqrt(ep**2 + em**2)
+    columns = (lags, kp, ep, km, em, kp - km, np.sqrt(ep**2 + em**2))
+    if not all(np.all(np.isfinite(c)) for c in columns):
+        raise DiagnosticError("non-finite value in the correlator output")
     lines = [f"# config sha256 {config.digest} seed {seed}", CSV_HEADER]
-    for row in zip(lags, kp, ep, km, em, dk, edk):
+    for row in zip(*columns):
         lines.append(",".join(f"{v:.12g}" for v in row))
     _emit(out, "\n".join(lines) + "\n")
 
@@ -385,7 +383,13 @@ def _lag_grid(config: ExperimentConfig, grid: TimeGrid) -> np.ndarray:
     step = corr.lag_step_us if corr.lag_step_us is not None else grid.dt * config.grid.decimate
     if corr.max_lag_us is None:
         raise ConfigError("correlator.max_lag_us required for deterministic modes")
-    n = int(round(corr.max_lag_us / step))
+    if not step > 0:
+        raise ConfigError(f"correlator.lag_step_us must be positive, got {step!r}")
+    n = corr.max_lag_us / step
+    if not n <= MAX_LAGS:
+        raise ConfigError(f"correlator.max_lag_us {corr.max_lag_us} over lag_step_us {step} "
+                          f"gives more than {MAX_LAGS} lags")
+    n = round(max(n, 0.0))
     if n < 1:
         raise ConfigError("correlator.max_lag_us below one lag step")
     return step * np.arange(1, n + 1)
@@ -396,8 +400,7 @@ def cmd_simulate(args) -> int:
     detectors = tuple(build_detector(d) for d in config.detectors)
     segments = build_segments(config)
     grid = build_grid(config, detectors)
-    seed = args.seed if args.seed is not None else config.ensemble.seed
-    threads = args.threads if args.threads is not None else config.ensemble.threads
+    seed, threads = _seed_threads(args, config)
     archive = run_ensemble(config.ensemble.n_traj, NoisePlan(seed),
                            np.asarray(config.initial_state, dtype=np.float64),
                            grid, detectors, segments, threads=threads,
@@ -417,8 +420,8 @@ def cmd_correlate(args) -> int:
     det_idx = (corr.detector_indices or [0])[0]
     if corr.t_avg_us is None:
         raise ConfigError("correlator.t_avg_us required")
-    seed = args.seed if args.seed is not None else config.ensemble.seed
-    threads = args.threads if args.threads is not None else config.ensemble.threads
+    seed, threads = _seed_threads(args, config)
+    r0 = np.asarray(config.initial_state, dtype=np.float64)
 
     if corr.mode == "mc":
         if config.ensemble.n_traj < 2 * corr.block_size:
@@ -427,7 +430,7 @@ def cmd_correlate(args) -> int:
                 f"blocks for ensemble.n_traj {config.ensemble.n_traj}; "
                 "need n_traj >= 2 * block_size")
         grid = build_grid(config, detectors)
-        plus, minus = _run_pair(config, detectors, segments, grid, seed, threads)
+        plus, minus = _run_pair(config, detectors, segments, grid, seed, threads, r0)
         delta_i = 2.0 * detectors[det_idx].response
         result = estimate_correlator(plus, delta_i, corr.t_avg_us, corr.t_skip_us,
                                      block_size=corr.block_size, archive_minus=minus,
@@ -439,13 +442,12 @@ def cmd_correlate(args) -> int:
     grid = build_grid(config, detectors)
     lags = _lag_grid(config, grid)
     zeros = np.zeros_like(lags)
-    r0 = np.asarray(config.initial_state, dtype=np.float64)
     if corr.mode == "gcr":
         kp = correlator_time_averaged(lags, detectors[det_idx], segments, r0,
                                       corr.t_skip_us, corr.t_avg_us).values
         km = correlator_time_averaged(lags, detectors[det_idx], segments, -r0,
                                       corr.t_skip_us, corr.t_avg_us).values
-    elif corr.mode == "analytic":
+    else:
         params = RabiCaseParams(gamma=config.evolution.gamma_per_us,
                                 omega_r=config.evolution.omega_r,
                                 k_phase=detectors[det_idx].k_phase,
@@ -453,8 +455,6 @@ def cmd_correlate(args) -> int:
                                 t_avg=corr.t_avg_us)
         kp = k_analytic_averaged(params, lags)
         km = k_analytic_averaged(dataclasses.replace(params, x0=-params.x0), lags)
-    else:
-        raise ConfigError(f"correlator.mode must be mc|gcr|analytic, got {corr.mode!r}")
     _write_csv(args.out, config, seed, lags, kp, zeros, km, zeros)
     return 0
 
@@ -470,14 +470,8 @@ def cmd_calibrate(args) -> int:
     segments = (EnsembleGenerator(matrix=dephasing_matrix(det.axis, gamma),
                                   r_st=np.zeros(3)),)
     grid = build_grid(config, (det,))
-    seed = args.seed if args.seed is not None else config.ensemble.seed
-    threads = args.threads if args.threads is not None else config.ensemble.threads
-    ens = config.ensemble
-    common = dict(grid=grid, detectors=(det,), segments=segments, threads=threads,
-                  batch_size=ens.batch_size, decimate=config.grid.decimate,
-                  config_digest=config.digest)
-    plus = run_ensemble(ens.n_traj, NoisePlan(seed), det.axis, **common)
-    minus = run_ensemble(ens.n_traj, NoisePlan(seed + 1), -det.axis, **common)
+    seed, threads = _seed_threads(args, config)
+    plus, minus = _run_pair(config, (det,), segments, grid, seed, threads, det.axis)
     run = CalibrationRun(plus=plus, minus=minus)
     delta_i = estimate_response(run, fit_window=config.calibrate.fit_window_us)
     tau_m, eta = estimate_tau_m(run, delta_i, gamma=gamma if gamma > 0 else None)
@@ -486,7 +480,7 @@ def cmd_calibrate(args) -> int:
         "delta_i": delta_i,
         "eta": eta,
         "gamma_per_us": gamma,
-        "n_traj": ens.n_traj,
+        "n_traj": config.ensemble.n_traj,
         "response": delta_i / 2.0,
         "seed": seed,
         "tau_m_us": tau_m,

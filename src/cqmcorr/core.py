@@ -1,4 +1,4 @@
-"""Shared types, unit conventions, and validation.
+"""Shared types, unit conventions, and the value rules of the models.
 
 Conventions used throughout the package:
 
@@ -133,8 +133,10 @@ class DetectorModel:
         phi = math.radians(phi_a_deg)
         c = math.cos(phi)
         if abs(c) < 1e-6:
-            raise ConfigError(f"quadrature angle {phi_a_deg} deg too close to 90: tau_m diverges")
+            raise ConfigError(f"phi_a_deg {phi_a_deg} too close to 90: K and tau_m diverge")
         if tau_m is None:
+            if not tau_min > 0:
+                raise ConfigError(f"tau_min must be positive, got {tau_min!r}")
             tau_m = tau_min / c**2
         return cls(axis=axis, tau_m=tau_m, k_phase=math.tan(phi), eta=eta,
                    response=response, offset=offset)
@@ -157,7 +159,7 @@ class EnsembleGenerator:
         _frozen_array(self, "matrix", mat)
         _frozen_array(self, "r_st", as_bloch(self.r_st))
         if not self.t_start < self.t_end:
-            raise ConfigError(f"empty generator interval [{self.t_start}, {self.t_end})")
+            raise ConfigError(f"empty interval: t_start {self.t_start} is not below t_end {self.t_end}")
 
 
 def check_segments(segments, t_from: float, t_to: float) -> None:
@@ -237,83 +239,3 @@ class CorrelatorResult:
         if self.errors is None or self.errors_minus is None:
             return None
         return np.sqrt(self.errors**2 + self.errors_minus**2)
-
-
-def validate_experiment(config) -> list[str]:
-    """Report-style validation of a parsed experiment config (see the cli
-    module for the schema). Returns a list of violation messages; empty means
-    valid. Never raises."""
-    problems = []
-
-    detectors = getattr(config, "detectors", None) or []
-    if not detectors:
-        problems.append("no detectors configured")
-    for i, det in enumerate(detectors):
-        axis = np.asarray(det.axis, dtype=np.float64)
-        if axis.shape != (3,) or not np.all(np.isfinite(axis)):
-            problems.append(f"detectors[{i}].axis is not a finite 3-vector")
-            continue
-        if abs(np.linalg.norm(axis) - 1.0) > AXIS_NORM_TOL:
-            problems.append(f"detectors[{i}].axis is not a unit vector (|n| = {np.linalg.norm(axis):.15g})")
-        if det.tau_m_us is not None:
-            if not det.tau_m_us > 0:
-                problems.append(f"detectors[{i}].tau_m_us must be positive")
-        elif det.tau_min_us is None:
-            problems.append(f"detectors[{i}] needs tau_min_us or tau_m_us")
-        elif not det.tau_min_us > 0:
-            problems.append(f"detectors[{i}].tau_min_us must be positive")
-        if not (0.0 < det.eta <= 1.0):
-            problems.append(f"detectors[{i}].eta out of range (0, 1]")
-        if abs(math.cos(math.radians(det.phi_a_deg))) < 1e-6:
-            problems.append(f"detectors[{i}].phi_a_deg too close to 90 deg")
-
-    grid = getattr(config, "grid", None)
-    if grid is not None:
-        if grid.dt_us is not None and not grid.dt_us > 0:
-            problems.append("grid.dt_us must be positive")
-        if not grid.duration_us > 0:
-            problems.append("grid.duration_us must be positive")
-        if grid.decimate < 1:
-            problems.append("grid.decimate must be >= 1")
-
-    ens = getattr(config, "ensemble", None)
-    if ens is not None and ens.n_traj < 1:
-        problems.append("ensemble.n_traj must be >= 1")
-
-    evo = getattr(config, "evolution", None)
-    if evo is not None:
-        if evo.gamma_per_us < 0:
-            problems.append("evolution.gamma_per_us must be >= 0")
-        segs = evo.segments or []
-        for j, seg in enumerate(segs):
-            if np.asarray(seg.matrix, dtype=np.float64).shape != (3, 3):
-                problems.append(f"evolution.segments[{j}].matrix must be 3x3")
-            if not seg.t_start_us < seg.t_end_us:
-                problems.append(f"evolution.segments[{j}] has an empty time interval")
-        for j in range(1, len(segs)):
-            if segs[j].t_start_us != segs[j - 1].t_end_us:
-                problems.append(f"evolution.segments[{j}] does not abut segment {j - 1}")
-
-    corr = getattr(config, "correlator", None)
-    if corr is not None:
-        if corr.times is not None:
-            times = list(corr.times)
-            if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-                problems.append("correlator times not strictly ordered")
-        for idx in corr.detector_indices or []:
-            if not 0 <= idx < max(len(detectors), 1):
-                problems.append(f"correlator detector index {idx} out of range")
-        if corr.mode not in ("mc", "gcr", "analytic"):
-            problems.append(f"correlator.mode must be mc|gcr|analytic, got {corr.mode!r}")
-        if corr.t_avg_us is not None and corr.t_avg_us <= 0:
-            problems.append("correlator.t_avg_us must be positive")
-
-    init = getattr(config, "initial_state", None)
-    if init is not None:
-        arr = np.asarray(init, dtype=np.float64)
-        if arr.shape != (3,) or not np.all(np.isfinite(arr)):
-            problems.append("initial_state is not a finite 3-vector")
-        elif np.linalg.norm(arr) > 1.0 + PHYSICAL_NORM_TOL:
-            problems.append(f"initial_state norm {np.linalg.norm(arr):.12g} exceeds 1")
-
-    return problems

@@ -59,6 +59,17 @@ class TestRabiCaseParams:
         with pytest.raises(DiagnosticError):
             k_qrf_baseline(p, np.array([0.1]))
 
+    def test_overflow_is_diagnostic(self):
+        # gamma^2 overflows a float: omega_tilde and the fit template say so
+        with pytest.raises(DiagnosticError, match="overflows"):
+            RabiCaseParams(gamma=1e308, omega_r=OMEGA).omega_tilde
+        with pytest.raises(DiagnosticError, match="overflows"):
+            fit_phase_angle([0.1, 0.3, 0.6], [0.0, 0.0, 0.0], gamma=1e308, omega_r=OMEGA, c=1.0)
+
+    def test_rejects_negative_t_skip(self):
+        with pytest.raises(ConfigError, match="t_skip"):
+            RabiCaseParams(gamma=GAMMA, omega_r=OMEGA, t_skip=-1.0, t_avg=0.28)
+
     def test_from_quadrature_angle(self):
         p = RabiCaseParams.from_quadrature_angle(GAMMA, OMEGA, 70.0)
         assert p.k_phase == pytest.approx(math.tan(math.radians(70.0)), rel=1e-15)

@@ -49,6 +49,12 @@ def base_config(**over):
     return cfg
 
 
+def segment(**over):
+    seg = {"matrix": [[0.0] * 3] * 3, "t_start_us": 0.0, "t_end_us": 1e9}
+    seg.update(over)
+    return seg
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -346,10 +352,19 @@ class TestExitCodes:
         (("evolution", "segments"), 5, "evolution.segments must be a list"),
         (("correlator", "max_lag_us"), float("nan"), "correlator.max_lag_us"),
         (("correlator", "detector_indices"), [3], "detector index 3 out of range"),
+        (("correlator", "lag_step_us"), 0.0, "correlator.lag_step_us"),
+        (("correlator", "max_lag_us"), 1e12, "correlator.max_lag_us"),
+        (("correlator", "max_lag_us"), -1e308, "correlator.max_lag_us"),
+        (("grid", "duration_us"), 1e308, "grid.duration_us"),
+        (("correlator", "t_skip_us"), -1.0, "t_skip"),
+        (("evolution", "segments"), [segment(matrix=[[0.0] * 3, [0.0] * 2, [0.0] * 3])],
+         "evolution.segments[0].matrix"),
+        (("correlator", "detector_indices"), [[0]], "correlator.detector_indices"),
     ], ids=["invalid-json", "n_traj-2.7", "n_traj-bool", "seed-string", "decimate-2.7",
             "eta-high", "axis-zz", "t_skip-bool", "initial_state-string", "grid-number",
             "eta-list", "times-number", "detectors-number", "segments-number", "max_lag-nan",
-            "index-range"])
+            "index-range", "lag_step-zero", "max_lag-huge", "max_lag-minus-huge", "duration-huge",
+            "t_skip-negative", "matrix-ragged", "index-nested"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, field, value, names):
         if field is None:
             path = tmp_path / "bad.json"
@@ -364,6 +379,62 @@ class TestExitCodes:
         assert main(["correlate", "--config", str(path),
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert names in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate, names", [
+        (lambda c: c.update(detectors=[]), ("detectors", "none configured")),
+        (lambda c: c["detectors"][0].update(axis=[0.0, 1.0]), ("detectors[0]", "axis")),
+        (lambda c: c["detectors"][0].update(axis=[0.0, 0.0, 2.0]), ("detectors[0]", "axis norm")),
+        (lambda c: c["detectors"][0].update(tau_m_us=-1.0), ("detectors[0]", "tau_m")),
+        (lambda c: c["detectors"][0].pop("tau_min_us"), ("detectors[0]", "tau_min_us or tau_m_us")),
+        (lambda c: c["detectors"][0].update(tau_min_us=0.0), ("detectors[0]", "tau_min")),
+        (lambda c: c["detectors"][0].update(eta=1.5), ("detectors[0]", "eta")),
+        (lambda c: c["detectors"][0].update(phi_a_deg=90.0), ("detectors[0]", "phi_a_deg")),
+        (lambda c: c["grid"].update(dt_us=-0.004), ("grid.dt_us",)),
+        (lambda c: c["grid"].update(duration_us=0.0), ("grid.duration_us",)),
+        (lambda c: c["grid"].update(decimate=0), ("grid.decimate",)),
+        (lambda c: c["ensemble"].update(n_traj=0), ("ensemble.n_traj",)),
+        (lambda c: c["evolution"].update(gamma_per_us=-0.1), ("evolution.gamma_per_us",)),
+        (lambda c: c.update(evolution={"segments": [segment(matrix=[[0.0, 0.0], [0.0, 0.0]])]}),
+         ("evolution.segments[0]", "matrix")),
+        (lambda c: c.update(evolution={"segments": [segment(t_start_us=1.0, t_end_us=1.0)]}),
+         ("evolution.segments[0]", "t_start")),
+        (lambda c: c.update(evolution={"segments": [segment(t_end_us=1.0),
+                                                    segment(t_start_us=2.0)]}),
+         ("evolution.segments", "gap")),
+        (lambda c: c["correlator"].update(times=[0.2, 0.1]), ("correlator.times",)),
+        (lambda c: c["correlator"].update(detector_indices=[2]),
+         ("correlator.detector_indices", "index 2")),
+        (lambda c: c["correlator"].update(mode="exact"), ("correlator.mode",)),
+        (lambda c: c["correlator"].update(t_avg_us=0.0), ("correlator.t_avg_us",)),
+        (lambda c: c.update(initial_state=[1.0, 0.0]), ("initial_state", "shape")),
+        (lambda c: c.update(initial_state=[1.0, 1.0, 0.0]), ("initial_state", "norm")),
+    ], ids=["no-detectors", "axis-shape", "axis-unit", "tau_m", "no-tau", "tau_min", "eta",
+            "phi_a-90", "dt", "duration", "decimate", "n_traj", "gamma", "segment-matrix",
+            "segment-interval", "segment-abut", "times-order", "index-range", "mode", "t_avg",
+            "initial_state-shape", "initial_state-norm"])
+    def test_validation_rule_names_section_and_field(self, tmp_path, capsys, mutate, names):
+        cfg = base_config()
+        mutate(cfg)
+        assert main(["correlate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert all(name in err for name in names), err
+
+    def test_non_finite_csv_is_diagnostic(self, tmp_path, capsys):
+        # the collapse recipe's propagators over a 1e300 us window come out NaN
+        cfg = base_config()
+        cfg["correlator"].update(mode="gcr", t_avg_us=1e300)
+        out = tmp_path / "o.csv"
+        assert main(["correlate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_closed_form_is_diagnostic(self, tmp_path):
+        cfg = base_config()
+        cfg["evolution"]["gamma_per_us"] = 1e308
+        assert main(["correlate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o.csv")]) == 3
 
     def test_overdamped_closed_form_is_diagnostic(self, tmp_path):
         cfg = base_config()
