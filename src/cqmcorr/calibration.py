@@ -47,8 +47,7 @@ class CalibrationRun:
     detector_index: int = 0
 
     def __post_init__(self):
-        gp, gm = self.plus.grid, self.minus.grid
-        if (gp.t0, gp.dt, gp.n_steps) != (gm.t0, gm.dt, gm.n_steps):
+        if self.plus.grid != self.minus.grid:
             raise ConfigError("calibration ensembles must share one grid")
         if not 0 <= self.detector_index < self.plus.n_detectors:
             raise ConfigError(f"detector index {self.detector_index} out of range")
@@ -139,38 +138,28 @@ def _block_bounds(n_traj: int, block_size: int) -> list[tuple[int, int]]:
 
 
 def _estimate_one(archive: EnsembleArchive, detector_index: int, delta_i: float,
-                  t_skip: float, t_avg: float, block_size: int,
-                  max_lag: float | None, detector_index_second: int,
-                  delta_i_second: float):
-    sig_a = archive.signals[:, detector_index, :]
-    sig_b = archive.signals[:, detector_index_second, :]
+                  t_skip: float, t_avg: float, block_size: int, max_lag: float | None):
+    sig = archive.signals[:, detector_index, :]
     times = archive.grid.times()
     dt = archive.grid.dt
     i1 = _first_time_indices(times, t_skip, t_avg)
-    n_lags = sig_a.shape[1] - 1 - int(i1[-1])
+    n_lags = sig.shape[1] - 1 - int(i1[-1])
     if max_lag is not None:
         n_lags = min(n_lags, int(round(max_lag / dt)))
     if n_lags < 1:
         raise ConfigError("record too short for any positive lag after the first-time window")
 
     offset_mask = times >= t_skip - 1e-9
-    bounds = _block_bounds(sig_a.shape[0], block_size)
-    scale_a = 2.0 / delta_i
-    scale_b = 2.0 / delta_i_second
-    same = detector_index_second == detector_index
+    bounds = _block_bounds(sig.shape[0], block_size)
+    scale = 2.0 / delta_i
     block_sums = np.empty((len(bounds), n_lags))
     block_sizes = np.empty(len(bounds))
     for b, (lo, hi) in enumerate(bounds):
-        block_a = sig_a[lo:hi]
-        ja = (block_a - block_a[:, offset_mask].mean()) * scale_a
-        if same:
-            jb = ja
-        else:
-            block_b = sig_b[lo:hi]
-            jb = (block_b - block_b[:, offset_mask].mean()) * scale_b
+        block = sig[lo:hi]
+        j = (block - block[:, offset_mask].mean()) * scale
         acc = np.zeros((hi - lo, n_lags))
         for i in i1:
-            acc += ja[:, i, None] * jb[:, i + 1:i + 1 + n_lags]
+            acc += j[:, i, None] * j[:, i + 1:i + 1 + n_lags]
         acc /= i1.size
         block_sums[b] = acc.sum(axis=0)
         block_sizes[b] = hi - lo
@@ -193,8 +182,6 @@ def estimate_correlator(archive_plus: EnsembleArchive, delta_i: float,
                         block_size: int = DEFAULT_BLOCK_SIZE,
                         archive_minus: EnsembleArchive | None = None,
                         detector_index: int = 0,
-                        detector_index_second: int | None = None,
-                        delta_i_second: float | None = None,
                         max_lag: float | None = None) -> CorrelatorResult:
     """First-time-averaged output correlator from raw records.
 
@@ -205,34 +192,21 @@ def estimate_correlator(archive_plus: EnsembleArchive, delta_i: float,
     errors are delete-one-block jackknife over the same blocks; a second
     archive makes a paired result (``delta`` and ``delta_error`` give the
     preparation difference).
-
-    ``detector_index_second`` selects a cross-correlator: the first factor
-    comes from ``detector_index``, the lagged factor from the second detector
-    (normalized by its own ``delta_i_second``, default ``delta_i``).
     """
     if delta_i == 0:
         raise ConfigError("delta_i must be nonzero")
     if not t_avg > 0:
         raise ConfigError(f"t_avg must be positive, got {t_avg!r}")
-    idx_b = detector_index if detector_index_second is None else detector_index_second
-    di_b = delta_i if delta_i_second is None else delta_i_second
-    if di_b == 0:
-        raise ConfigError("delta_i_second must be nonzero")
-    for idx in (detector_index, idx_b):
-        if not 0 <= idx < archive_plus.n_detectors:
-            raise ConfigError(f"detector index {idx} out of range")
+    if not 0 <= detector_index < archive_plus.n_detectors:
+        raise ConfigError(f"detector index {detector_index} out of range")
     lags, values, errors, t1s = _estimate_one(
-        archive_plus, detector_index, delta_i, t_skip, t_avg, block_size, max_lag,
-        idx_b, di_b)
+        archive_plus, detector_index, delta_i, t_skip, t_avg, block_size, max_lag)
     values_minus = errors_minus = None
     if archive_minus is not None:
-        gp, gm = archive_plus.grid, archive_minus.grid
-        if (gp.t0, gp.dt, gp.n_steps) != (gm.t0, gm.dt, gm.n_steps):
+        if archive_plus.grid != archive_minus.grid:
             raise ConfigError("paired archives must share one grid")
         _, values_minus, errors_minus, _ = _estimate_one(
-            archive_minus, detector_index, delta_i, t_skip, t_avg, block_size,
-            max_lag, idx_b, di_b)
-    indices = (detector_index,) if idx_b == detector_index else (detector_index, idx_b)
+            archive_minus, detector_index, delta_i, t_skip, t_avg, block_size, max_lag)
     return CorrelatorResult(lags=lags, values=values, errors=errors,
                             values_minus=values_minus, errors_minus=errors_minus,
-                            detector_indices=indices, t1_values=t1s)
+                            t1_values=t1s)

@@ -40,6 +40,7 @@ from .calibration import (
     estimate_tau_m,
 )
 from .core import (
+    AXIS_NORM_TOL,
     ConfigError,
     DetectorModel,
     DiagnosticError,
@@ -150,10 +151,14 @@ class SegmentConfig:
 
 @dataclasses.dataclass
 class EvolutionConfig:
-    gamma_per_us: float = 0.0
+    gamma_per_us: float | None = None
     omega_r_rad_per_us: float | None = None
     rabi_mhz: float | None = None
     segments: list[SegmentConfig] | None = None
+
+    @property
+    def gamma(self) -> float:
+        return 0.0 if self.gamma_per_us is None else self.gamma_per_us
 
     @property
     def omega_r(self) -> float:
@@ -188,8 +193,7 @@ class CorrelatorConfig:
     block_size: int = DEFAULT_BLOCK_SIZE
     max_lag_us: float | None = None
     lag_step_us: float | None = None
-    times: list[float] | None = None
-    detector_indices: list[int] | None = None
+    detector_index: int = 0
 
 
 @dataclasses.dataclass
@@ -253,7 +257,10 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
     evo = config.evolution
     need(evo.omega_r_rad_per_us is None or evo.rabi_mhz is None,
          "evolution: give omega_r_rad_per_us or rabi_mhz, not both")
-    if evo.gamma_per_us < 0:
+    rabi_keys = (evo.gamma_per_us, evo.omega_r_rad_per_us, evo.rabi_mhz)
+    need(not evo.segments or rabi_keys == (None,) * 3,
+         "evolution.segments: give segments or gamma_per_us and the Rabi rate, not both")
+    if evo.gamma < 0:
         problems.append(f"evolution.gamma_per_us must be >= 0, got {evo.gamma_per_us!r}")
     elif not evo.segments:
         build("evolution", lambda: build_segments(config))
@@ -278,11 +285,8 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
          f"correlator.mode must be mc|gcr|analytic, got {corr.mode!r}")
     need(corr.t_avg_us is None or corr.t_avg_us > 0,
          f"correlator.t_avg_us must be positive, got {corr.t_avg_us!r}")
-    times = corr.times or []
-    need(all(t1 < t2 for t1, t2 in zip(times, times[1:])), "correlator.times not strictly ordered")
-    for idx in corr.detector_indices or []:
-        need(0 <= idx < max(len(config.detectors), 1),
-             f"correlator.detector_indices: detector index {idx} out of range")
+    need(0 <= corr.detector_index < max(len(config.detectors), 1),
+         f"correlator.detector_index: detector index {corr.detector_index} out of range")
     build("initial_state", lambda: require_physical(config.initial_state))
     return problems
 
@@ -301,13 +305,13 @@ def build_segments(config: ExperimentConfig):
     evo = config.evolution
     if evo.segments:
         return tuple(_build_segment(s) for s in evo.segments)
-    return (rabi_dephasing_generator(evo.gamma_per_us, evo.omega_r),)
+    return (rabi_dephasing_generator(evo.gamma, evo.omega_r),)
 
 
 def default_dt(config: ExperimentConfig, detectors) -> float:
     scales = []
-    if config.evolution.gamma_per_us > 0:
-        scales.append(1.0 / config.evolution.gamma_per_us)
+    if config.evolution.gamma > 0:
+        scales.append(1.0 / config.evolution.gamma)
     if config.evolution.omega_r != 0:
         scales.append(2.0 * math.pi / abs(config.evolution.omega_r))
     for det in detectors:
@@ -417,7 +421,7 @@ def cmd_correlate(args) -> int:
     detectors = tuple(build_detector(d) for d in config.detectors)
     segments = build_segments(config)
     corr = config.correlator
-    det_idx = (corr.detector_indices or [0])[0]
+    det_idx = corr.detector_index
     if corr.t_avg_us is None:
         raise ConfigError("correlator.t_avg_us required")
     seed, threads = _seed_threads(args, config)
@@ -439,6 +443,13 @@ def cmd_correlate(args) -> int:
                    result.values_minus, result.errors_minus)
         return 0
 
+    if corr.mode == "analytic":
+        # the closed form covers only the Rabi model under a +z detector
+        if config.evolution.segments:
+            raise ConfigError("evolution.segments: the closed form needs the Rabi model; use mode gcr")
+        if not np.allclose(detectors[det_idx].axis, (0.0, 0.0, 1.0), rtol=0.0, atol=AXIS_NORM_TOL):
+            raise ConfigError(
+                f"detectors[{det_idx}].axis: the closed form needs the +z axis; use mode gcr")
     grid = build_grid(config, detectors)
     lags = _lag_grid(config, grid)
     zeros = np.zeros_like(lags)
@@ -448,7 +459,7 @@ def cmd_correlate(args) -> int:
         km = correlator_time_averaged(lags, detectors[det_idx], segments, -r0,
                                       corr.t_skip_us, corr.t_avg_us).values
     else:
-        params = RabiCaseParams(gamma=config.evolution.gamma_per_us,
+        params = RabiCaseParams(gamma=config.evolution.gamma,
                                 omega_r=config.evolution.omega_r,
                                 k_phase=detectors[det_idx].k_phase,
                                 x0=float(r0[0]), t_skip=corr.t_skip_us,
@@ -463,8 +474,10 @@ def cmd_calibrate(args) -> int:
     config = load_config(args.config)
     if len(config.detectors) != 1:
         raise ConfigError("calibrate expects exactly one detector")
+    if config.evolution.segments:
+        raise ConfigError("evolution.segments: calibrate builds its own generator from gamma_per_us")
     det = build_detector(config.detectors[0])
-    gamma = config.evolution.gamma_per_us
+    gamma = config.evolution.gamma
     if config.evolution.omega_r != 0:
         raise ConfigError("calibrate runs without a drive; set the Rabi rate to 0")
     segments = (EnsembleGenerator(matrix=dephasing_matrix(det.axis, gamma),
@@ -512,7 +525,7 @@ def cmd_fit_phase(args) -> int:
     lags = np.array([r[0] for r in rows])
     dk = np.array([r[1] for r in rows])
     err = np.array([r[2] for r in rows])
-    gamma = config.evolution.gamma_per_us
+    gamma = config.evolution.gamma
     omega_r = config.evolution.omega_r
     c = c_factor(gamma, corr.t_skip_us, corr.t_avg_us)
     fit = fit_phase_angle(lags, dk, err if np.all(err > 0) else None,

@@ -205,26 +205,18 @@ class TimeGrid:
         """Sample times t_k, k = 0 .. n_steps-1."""
         return self.t0 + self.dt * np.arange(self.n_steps)
 
-    def state_times(self) -> np.ndarray:
-        """State-history times t_k, k = 0 .. n_steps (includes the endpoint)."""
-        return self.t0 + self.dt * np.arange(self.n_steps + 1)
-
 
 @dataclasses.dataclass(frozen=True)
 class CorrelatorResult:
     """Correlator values on a lag grid, optionally paired (two prepared cases)
-    and with standard errors for Monte Carlo estimates.
-
-    ``values`` may be 2-D (first-time grid x lag grid) for cross-correlator
-    grids, in which case ``t1_values`` holds the first-time axis.
-    """
+    and with standard errors for Monte Carlo estimates. ``t1_values`` holds
+    the first times a Monte Carlo estimate averaged over."""
 
     lags: np.ndarray
     values: np.ndarray
     errors: np.ndarray | None = None
     values_minus: np.ndarray | None = None
     errors_minus: np.ndarray | None = None
-    detector_indices: tuple = (0,)
     t1_values: np.ndarray | None = None
 
     @property

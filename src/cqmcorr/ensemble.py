@@ -67,18 +67,6 @@ class Propagator:
     def apply(self, r) -> np.ndarray:
         return self.matrix @ np.asarray(r, dtype=np.float64) + self.shift
 
-    def compose(self, earlier: "Propagator") -> "Propagator":
-        """Propagator for earlier followed by self."""
-        if earlier.t_to != self.t_from:
-            raise ConfigError(
-                f"cannot compose: earlier ends at {earlier.t_to}, later starts at {self.t_from}")
-        return Propagator(
-            matrix=self.matrix @ earlier.matrix,
-            shift=self.matrix @ earlier.shift + self.shift,
-            t_from=earlier.t_from,
-            t_to=self.t_to,
-        )
-
 
 def _segment_step(segment: EnsembleGenerator, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(matrix, shift) for evolving dt under one segment's generator."""
@@ -103,6 +91,7 @@ def propagator(t_from: float, t_to: float, segments, cache: dict | None = None) 
         return Propagator(np.eye(3), np.zeros(3), t_from, t_to)
     segments = list(segments)
     check_segments(segments, t_from, t_to)
+    cache = {} if cache is None else cache
 
     matrix = np.eye(3)
     shift = np.zeros(3)
@@ -111,15 +100,10 @@ def propagator(t_from: float, t_to: float, segments, cache: dict | None = None) 
         hi = min(t_to, seg.t_end)
         if hi <= lo:
             continue
-        dt = hi - lo
-        if cache is not None:
-            key = (index, dt)
-            step = cache.get(key)
-            if step is None:
-                step = _segment_step(seg, dt)
-                cache[key] = step
-        else:
-            step = _segment_step(seg, dt)
+        key = (index, hi - lo)
+        step = cache.get(key)
+        if step is None:
+            step = cache[key] = _segment_step(seg, hi - lo)
         matrix = step[0] @ matrix
         shift = step[0] @ shift + step[1]
     return Propagator(matrix, shift, t_from, t_to)

@@ -20,7 +20,6 @@ They agree to rounding and the tests hold them to that.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -28,11 +27,11 @@ from .core import (
     ConfigError,
     CorrelatorResult,
     DetectorModel,
+    EnsembleGenerator,
     as_bloch,
     require_physical,
 )
 from .ensemble import dephasing_matrix, propagator
-from .core import EnsembleGenerator
 
 # enumeration walks 2^N paths; beyond this it is pointless (use the recursion)
 MAX_ENUMERATION_TIMES = 20
@@ -156,23 +155,22 @@ def correlator_recursive(spec: CorrelatorSpec, detectors, segments,
     return k_scalar
 
 
-def _two_time_value(r1, n1, k1, n2, prop) -> float:
+def _two_time_value(r1, n, k, prop) -> float:
     """K(t1, t2) given the state at t1 and the propagator over [t1, t2]."""
-    r_coll = n1 + k1 * np.cross(n1, r1)
-    return float(n2 @ (prop.matrix @ r_coll) + (n1 @ r1) * (n2 @ prop.shift))
+    r_coll = n + k * np.cross(n, r1)
+    return float(n @ (prop.matrix @ r_coll) + (n @ r1) * (n @ prop.shift))
 
 
 def correlator_time_averaged(lags, detector: DetectorModel, segments, initial_state,
-                             t_skip: float, t_avg: float, t_init: float = 0.0,
-                             detector_second: DetectorModel | None = None,
-                             n_nodes: int = GAUSS_LEGENDRE_NODES) -> CorrelatorResult:
+                             t_skip: float, t_avg: float) -> CorrelatorResult:
     """Two-time correlator averaged over the first time,
 
         Kbar(tau) = (1/t_avg) * integral of K(t1, t1 + tau) dt1
                     over t1 in [t_skip, t_skip + t_avg],
 
-    via Gauss-Legendre quadrature (n_nodes points; the integrand is entire in
-    t1, so 64 nodes are far beyond the accuracy of anything compared against).
+    for the state ``initial_state`` prepared at t = 0, via Gauss-Legendre
+    quadrature (the integrand is entire in t1, so GAUSS_LEGENDRE_NODES = 64
+    nodes are far beyond the accuracy of anything compared against).
 
     When one generator segment spans the whole averaging window plus the
     longest lag, the t1-average commutes with the lag propagation (everything
@@ -187,12 +185,11 @@ def correlator_time_averaged(lags, detector: DetectorModel, segments, initial_st
         raise ConfigError("lags must be >= 0")
     if not t_avg > 0:
         raise ConfigError(f"t_avg must be positive, got {t_avg!r}")
-    if t_skip < t_init:
-        raise ConfigError(f"t_skip {t_skip} precedes t_init {t_init}")
-    det2 = detector_second if detector_second is not None else detector
+    if t_skip < 0:
+        raise ConfigError(f"t_skip {t_skip} precedes the preparation at t = 0")
     r0 = require_physical(initial_state)
 
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_NODES)
     t1_nodes = t_skip + 0.5 * t_avg * (nodes + 1.0)
     avg_weights = 0.5 * weights  # sum to 1: quadrature of the mean
 
@@ -201,7 +198,7 @@ def correlator_time_averaged(lags, detector: DetectorModel, segments, initial_st
     t_max = t_skip + t_avg + float(lags.max())
 
     # states at the quadrature nodes
-    r_nodes = [propagator(t_init, t1, segments, cache).apply(r0) for t1 in t1_nodes]
+    r_nodes = [propagator(0.0, t1, segments, cache).apply(r0) for t1 in t1_nodes]
 
     homogeneous = any(
         seg.t_start <= t_skip and seg.t_end >= t_max for seg in segments)
@@ -215,15 +212,14 @@ def correlator_time_averaged(lags, detector: DetectorModel, segments, initial_st
         first_mean = float(detector.axis @ r_mean)
         for j, tau in enumerate(lags):
             prop = propagator(t_skip, t_skip + tau, segments, cache)
-            values[j] = float(det2.axis @ (prop.matrix @ coll_mean)
-                              + first_mean * (det2.axis @ prop.shift))
+            values[j] = float(detector.axis @ (prop.matrix @ coll_mean)
+                              + first_mean * (detector.axis @ prop.shift))
     else:
         for j, tau in enumerate(lags):
             acc = 0.0
             for w, t1, r1 in zip(avg_weights, t1_nodes, r_nodes):
                 prop = propagator(t1, t1 + tau, segments, cache)
-                acc += w * _two_time_value(r1, detector.axis, detector.k_phase,
-                                           det2.axis, prop)
+                acc += w * _two_time_value(r1, detector.axis, detector.k_phase, prop)
             values[j] = acc
 
     return CorrelatorResult(lags=lags, values=values)

@@ -79,14 +79,11 @@ class NoisePlan:
 
     def normals(self, traj_index: int, n_steps: int, n_detectors: int = 1) -> np.ndarray:
         """Standard normals for one trajectory, shape (n_steps, n_detectors)."""
-        raw = self._raw(traj_index, n_steps * n_detectors)
-        u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
-        return ndtri(u).reshape(n_steps, n_detectors)
+        return _batch_normals(self, traj_index, traj_index + 1, n_steps, n_detectors)[0]
 
 
 def _batch_normals(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int) -> np.ndarray:
-    """Normals for trajectories lo..hi-1, shape (hi-lo, n_steps, n_det).
-    Bitwise identical to stacking plan.normals per trajectory."""
+    """Normals for trajectories lo..hi-1, shape (hi-lo, n_steps, n_det)."""
     count = n_steps * n_det
     raw = np.empty((hi - lo, count), dtype=np.uint64)
     for i in range(lo, hi):
@@ -258,19 +255,18 @@ def synthesize_raw(signals, detector) -> np.ndarray:
 @dataclasses.dataclass
 class EnsembleArchive:
     """Ensemble of output records on a common grid, in raw detector units.
-    Every field is stored in the serialized file, so ``load`` restores it.
 
     Serialized format (little-endian): magic ``CQMARCH1``, uint32 header
-    length, JSON header with sorted keys (config_digest, dt, kind,
+    length, JSON header with sorted keys (config_digest, dt, kind = "raw",
     n_detectors, n_samples, n_traj, seed, t0, version), then the signal
     array as consecutive per-trajectory blocks of n_detectors * n_samples
-    float64 values, C order.
+    float64 values, C order. The package writes archives and reads none
+    back.
     """
 
     grid: TimeGrid
     seed: int
     signals: np.ndarray  # (n_traj, n_detectors, n_samples)
-    kind: str = "raw"
     config_digest: str = ""
 
     @property
@@ -289,7 +285,7 @@ class EnsembleArchive:
         return {
             "config_digest": self.config_digest,
             "dt": self.grid.dt,
-            "kind": self.kind,
+            "kind": "raw",
             "n_detectors": self.n_detectors,
             "n_samples": self.n_samples,
             "n_traj": self.n_traj,
@@ -318,36 +314,6 @@ class EnsembleArchive:
         for chunk in self._serial_chunks():
             h.update(chunk)
         return h.hexdigest()
-
-    @classmethod
-    def load(cls, path) -> "EnsembleArchive":
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        if blob[:8] != ARCHIVE_MAGIC:
-            raise ConfigError(f"{path}: not an ensemble archive")
-        if len(blob) < 12:
-            raise ConfigError(f"{path}: truncated archive ({len(blob)} bytes, no header)")
-        (hlen,) = struct.unpack_from("<I", blob, 8)
-        try:
-            header = json.loads(blob[12:12 + hlen])
-        except ValueError as err:
-            raise ConfigError(f"{path}: archive header is not valid JSON ({err})") from None
-        if not isinstance(header, dict):
-            raise ConfigError(f"{path}: archive header is not a JSON object")
-        if header.get("version") != ARCHIVE_VERSION:
-            raise ConfigError(f"{path}: unsupported archive version {header.get('version')}")
-        try:
-            shape = (header["n_traj"], header["n_detectors"], header["n_samples"])
-            grid = TimeGrid(t0=header["t0"], dt=header["dt"], n_steps=header["n_samples"])
-            fields = dict(seed=header["seed"], kind=header["kind"],
-                          config_digest=header["config_digest"])
-        except KeyError as err:
-            raise ConfigError(f"{path}: archive header lacks key {err}") from None
-        expected = 12 + hlen + 8 * shape[0] * shape[1] * shape[2]
-        if len(blob) != expected:
-            raise ConfigError(f"{path}: truncated archive ({len(blob)} of {expected} bytes)")
-        signals = np.frombuffer(blob, dtype="<f8", offset=12 + hlen).reshape(shape)
-        return cls(grid=grid, signals=signals, **fields)
 
 
 def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
@@ -402,4 +368,4 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
 
     dec_grid = TimeGrid(t0=grid.t0, dt=grid.dt * decimate, n_steps=n_dec)
     return EnsembleArchive(grid=dec_grid, seed=plan.seed, signals=out,
-                           kind="raw", config_digest=config_digest)
+                           config_digest=config_digest)

@@ -164,38 +164,6 @@ class TestEstimateCorrelator:
         assert np.all(np.abs(res.values) <= 4.5 * res.errors + 1e-12)
         assert np.all(res.errors > 0)
 
-    def test_cross_with_same_detector_equals_auto(self):
-        gen = np.random.default_rng(21)
-        sig = gen.normal(size=(400, 2, 50))
-        auto = estimate_correlator(archive_from_signals(sig), delta_i=1.4,
-                                   t_avg=0.28, t_skip=0.28, block_size=100,
-                                   detector_index=1)
-        cross = estimate_correlator(archive_from_signals(sig), delta_i=1.4,
-                                    t_avg=0.28, t_skip=0.28, block_size=100,
-                                    detector_index=1, detector_index_second=1,
-                                    delta_i_second=1.4)
-        np.testing.assert_array_equal(auto.values, cross.values)
-        np.testing.assert_array_equal(auto.errors, cross.errors)
-
-    def test_cross_detectors_pick_both_records(self):
-        """First factor from detector a, lagged factor from detector b: with
-        record b equal to record a shifted one sample, the cross-correlator at
-        lag m equals the auto-correlator at lag m+1 (up to offset estimation,
-        zero here by construction)."""
-        gen = np.random.default_rng(31)
-        base = gen.normal(size=(500, 60))
-        base -= base.mean()
-        sig = np.stack([base, np.roll(base, -1, axis=1)], axis=1)
-        # drop the wrapped last column from the window by capping max_lag
-        arch = archive_from_signals(sig)
-        cross = estimate_correlator(arch, delta_i=2.0, t_avg=0.2, t_skip=0.4,
-                                    block_size=250, detector_index=0,
-                                    detector_index_second=1, delta_i_second=2.0,
-                                    max_lag=0.4)
-        auto = estimate_correlator(arch, delta_i=2.0, t_avg=0.2, t_skip=0.4,
-                                   block_size=250, detector_index=0, max_lag=0.44)
-        np.testing.assert_allclose(cross.values, auto.values[1:], atol=0.05)
-
     def test_paired_archives_give_delta(self):
         gen = np.random.default_rng(17)
         plus = archive_from_signals(1.0 + gen.normal(size=(400, 1, 50)))

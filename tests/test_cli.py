@@ -1,5 +1,6 @@
 """Command line interface: config handling, outputs, exit codes."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -11,7 +12,6 @@ import pytest
 from cqmcorr import (
     ConfigError,
     DiagnosticError,
-    EnsembleArchive,
     NoisePlan,
     RabiCaseParams,
     TimeGrid,
@@ -249,16 +249,16 @@ class TestSimulateCommand:
         path = write_config(tmp_path, cfg)
         out = tmp_path / "run.cqm"
         assert main(["simulate", "--config", path, "--out", str(out)]) == 0
-        assert "sha256" in capsys.readouterr().out
-        arch = EnsembleArchive.load(out)
-        assert arch.n_traj == 40 and arch.n_samples == 30
-        # same engine, same seed: identical records
+        # same engine, same seed: the file is the in-process archive, byte for byte
         cfg_obj = load_config(path)
         want = run_ensemble(40, NoisePlan(5), [1, 0, 0],
                             TimeGrid(0.0, 0.004, 300),
                             (build_detector(cfg_obj.detectors[0]),),
-                            build_segments(cfg_obj), decimate=10)
-        np.testing.assert_array_equal(arch.signals, want.signals)
+                            build_segments(cfg_obj), decimate=10,
+                            config_digest=cfg_obj.digest)
+        assert want.n_traj == 40 and want.n_samples == 30
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want.digest()
+        assert f"sha256 {want.digest()}" in capsys.readouterr().out
 
 
 class TestCalibrateCommand:
@@ -347,11 +347,10 @@ class TestExitCodes:
         (("initial_state",), "up", "config.initial_state"),
         (("grid",), 5, "grid must be a JSON object"),
         (("detectors", 0, "eta"), [0.5], "detectors[0].eta"),
-        (("correlator", "times"), 1.0, "correlator.times"),
         (("detectors",), 5, "detectors must be a list"),
         (("evolution", "segments"), 5, "evolution.segments must be a list"),
         (("correlator", "max_lag_us"), float("nan"), "correlator.max_lag_us"),
-        (("correlator", "detector_indices"), [3], "detector index 3 out of range"),
+        (("correlator", "detector_index"), 3, "detector index 3 out of range"),
         (("correlator", "lag_step_us"), 0.0, "correlator.lag_step_us"),
         (("correlator", "max_lag_us"), 1e12, "correlator.max_lag_us"),
         (("correlator", "max_lag_us"), -1e308, "correlator.max_lag_us"),
@@ -359,11 +358,11 @@ class TestExitCodes:
         (("correlator", "t_skip_us"), -1.0, "t_skip"),
         (("evolution", "segments"), [segment(matrix=[[0.0] * 3, [0.0] * 2, [0.0] * 3])],
          "evolution.segments[0].matrix"),
-        (("correlator", "detector_indices"), [[0]], "correlator.detector_indices"),
+        (("correlator", "detector_index"), [0, 0, 0], "correlator.detector_index"),
     ], ids=["invalid-json", "n_traj-2.7", "n_traj-bool", "seed-string", "decimate-2.7",
             "eta-high", "axis-zz", "t_skip-bool", "initial_state-string", "grid-number",
-            "eta-list", "times-number", "detectors-number", "segments-number", "max_lag-nan",
-            "index-range", "lag_step-zero", "max_lag-huge", "max_lag-minus-huge", "duration-huge",
+            "eta-list", "detectors-number", "segments-number", "max_lag-nan", "index-range",
+            "lag_step-zero", "max_lag-huge", "max_lag-minus-huge", "duration-huge",
             "t_skip-negative", "matrix-ragged", "index-nested"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, field, value, names):
         if field is None:
@@ -380,42 +379,61 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert names in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mutate, names", [
-        (lambda c: c.update(detectors=[]), ("detectors", "none configured")),
-        (lambda c: c["detectors"][0].update(axis=[0.0, 1.0]), ("detectors[0]", "axis")),
-        (lambda c: c["detectors"][0].update(axis=[0.0, 0.0, 2.0]), ("detectors[0]", "axis norm")),
-        (lambda c: c["detectors"][0].update(tau_m_us=-1.0), ("detectors[0]", "tau_m")),
-        (lambda c: c["detectors"][0].pop("tau_min_us"), ("detectors[0]", "tau_min_us or tau_m_us")),
-        (lambda c: c["detectors"][0].update(tau_min_us=0.0), ("detectors[0]", "tau_min")),
-        (lambda c: c["detectors"][0].update(eta=1.5), ("detectors[0]", "eta")),
-        (lambda c: c["detectors"][0].update(phi_a_deg=90.0), ("detectors[0]", "phi_a_deg")),
-        (lambda c: c["grid"].update(dt_us=-0.004), ("grid.dt_us",)),
-        (lambda c: c["grid"].update(duration_us=0.0), ("grid.duration_us",)),
-        (lambda c: c["grid"].update(decimate=0), ("grid.decimate",)),
-        (lambda c: c["ensemble"].update(n_traj=0), ("ensemble.n_traj",)),
-        (lambda c: c["evolution"].update(gamma_per_us=-0.1), ("evolution.gamma_per_us",)),
-        (lambda c: c.update(evolution={"segments": [segment(matrix=[[0.0, 0.0], [0.0, 0.0]])]}),
+    @pytest.mark.parametrize("command, mutate, names", [
+        ("correlate", lambda c: c.update(detectors=[]), ("detectors", "none configured")),
+        ("correlate", lambda c: c["detectors"][0].update(axis=[0.0, 1.0]),
+         ("detectors[0]", "axis")),
+        ("correlate", lambda c: c["detectors"][0].update(axis=[0.0, 0.0, 2.0]),
+         ("detectors[0]", "axis norm")),
+        ("correlate", lambda c: c["detectors"][0].update(tau_m_us=-1.0),
+         ("detectors[0]", "tau_m")),
+        ("correlate", lambda c: c["detectors"][0].pop("tau_min_us"),
+         ("detectors[0]", "tau_min_us or tau_m_us")),
+        ("correlate", lambda c: c["detectors"][0].update(tau_min_us=0.0),
+         ("detectors[0]", "tau_min")),
+        ("correlate", lambda c: c["detectors"][0].update(eta=1.5), ("detectors[0]", "eta")),
+        ("correlate", lambda c: c["detectors"][0].update(phi_a_deg=90.0),
+         ("detectors[0]", "phi_a_deg")),
+        ("correlate", lambda c: c["grid"].update(dt_us=-0.004), ("grid.dt_us",)),
+        ("correlate", lambda c: c["grid"].update(duration_us=0.0), ("grid.duration_us",)),
+        ("correlate", lambda c: c["grid"].update(decimate=0), ("grid.decimate",)),
+        ("correlate", lambda c: c["ensemble"].update(n_traj=0), ("ensemble.n_traj",)),
+        ("correlate", lambda c: c["evolution"].update(gamma_per_us=-0.1),
+         ("evolution.gamma_per_us",)),
+        ("correlate",
+         lambda c: c.update(evolution={"segments": [segment(matrix=[[0.0, 0.0], [0.0, 0.0]])]}),
          ("evolution.segments[0]", "matrix")),
-        (lambda c: c.update(evolution={"segments": [segment(t_start_us=1.0, t_end_us=1.0)]}),
+        ("correlate",
+         lambda c: c.update(evolution={"segments": [segment(t_start_us=1.0, t_end_us=1.0)]}),
          ("evolution.segments[0]", "t_start")),
-        (lambda c: c.update(evolution={"segments": [segment(t_end_us=1.0),
-                                                    segment(t_start_us=2.0)]}),
+        ("correlate", lambda c: c.update(evolution={"segments": [segment(t_end_us=1.0),
+                                                                 segment(t_start_us=2.0)]}),
          ("evolution.segments", "gap")),
-        (lambda c: c["correlator"].update(times=[0.2, 0.1]), ("correlator.times",)),
-        (lambda c: c["correlator"].update(detector_indices=[2]),
-         ("correlator.detector_indices", "index 2")),
-        (lambda c: c["correlator"].update(mode="exact"), ("correlator.mode",)),
-        (lambda c: c["correlator"].update(t_avg_us=0.0), ("correlator.t_avg_us",)),
-        (lambda c: c.update(initial_state=[1.0, 0.0]), ("initial_state", "shape")),
-        (lambda c: c.update(initial_state=[1.0, 1.0, 0.0]), ("initial_state", "norm")),
+        ("correlate", lambda c: c["correlator"].update(detector_index=2),
+         ("correlator.detector_index", "index 2")),
+        ("correlate", lambda c: c["correlator"].update(mode="exact"), ("correlator.mode",)),
+        ("correlate", lambda c: c["correlator"].update(t_avg_us=0.0), ("correlator.t_avg_us",)),
+        ("correlate", lambda c: c.update(initial_state=[1.0, 0.0]), ("initial_state", "shape")),
+        ("correlate", lambda c: c.update(initial_state=[1.0, 1.0, 0.0]),
+         ("initial_state", "norm")),
+        ("correlate", lambda c: c["evolution"].update(segments=[segment()]),
+         ("evolution.segments", "gamma_per_us", "not both")),
+        ("correlate", lambda c: c["detectors"][0].update(axis=[1.0, 0.0, 0.0]),
+         ("detectors[0].axis", "+z")),
+        ("correlate", lambda c: c.update(evolution={"segments": [segment()]}),
+         ("evolution.segments", "closed form")),
+        ("calibrate", lambda c: c.update(evolution={"segments": [segment()]}),
+         ("evolution.segments", "calibrate")),
     ], ids=["no-detectors", "axis-shape", "axis-unit", "tau_m", "no-tau", "tau_min", "eta",
             "phi_a-90", "dt", "duration", "decimate", "n_traj", "gamma", "segment-matrix",
-            "segment-interval", "segment-abut", "times-order", "index-range", "mode", "t_avg",
-            "initial_state-shape", "initial_state-norm"])
-    def test_validation_rule_names_section_and_field(self, tmp_path, capsys, mutate, names):
+            "segment-interval", "segment-abut", "index-range", "mode", "t_avg",
+            "initial_state-shape", "initial_state-norm", "segments-beside-rabi", "analytic-axis",
+            "analytic-segments", "calibrate-segments"])
+    def test_validation_rule_names_section_and_field(self, tmp_path, capsys, command, mutate,
+                                                     names):
         cfg = base_config()
         mutate(cfg)
-        assert main(["correlate", "--config", write_config(tmp_path, cfg),
+        assert main([command, "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in names), err

@@ -97,7 +97,6 @@ class TestTimeGrid:
     def test_times_are_multiplicative(self):
         grid = TimeGrid(t0=0.0, dt=0.1, n_steps=5)
         np.testing.assert_array_equal(grid.times(), 0.1 * np.arange(5))
-        np.testing.assert_array_equal(grid.state_times(), 0.1 * np.arange(6))
         assert grid.t_end == pytest.approx(0.5, abs=0)
 
     def test_rejects_bad_grids(self):

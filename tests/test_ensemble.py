@@ -114,21 +114,6 @@ class TestPropagator:
         with pytest.raises(ConfigError):
             propagator(1.0, 0.5, self.segments)
 
-    def test_compose_chains_intervals(self):
-        a = propagator(0.0, 0.4, self.segments)
-        b = propagator(0.4, 1.1, self.segments)
-        c = b.compose(a)
-        direct = propagator(0.0, 1.1, self.segments)
-        np.testing.assert_allclose(c.matrix, direct.matrix, atol=1e-12)
-        np.testing.assert_allclose(c.shift, direct.shift, atol=1e-12)
-        assert (c.t_from, c.t_to) == (0.0, 1.1)
-
-    def test_compose_rejects_non_abutting(self):
-        a = propagator(0.0, 0.4, self.segments)
-        b = propagator(0.5, 1.0, self.segments)
-        with pytest.raises(ConfigError):
-            b.compose(a)
-
     def test_cache_reuses_equal_durations(self):
         cache = {}
         p1 = propagator(0.0, 0.25, self.segments, cache)
