@@ -48,7 +48,6 @@ from .trajectory import (
     NoisePlan,
     run_ensemble,
     simulate_states,
-    step_ito,
     synthesize_raw,
 )
 from .calibration import (
@@ -94,7 +93,6 @@ __all__ = [
     "fit_phase_angle",
     "PhaseFit",
     "NoisePlan",
-    "step_ito",
     "simulate_states",
     "synthesize_raw",
     "run_ensemble",

@@ -56,10 +56,6 @@ from .trajectory import DEFAULT_BATCH_SIZE, EnsembleArchive, NoisePlan, run_ense
 
 CSV_HEADER = "tau_us,K_plus,err_plus,K_minus,err_minus,dK,err_dK"
 
-# default integration step: the fastest of the dephasing, Rabi, and collapse
-# timescales, divided by this
-DT_RESOLUTION = 250.0
-
 # most lags a deterministic route evaluates: far finer than any lag grid in
 # use, far smaller than an array that exhausts memory
 MAX_LAGS = 100_000
@@ -110,7 +106,7 @@ def _parse(cls, d, ctx: str):
         name, value = f"{ctx}.{f.name}", d.get(f.name)
         if value is None and (f.name not in d or default is None):
             if default is dataclasses.MISSING:
-                raise ConfigError(f"{ctx}: missing {f.name}")
+                raise ConfigError(f"missing {name}")
             values[f.name] = default
             continue
         kind = f.type.removesuffix(" | None")
@@ -172,7 +168,7 @@ class EvolutionConfig:
 @dataclasses.dataclass
 class GridConfig:
     duration_us: float
-    dt_us: float | None = None
+    dt_us: float
     t0_us: float = 0.0
     decimate: int = 1
 
@@ -276,8 +272,7 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
         need(gc.decimate >= 1, f"grid.decimate must be >= 1, got {gc.decimate!r}")
         # build_grid also wants a whole number of steps, which only the
         # commands that run on the grid require
-        if gc.dt_us is not None:
-            build("grid.dt_us", lambda: TimeGrid(t0=gc.t0_us, dt=gc.dt_us, n_steps=1))
+        build("grid.dt_us", lambda: TimeGrid(t0=gc.t0_us, dt=gc.dt_us, n_steps=1))
     need(config.ensemble.n_traj >= 1, f"ensemble.n_traj must be >= 1, got {config.ensemble.n_traj!r}")
 
     corr = config.correlator
@@ -308,24 +303,11 @@ def build_segments(config: ExperimentConfig):
     return (rabi_dephasing_generator(evo.gamma, evo.omega_r),)
 
 
-def default_dt(config: ExperimentConfig, detectors) -> float:
-    scales = []
-    if config.evolution.gamma > 0:
-        scales.append(1.0 / config.evolution.gamma)
-    if config.evolution.omega_r != 0:
-        scales.append(2.0 * math.pi / abs(config.evolution.omega_r))
-    for det in detectors:
-        scales.append(det.tau_m / (1.0 + det.k_phase**2))
-    if not scales:
-        raise ConfigError("grid.dt_us required: no timescale to derive it from")
-    return min(scales) / DT_RESOLUTION
-
-
 def build_grid(config: ExperimentConfig, detectors) -> TimeGrid:
     gc = config.grid
     if gc is None:
         raise ConfigError("config needs a grid section for this command")
-    dt = gc.dt_us if gc.dt_us is not None else default_dt(config, detectors)
+    dt = gc.dt_us
     if not math.isfinite(gc.duration_us / dt):
         raise ConfigError(f"grid.duration_us {gc.duration_us} over dt {dt} is no finite step count")
     n_steps = int(round(gc.duration_us / dt))

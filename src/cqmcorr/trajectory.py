@@ -60,11 +60,14 @@ ARCHIVE_VERSION = 1
 class NoisePlan:
     """Counter-based standard normals keyed on (seed, trajectory).
 
-    Each trajectory owns an independent Philox stream; raw 64-bit words at
-    flat index step * n_detectors + detector are mapped to open-interval
-    uniforms ((raw >> 11) * 2^-53 + 2^-54) and through the inverse normal
-    CDF. No state is carried between calls, so any trajectory's noise can be
-    regenerated in isolation.
+    The raw 64-bit words of trajectory j are those of Philox4x64-10 with key
+    [seed, j] from counter 0 (noise stream v1). Each batch call builds one
+    generator and re-keys it to [seed, j], counter 0, for every trajectory,
+    so the words are those of a fresh ``np.random.Philox(key=[seed, j])``.
+    The word at flat index step * n_detectors + detector is mapped to an
+    open-interval uniform ((raw >> 11) * 2^-53 + 2^-54) and through the
+    inverse normal CDF. No state is carried between calls, so any
+    trajectory's noise can be regenerated in isolation.
     """
 
     seed: int
@@ -72,10 +75,6 @@ class NoisePlan:
     def __post_init__(self):
         if not 0 <= int(self.seed) < 2**64:
             raise ConfigError(f"seed must fit in uint64, got {self.seed!r}")
-
-    def _raw(self, traj_index: int, count: int) -> np.ndarray:
-        key = np.array([self.seed, traj_index], dtype=np.uint64)
-        return np.random.Philox(key=key).random_raw(count)
 
     def normals(self, traj_index: int, n_steps: int, n_detectors: int = 1) -> np.ndarray:
         """Standard normals for one trajectory, shape (n_steps, n_detectors)."""
@@ -86,8 +85,17 @@ def _batch_normals(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int) 
     """Normals for trajectories lo..hi-1, shape (hi-lo, n_steps, n_det)."""
     count = n_steps * n_det
     raw = np.empty((hi - lo, count), dtype=np.uint64)
-    for i in range(lo, hi):
-        raw[i - lo] = plan._raw(i, count)
+    key = np.array([plan.seed, lo], dtype=np.uint64)
+    gen = np.random.Philox(key=key)
+    # the setter copies the arrays, so this dict stays at counter 0
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for j in range(lo, hi):
+        key[1] = j
+        gen.state = state
+        raw[j - lo] = gen.random_raw(count)
     u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
     ndtri(u, out=u)
     return u.reshape(hi - lo, n_steps, n_det)
@@ -128,10 +136,9 @@ def _segment_table(segments, grid: TimeGrid):
     return consts, idx.astype(np.intp)
 
 
-def _ito_update(x, y, z, noise_step, det_consts, seg, dt, sqrt_dt):
-    """One Euler-Maruyama step. Components may be floats or equal-shape
-    arrays; the expression tree is fixed, so the scalar and batched paths
-    produce bit-identical IEEE results."""
+def _ito_update(x, y, z, noise_step, det_consts, seg, dt):
+    """One Euler-Maruyama step on equal-shape component arrays; returns the
+    new components and the per-detector signals from the pre-step state."""
     signals = []
     nrs = []
     for (n0, n1, n2, kk, kick, scale), w in zip(det_consts, noise_step):
@@ -148,30 +155,6 @@ def _ito_update(x, y, z, noise_step, det_consts, seg, dt, sqrt_dt):
         dy = dy + (n1 - nr * y + kk * (n2 * x - n0 * z)) * g
         dz = dz + (n2 - nr * z + kk * (n0 * y - n1 * x)) * g
     return x + dx, y + dy, z + dz, signals
-
-
-def step_ito(r, detectors, generator, dt: float, noise_draws) -> tuple[np.ndarray, np.ndarray]:
-    """Reference single step: state after dt and the normalized output
-    samples, given one standard-normal draw per detector. The batch engine
-    reproduces this bit for bit."""
-    r = require_physical(r, tol=NORM_OVERSHOOT_TOL)
-    if not dt > 0:
-        raise ConfigError(f"dt must be positive, got {dt!r}")
-    draws = np.asarray(noise_draws, dtype=np.float64).reshape(-1)
-    detectors = list(detectors)
-    if draws.size != len(detectors):
-        raise ConfigError(f"need one noise draw per detector, got {draws.size} for {len(detectors)}")
-    det_consts = _detector_constants(detectors, dt)
-    seg = _segment_constants(generator)
-    x, y, z, signals = _ito_update(float(r[0]), float(r[1]), float(r[2]),
-                                   [float(w) for w in draws], det_consts, seg,
-                                   dt, math.sqrt(dt))
-    norm = math.sqrt(x * x + y * y + z * z)
-    if norm > 1.0 + NORM_OVERSHOOT_TOL:
-        raise DiagnosticError(
-            f"state norm {norm:.6g} overshoots the Bloch sphere by more than "
-            f"{NORM_OVERSHOOT_TOL}; reduce dt")
-    return np.array([x, y, z]), np.array(signals)
 
 
 def _prepare(initial_state, grid: TimeGrid, detectors, segments):
@@ -193,7 +176,6 @@ def _simulate_batch(r0s, grid: TimeGrid, det_consts, seg_consts, seg_idx, noise,
     n_det = noise.shape[2]
     batch = r0s.shape[0]
     dt = grid.dt
-    sqrt_dt = math.sqrt(dt)
     max_norm2 = (1.0 + NORM_OVERSHOOT_TOL) ** 2
 
     x = r0s[:, 0].copy()
@@ -212,7 +194,7 @@ def _simulate_batch(r0s, grid: TimeGrid, det_consts, seg_consts, seg_idx, noise,
     for k in range(n_steps):
         noise_step = [noise[:, k, ell] for ell in range(n_det)]
         x, y, z, sigs = _ito_update(x, y, z, noise_step, det_consts,
-                                    seg_consts[seg_idx[k]], dt, sqrt_dt)
+                                    seg_consts[seg_idx[k]], dt)
         for ell in range(n_det):
             signals[:, ell, k] = sigs[ell]
         norm2 = x * x + y * y + z * z

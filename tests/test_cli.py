@@ -31,6 +31,8 @@ from cqmcorr.cli import (
 GAMMA = 1.0 / 1.8
 OMEGA = 2.0 * math.pi
 
+DELETE = object()  # a config case that removes the field
+
 
 def base_config(**over):
     cfg = {
@@ -159,17 +161,6 @@ class TestBuilders:
         cfg = load_config(write_config(tmp_path, bad))
         with pytest.raises(ConfigError, match="whole number of steps"):
             build_grid(cfg, ())
-
-    def test_default_dt_from_fastest_scale(self, tmp_path):
-        cfg_raw = base_config()
-        del cfg_raw["grid"]["dt_us"]
-        cfg_raw["grid"]["duration_us"] = 1.0
-        cfg_raw["grid"]["decimate"] = 1
-        cfg = load_config(write_config(tmp_path, cfg_raw))
-        detectors = tuple(build_detector(d) for d in cfg.detectors)
-        grid = build_grid(cfg, detectors)
-        # fastest scale here is the Rabi period over the resolution constant
-        assert grid.dt == pytest.approx(1.0 / 250.0)
 
 
 class TestCorrelateCommand:
@@ -359,11 +350,12 @@ class TestExitCodes:
         (("evolution", "segments"), [segment(matrix=[[0.0] * 3, [0.0] * 2, [0.0] * 3])],
          "evolution.segments[0].matrix"),
         (("correlator", "detector_index"), [0, 0, 0], "correlator.detector_index"),
+        (("grid", "dt_us"), DELETE, "missing grid.dt_us"),
     ], ids=["invalid-json", "n_traj-2.7", "n_traj-bool", "seed-string", "decimate-2.7",
             "eta-high", "axis-zz", "t_skip-bool", "initial_state-string", "grid-number",
             "eta-list", "detectors-number", "segments-number", "max_lag-nan", "index-range",
             "lag_step-zero", "max_lag-huge", "max_lag-minus-huge", "duration-huge",
-            "t_skip-negative", "matrix-ragged", "index-nested"])
+            "t_skip-negative", "matrix-ragged", "index-nested", "dt-missing"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, field, value, names):
         if field is None:
             path = tmp_path / "bad.json"
@@ -373,7 +365,10 @@ class TestExitCodes:
             target = cfg
             for key in field[:-1]:
                 target = target[key]
-            target[field[-1]] = value
+            if value is DELETE:
+                del target[field[-1]]
+            else:
+                target[field[-1]] = value
             path = write_config(tmp_path, cfg)
         assert main(["correlate", "--config", str(path),
                      "--out", str(tmp_path / "o.csv")]) == 2

@@ -1,11 +1,13 @@
 """Stochastic trajectory engine: noise plan, stepper, ensembles, archives."""
 
+import hashlib
 import json
 import math
 import struct
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from cqmcorr import (
     ConfigError,
@@ -18,9 +20,9 @@ from cqmcorr import (
     rabi_dephasing_generator,
     run_ensemble,
     simulate_states,
-    step_ito,
     synthesize_raw,
 )
+from cqmcorr.trajectory import _batch_normals
 
 GAMMA = 1.0 / 1.8
 OMEGA = 2.0 * math.pi
@@ -63,14 +65,49 @@ class TestNoisePlan:
         np.testing.assert_array_equal(long[:60], short)
 
 
+def stream_v1_oracle(seed, j, n_steps, n_det):
+    """Noise stream v1 from its definition: a fresh Philox keyed [seed, j],
+    the open-interval uniform map, then the inverse normal CDF."""
+    raw = np.random.Philox(key=np.array([seed, j], dtype=np.uint64)).random_raw(n_steps * n_det)
+    return ndtri((raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54).reshape(n_steps, n_det)
+
+
+class TestNoiseStreamV1:
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("lo", [0, 3, 2**40])
+    @pytest.mark.parametrize("n_det", [1, 3])
+    def test_batch_matches_fresh_stream_per_trajectory(self, seed, lo, n_det):
+        # 61 steps: an odd word count, so each stream ends inside a 4-word block
+        got = _batch_normals(NoisePlan(seed), lo, lo + 4, 61, n_det)
+        want = np.stack([stream_v1_oracle(seed, j, 61, n_det) for j in range(lo, lo + 4)])
+        assert got.shape == (4, 61, n_det)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_pinned_digest(self):
+        """Fails if numpy changes Philox, its state dict, or ndtri."""
+        draws = NoisePlan(7).normals(5, 61, 3)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == (
+            "8bfb59219ddf5f376d1a7e2f2452d4f26af81197cec68a46c999413399a1381d")
+
+
+def one_step(r, detectors, generator, dt):
+    """simulate_states over one step of dt: the state after the step, the
+    signals, and the draws that made them."""
+    plan = NoisePlan(seed=23)
+    states, signals = simulate_states(r, TimeGrid(0.0, dt, 1), detectors, (generator,),
+                                      plan, 0, 1)
+    return states[0, 1], signals[0, :, 0], plan.normals(0, 1, len(detectors))[0]
+
+
 class TestStepIto:
+    """One Ito step: simulate_states over a one-step grid."""
+
     def test_matches_hand_formula(self):
         det = reference_detector(70.0)
         gen = drive_segments()[0]
         r = np.array([0.3, -0.2, 0.4])
         dt = 0.001
-        w = 0.7
-        state, signals = step_ito(r, [det], gen, dt, [w])
+        state, signals, (w,) = one_step(r, [det], gen, dt)
 
         n = det.axis
         drift = gen.matrix @ (r - gen.r_st) * dt
@@ -87,8 +124,7 @@ class TestStepIto:
         gen = EnsembleGenerator(matrix=matrix, r_st=np.zeros(3))
         r = np.array([0.0, -1.0, 0.0])
         dt = 4e-4
-        w = np.array([0.3, -1.1])
-        state, signals = step_ito(r, [det_z, det_x], gen, dt, w)
+        state, signals, w = one_step(r, [det_z, det_x], gen, dt)
 
         drift = matrix @ r * dt
         kick = np.zeros(3)
@@ -100,36 +136,23 @@ class TestStepIto:
 
     def test_signal_uses_pre_step_state(self):
         det = reference_detector(0.0)
-        gen = drive_segments()[0]
-        r = np.array([0.0, 0.0, 1.0])
-        _, signals = step_ito(r, [det], gen, 0.01, [0.0])
-        assert signals[0] == 1.0
+        dt = 0.01
+        state, signals, (w,) = one_step([0.0, 0.6, 0.8], [det], drive_segments()[0], dt)
+        assert signals[0] == 0.8 + math.sqrt(det.tau_m / dt) * w
+        assert state[2] != 0.8
 
     def test_validation(self):
         det = reference_detector()
         gen = drive_segments()[0]
+        with pytest.raises(ConfigError, match="dt"):
+            one_step([0, 0, 1], [det], gen, 0.0)
+        with pytest.raises(ConfigError, match="detector"):
+            one_step([0, 0, 1], [], gen, 0.01)
         with pytest.raises(ConfigError):
-            step_ito([0, 0, 1], [det], gen, 0.0, [0.1])
-        with pytest.raises(ConfigError):
-            step_ito([0, 0, 1], [det], gen, 0.01, [0.1, 0.2])
-        with pytest.raises(ConfigError):
-            step_ito([0, 0, 1.2], [det], gen, 0.01, [0.1])
+            one_step([0, 0, 1.2], [det], gen, 0.01)
 
 
 class TestTrajectory:
-    def test_replaying_steps_reproduces_trajectory(self):
-        det = reference_detector(40.0)
-        grid = TimeGrid(0.0, 0.004, 25)
-        plan = NoisePlan(seed=17)
-        states, signals = simulate_states([1, 0, 0], grid, [det], drive_segments(), plan,
-                                          5, 6)
-        draws = plan.normals(5, grid.n_steps, 1)
-        r = np.array([1.0, 0.0, 0.0])
-        for k in range(grid.n_steps):
-            r, sig = step_ito(r, [det], drive_segments()[0], grid.dt, draws[k])
-            np.testing.assert_array_equal(r, states[0, k + 1])
-            np.testing.assert_array_equal(sig, signals[0, :, k])
-
     def test_states_start_at_preparation(self):
         det = reference_detector()
         grid = TimeGrid(0.0, 0.004, 10)
