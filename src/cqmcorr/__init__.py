@@ -16,9 +16,7 @@ from .core import (
     require_physical,
 )
 from .ensemble import (
-    Propagator,
     dephasing_matrix,
-    evolve,
     propagator,
     rabi_dephasing_generator,
     rotation_matrix,
@@ -48,7 +46,6 @@ from .trajectory import (
     NoisePlan,
     run_ensemble,
     simulate_states,
-    synthesize_raw,
 )
 from .calibration import (
     CalibrationRun,
@@ -70,9 +67,7 @@ __all__ = [
     "check_segments",
     "rabi_rad_per_us",
     "rabi_mhz",
-    "Propagator",
     "propagator",
-    "evolve",
     "rabi_dephasing_generator",
     "dephasing_matrix",
     "rotation_matrix",
@@ -94,7 +89,6 @@ __all__ = [
     "PhaseFit",
     "NoisePlan",
     "simulate_states",
-    "synthesize_raw",
     "run_ensemble",
     "EnsembleArchive",
     "CalibrationRun",

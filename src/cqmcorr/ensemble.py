@@ -5,14 +5,14 @@ generator L (3x3 real matrix) and fixed point r_st. Each piece is an
 EnsembleGenerator segment; propagation across a time window multiplies the
 per-segment affine propagators in order.
 
-The affine step over one segment is computed as a single matrix exponential
-of the augmented 4x4 generator [[L, -L r_st], [0, 0]], which handles singular
-L (pure rotations, partial dephasing) with no special cases.
+An affine map r -> P r + s is held as the augmented 4x4 matrix
+[[P, s], [0, 1]] acting on (r, 1), so chaining maps is a matrix product. The
+step over one segment is the matrix exponential of the augmented generator
+[[L, -L r_st], [0, 0]], which handles singular L (pure rotations, partial
+dephasing) with no special cases.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 from scipy.linalg import expm
@@ -55,30 +55,18 @@ def rabi_dephasing_generator(gamma: float, omega_r: float) -> EnsembleGenerator:
     return EnsembleGenerator(matrix=mat, r_st=np.zeros(3))
 
 
-@dataclasses.dataclass(frozen=True)
-class Propagator:
-    """Affine map r -> matrix @ r + shift over [t_from, t_to]."""
-
-    matrix: np.ndarray
-    shift: np.ndarray
-    t_from: float
-    t_to: float
-
-    def apply(self, r) -> np.ndarray:
-        return self.matrix @ np.asarray(r, dtype=np.float64) + self.shift
-
-
-def _segment_step(segment: EnsembleGenerator, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(matrix, shift) for evolving dt under one segment's generator."""
+def _segment_step(segment: EnsembleGenerator, dt: float) -> np.ndarray:
+    """Augmented propagator for evolving dt under one segment's generator."""
     aug = np.zeros((4, 4))
     aug[:3, :3] = segment.matrix
     aug[:3, 3] = -segment.matrix @ segment.r_st
-    full = expm(aug * dt)
-    return full[:3, :3], full[:3, 3]
+    return expm(aug * dt)
 
 
-def propagator(t_from: float, t_to: float, segments, cache: dict | None = None) -> Propagator:
-    """Affine propagator over [t_from, t_to] for a piecewise-constant generator.
+def propagator(t_from: float, t_to: float, segments, cache: dict | None = None) -> np.ndarray:
+    """Affine propagator over [t_from, t_to] for a piecewise-constant generator,
+    as the augmented 4x4 matrix [[P, s], [0, 1]] that maps (r, 1) to
+    (P r + s, 1).
 
     ``segments`` is an ordered gap-free list of EnsembleGenerator. ``cache``,
     if given, memoizes per-segment matrix exponentials keyed on (segment index,
@@ -88,13 +76,12 @@ def propagator(t_from: float, t_to: float, segments, cache: dict | None = None) 
     if t_to < t_from:
         raise ConfigError(f"t_to {t_to} precedes t_from {t_from}")
     if t_to == t_from:
-        return Propagator(np.eye(3), np.zeros(3), t_from, t_to)
+        return np.eye(4)
     segments = list(segments)
     check_segments(segments, t_from, t_to)
     cache = {} if cache is None else cache
 
-    matrix = np.eye(3)
-    shift = np.zeros(3)
+    prop = np.eye(4)
     for index, seg in enumerate(segments):
         lo = max(t_from, seg.t_start)
         hi = min(t_to, seg.t_end)
@@ -104,12 +91,5 @@ def propagator(t_from: float, t_to: float, segments, cache: dict | None = None) 
         step = cache.get(key)
         if step is None:
             step = cache[key] = _segment_step(seg, hi - lo)
-        matrix = step[0] @ matrix
-        shift = step[0] @ shift + step[1]
-    return Propagator(matrix, shift, t_from, t_to)
-
-
-def evolve(state_in, t_in: float, t_out: float, segments) -> np.ndarray:
-    """Ensemble-average state at t_out given state_in at t_in."""
-    r = as_bloch(state_in)
-    return propagator(t_in, t_out, segments).apply(r)
+        prop = step @ prop
+    return prop

@@ -14,7 +14,9 @@ features of the bookkeeping, so nothing here clamps or renormalizes.
 
 Two evaluation routes are provided: brute-force enumeration of the 2^N
 outcome paths, and an O(N) recursion over a sign-weighted running vector.
-They agree to rounding and the tests hold them to that.
+They agree to rounding and the tests hold them to that. The recursion and
+the time-averaged form chain 4x4 matrices: the augmented propagators of
+``ensemble.propagator`` and the collapse matrix of each detector.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .core import (
     as_bloch,
     require_physical,
 )
-from .ensemble import dephasing_matrix, propagator
+from .ensemble import dephasing_matrix, propagator, rotation_matrix
 
 # enumeration walks 2^N paths; beyond this it is pointless (use the recursion)
 MAX_ENUMERATION_TIMES = 20
@@ -64,12 +66,11 @@ def outcome_probability(r, axis, outcome: int) -> float:
 @dataclasses.dataclass(frozen=True)
 class CorrelatorSpec:
     """N measurement times (strictly increasing), the detector index acting at
-    each, and the prepared state at t_init."""
+    each, and the state prepared at t = 0."""
 
     times: tuple
     detector_indices: tuple
     initial_state: np.ndarray
-    t_init: float = 0.0
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
@@ -78,8 +79,8 @@ class CorrelatorSpec:
             raise ConfigError("correlator needs at least one measurement time")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ConfigError(f"measurement times must increase strictly: {times}")
-        if times[0] < self.t_init:
-            raise ConfigError(f"first measurement time {times[0]} precedes t_init {self.t_init}")
+        if times[0] < 0:
+            raise ConfigError(f"first measurement time {times[0]} precedes the preparation at t = 0")
         indices = tuple(int(i) for i in self.detector_indices)
         object.__setattr__(self, "detector_indices", indices)
         if len(indices) != len(times):
@@ -97,6 +98,17 @@ def _resolve_detectors(spec: CorrelatorSpec, detectors) -> list[DetectorModel]:
     return [detectors[idx] for idx in spec.detector_indices]
 
 
+def _collapse_matrix(det: DetectorModel) -> np.ndarray:
+    """Linear map of one measurement on the sign-weighted pair (Kvec, K):
+    (Kvec, K) -> (K n + K_phase (n x Kvec), n . Kvec), as the 4x4 matrix
+    [[K_phase [n]x, n], [n^T, 0]]."""
+    mat = np.zeros((4, 4))
+    mat[:3, :3] = rotation_matrix(det.axis, det.k_phase)
+    mat[:3, 3] = det.axis
+    mat[3, :3] = det.axis
+    return mat
+
+
 def correlator_enumerate(spec: CorrelatorSpec, detectors, segments) -> float:
     """E[s_1 ... s_N] by summing all 2^N outcome paths.
 
@@ -110,13 +122,13 @@ def correlator_enumerate(spec: CorrelatorSpec, detectors, segments) -> float:
             f"enumeration over {n_times} times needs 2^{n_times} paths; use correlator_recursive")
     dets = _resolve_detectors(spec, detectors)
     cache: dict = {}
-    hops = [spec.t_init] + list(spec.times)
+    hops = [0.0] + list(spec.times)
     props = [propagator(hops[i], hops[i + 1], segments, cache) for i in range(n_times)]
 
     def walk(depth: int, r: np.ndarray, weight: float) -> float:
         if depth == n_times:
             return weight
-        r_pre = props[depth].apply(r)
+        r_pre = props[depth][:3, :3] @ r + props[depth][:3, 3]
         det = dets[depth]
         total = 0.0
         for s in (1, -1):
@@ -135,30 +147,19 @@ def correlator_recursive(spec: CorrelatorSpec, detectors, segments,
         K_j   = sum over paths of (s_1 .. s_j) P(path),
         Kvec_j = same sum weighting the post-collapse state,
 
-    through: pre-measurement vector Kvec = P Kvec_{j-1} + K_{j-1} shift, then
-    K_j = n . Kvec and Kvec_j = K_{j-1} n + K_phase (n x Kvec). Exactly equal
-    to the enumeration because every step of the recipe is affine in the
-    state."""
+    as the 4-vector v = (Kvec, K) from (r0, 1): each hop applies the
+    augmented propagator A_j and each measurement the collapse matrix M_j,
+    v_j = M_j A_j v_{j-1}. Exactly equal to the enumeration because every
+    step of the recipe is affine in the state."""
     dets = _resolve_detectors(spec, detectors)
     if cache is None:
         cache = {}
-    k_scalar = 1.0
-    k_vec = spec.initial_state.copy()
-    t_prev = spec.t_init
+    v = np.append(spec.initial_state, 1.0)
+    t_prev = 0.0
     for t, det in zip(spec.times, dets):
-        prop = propagator(t_prev, t, segments, cache)
-        k_pre = prop.matrix @ k_vec + k_scalar * prop.shift
-        new_scalar = float(det.axis @ k_pre)
-        k_vec = k_scalar * det.axis + det.k_phase * np.cross(det.axis, k_pre)
-        k_scalar = new_scalar
+        v = _collapse_matrix(det) @ (propagator(t_prev, t, segments, cache) @ v)
         t_prev = t
-    return k_scalar
-
-
-def _two_time_value(r1, n, k, prop) -> float:
-    """K(t1, t2) given the state at t1 and the propagator over [t1, t2]."""
-    r_coll = n + k * np.cross(n, r1)
-    return float(n @ (prop.matrix @ r_coll) + (n @ r1) * (n @ prop.shift))
+    return float(v[3])
 
 
 def correlator_time_averaged(lags, detector: DetectorModel, segments, initial_state,
@@ -196,31 +197,32 @@ def correlator_time_averaged(lags, detector: DetectorModel, segments, initial_st
     cache: dict = {}
     segments = list(segments)
     t_max = t_skip + t_avg + float(lags.max())
+    collapse = _collapse_matrix(detector)
+    v0 = np.append(r0, 1.0)
 
-    # states at the quadrature nodes
-    r_nodes = [propagator(0.0, t1, segments, cache).apply(r0) for t1 in t1_nodes]
+    # states (r, 1) at the quadrature nodes
+    v_nodes = [propagator(0.0, t1, segments, cache) @ v0 for t1 in t1_nodes]
 
     homogeneous = any(
         seg.t_start <= t_skip and seg.t_end >= t_max for seg in segments)
 
-    values = np.empty(lags.size)
     if homogeneous:
+        # one start at t_skip from the averaged state; average the states, not
+        # the 4-vectors: the weights sum to 1 only to rounding, and lag 0 must
+        # stay exactly 1
         r_mean = np.zeros(3)
-        for w, r in zip(avg_weights, r_nodes):
-            r_mean += w * r
-        coll_mean = detector.axis + detector.k_phase * np.cross(detector.axis, r_mean)
-        first_mean = float(detector.axis @ r_mean)
-        for j, tau in enumerate(lags):
-            prop = propagator(t_skip, t_skip + tau, segments, cache)
-            values[j] = float(detector.axis @ (prop.matrix @ coll_mean)
-                              + first_mean * (detector.axis @ prop.shift))
+        for w, v in zip(avg_weights, v_nodes):
+            r_mean += w * v[:3]
+        starts = [(1.0, t_skip, collapse @ np.append(r_mean, 1.0))]
     else:
-        for j, tau in enumerate(lags):
-            acc = 0.0
-            for w, t1, r1 in zip(avg_weights, t1_nodes, r_nodes):
-                prop = propagator(t1, t1 + tau, segments, cache)
-                acc += w * _two_time_value(r1, detector.axis, detector.k_phase, prop)
-            values[j] = acc
+        starts = [(w, t1, collapse @ v) for w, t1, v in zip(avg_weights, t1_nodes, v_nodes)]
+
+    values = np.empty(lags.size)
+    for j, tau in enumerate(lags):
+        acc = 0.0
+        for w, t1, first in starts:
+            acc += w * (collapse @ (propagator(t1, t1 + tau, segments, cache) @ first))[3]
+        values[j] = acc
 
     return CorrelatorResult(lags=lags, values=values)
 

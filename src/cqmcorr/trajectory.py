@@ -227,13 +227,6 @@ def simulate_states(initial_state, grid: TimeGrid, detectors, segments, plan: No
     return states, signals
 
 
-def synthesize_raw(signals, detector) -> np.ndarray:
-    """Map normalized output samples to raw detector units:
-    offset + response * I. ``response`` is the half-separation of the two
-    pole means."""
-    return detector.offset + detector.response * np.asarray(signals, dtype=np.float64)
-
-
 @dataclasses.dataclass
 class EnsembleArchive:
     """Ensemble of output records on a common grid, in raw detector units.

@@ -15,7 +15,6 @@ from cqmcorr import (
     ConfigError,
     EnsembleGenerator,
     dephasing_matrix,
-    evolve,
     propagator,
     rabi_dephasing_generator,
     rotation_matrix,
@@ -23,6 +22,11 @@ from cqmcorr import (
 
 GAMMA = 1.0 / 1.8
 OMEGA = 2.0 * math.pi
+
+
+def state_at(r0, t_out, segments):
+    """State at t_out from r0 at t = 0, through the augmented propagator."""
+    return (propagator(0.0, t_out, segments) @ np.append(r0, 1.0))[:3]
 
 
 def solve_reference(segments, r0, t_out):
@@ -57,7 +61,7 @@ def test_rotation_matrix_rotates_with_given_rate():
     gen = EnsembleGenerator(matrix=rotation_matrix((1, 0, 0), omega), r_st=np.zeros(3),
                             t_start=0.0, t_end=math.inf)
     t = 0.37
-    out = evolve([0.0, 1.0, 0.0], 0.0, t, [gen])
+    out = state_at([0.0, 1.0, 0.0], t, [gen])
     np.testing.assert_allclose(out, [0.0, math.cos(omega * t), math.sin(omega * t)],
                                atol=1e-12)
 
@@ -66,7 +70,7 @@ def test_rabi_dephasing_generator_matches_ode():
     gen = rabi_dephasing_generator(GAMMA, OMEGA)
     r0 = [1.0, 0.0, 0.0]
     t = 0.9
-    out = evolve(r0, 0.0, t, [gen])
+    out = state_at(r0, t, [gen])
     # x decouples and decays at the dephasing rate
     assert out[0] == pytest.approx(math.exp(-GAMMA * t), rel=1e-12)
     np.testing.assert_allclose(out, solve_reference([gen], r0, t), atol=1e-9)
@@ -76,7 +80,7 @@ def test_rabi_dephasing_generator_damped_precession():
     gen = rabi_dephasing_generator(GAMMA, OMEGA)
     r0 = [0.0, 0.0, 1.0]
     t = 1.3
-    np.testing.assert_allclose(evolve(r0, 0.0, t, [gen]),
+    np.testing.assert_allclose(state_at(r0, t, [gen]),
                                solve_reference([gen], r0, t), atol=1e-9)
 
 
@@ -89,7 +93,7 @@ def test_multi_segment_evolution_matches_ode():
                              t_start=0.4, t_end=math.inf)
     r0 = [0.2, -0.5, 0.6]
     for t in (0.25, 0.4, 0.55, 1.7):
-        np.testing.assert_allclose(evolve(r0, 0.0, t, [seg1, seg2]),
+        np.testing.assert_allclose(state_at(r0, t, [seg1, seg2]),
                                    solve_reference([seg1, seg2], r0, t),
                                    atol=1e-9)
 
@@ -98,7 +102,7 @@ def test_affine_steady_state_is_fixed_point():
     r_st = np.array([0.0, 0.0, 0.3])
     seg = EnsembleGenerator(matrix=dephasing_matrix((0, 0, 1), 2.0), r_st=r_st,
                             t_start=0.0, t_end=math.inf)
-    np.testing.assert_allclose(evolve(r_st, 0.0, 3.0, [seg]), r_st, atol=1e-14)
+    np.testing.assert_allclose(state_at(r_st, 3.0, [seg]), r_st, atol=1e-14)
 
 
 class TestPropagator:
@@ -106,9 +110,20 @@ class TestPropagator:
         self.segments = [rabi_dephasing_generator(GAMMA, OMEGA)]
 
     def test_identity_at_zero_duration(self):
-        prop = propagator(0.3, 0.3, self.segments)
-        np.testing.assert_array_equal(prop.matrix, np.eye(3))
-        np.testing.assert_array_equal(prop.shift, np.zeros(3))
+        np.testing.assert_array_equal(propagator(0.3, 0.3, self.segments), np.eye(4))
+
+    def test_last_row_stays_affine_across_segments(self):
+        segments = [
+            EnsembleGenerator(matrix=rabi_dephasing_generator(GAMMA, OMEGA).matrix,
+                              r_st=np.array([0.1, -0.2, 0.3]), t_start=0.0, t_end=0.3),
+            EnsembleGenerator(matrix=dephasing_matrix((0, 0, 1), 2.0),
+                              r_st=np.array([0.0, 0.0, 0.3]), t_start=0.3, t_end=0.7),
+            EnsembleGenerator(matrix=dephasing_matrix((1, 0, 0), 1.1) + rotation_matrix((0, 1, 0), 4.0),
+                              r_st=np.array([0.2, 0.0, -0.1]), t_start=0.7, t_end=math.inf),
+        ]
+        prop = propagator(0.1, 1.6, segments)
+        np.testing.assert_array_equal(prop[3], [0.0, 0.0, 0.0, 1.0])
+        assert np.any(prop[:3, 3] != 0.0)
 
     def test_rejects_backward_interval(self):
         with pytest.raises(ConfigError):
@@ -120,7 +135,7 @@ class TestPropagator:
         n1 = len(cache)
         p2 = propagator(0.5, 0.75, self.segments, cache)
         assert len(cache) == n1  # same segment, same duration
-        np.testing.assert_array_equal(p1.matrix, p2.matrix)
+        np.testing.assert_array_equal(p1, p2)
 
     def test_apply_affine_form(self):
         seg = EnsembleGenerator(matrix=dephasing_matrix((0, 0, 1), 2.0),
@@ -128,12 +143,12 @@ class TestPropagator:
                                 t_start=0.0, t_end=math.inf)
         prop = propagator(0.0, 0.8, [seg])
         r0 = np.array([0.4, 0.1, -0.2])
-        np.testing.assert_allclose(prop.apply(r0), prop.matrix @ r0 + prop.shift,
-                                   atol=1e-15)
+        np.testing.assert_allclose((prop @ np.append(r0, 1.0))[:3],
+                                   prop[:3, :3] @ r0 + prop[:3, 3], atol=1e-15)
 
 
 def test_evolve_requires_segment_cover():
     seg = EnsembleGenerator(matrix=np.zeros((3, 3)), r_st=np.zeros(3),
                             t_start=0.0, t_end=1.0)
     with pytest.raises(ConfigError):
-        evolve([0, 0, 1], 0.0, 2.0, [seg])
+        propagator(0.0, 2.0, [seg])

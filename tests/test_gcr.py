@@ -17,10 +17,11 @@ from cqmcorr import (
     correlator_time_averaged,
     cross_correlator_zx_demo,
     dephasing_matrix,
-    evolve,
     outcome_probability,
+    propagator,
     rabi_dephasing_generator,
 )
+from cqmcorr.gcr import _collapse_matrix
 from conftest import random_bloch_vector, random_unit_vector
 
 GAMMA = 1.0 / 1.8
@@ -59,6 +60,21 @@ class TestCollapseStep:
             n = random_unit_vector(rng)
             assert outcome_probability(r, n, 1) + outcome_probability(r, n, -1) == 1.0
 
+    def test_collapse_matrix_is_the_signed_outcome_sum(self, rng):
+        """M (r, 1) = sum over s of s p(s) (collapsed_state(r, s), 1), also for
+        bookkeeping states outside the unit ball, to 1e-15 of the larger of 1
+        and the vector's largest entry (entries reach about 12 here, where one
+        rounding step is 1.8e-15)."""
+        for _ in range(500):
+            n = random_unit_vector(rng)
+            det = DetectorModel(axis=n, tau_m=1.0, k_phase=rng.uniform(-3.0, 3.0))
+            r = random_bloch_vector(rng, r_max=1.0) * rng.uniform(0.0, 4.0)
+            want = sum(s * outcome_probability(r, det.axis, s)
+                       * np.append(collapsed_state(r, det.axis, det.k_phase, s), 1.0)
+                       for s in (1, -1))
+            np.testing.assert_allclose(_collapse_matrix(det) @ np.append(r, 1.0), want,
+                                       rtol=0.0, atol=1e-15 * max(1.0, np.abs(want).max()))
+
 
 class TestCorrelatorSpec:
     def test_rejects_unordered_times(self):
@@ -74,8 +90,8 @@ class TestCorrelatorSpec:
             CorrelatorSpec(times=(0.1, 0.2), detector_indices=(0,),
                            initial_state=[0, 0, 1])
         with pytest.raises(ConfigError):
-            CorrelatorSpec(times=(0.1,), detector_indices=(0,),
-                           initial_state=[0, 0, 1], t_init=0.5)
+            CorrelatorSpec(times=(-0.1, 0.2), detector_indices=(0, 0),
+                           initial_state=[0, 0, 1])
 
     def test_rejects_nonphysical_initial_state(self):
         with pytest.raises(ConfigError):
@@ -96,7 +112,7 @@ class TestEnumerationVsRecursion:
         r0 = [0.3, -0.4, 0.5]
         t = 0.37
         spec = CorrelatorSpec(times=(t,), detector_indices=(0,), initial_state=r0)
-        want = float(np.array([0, 0, 1.0]) @ evolve(r0, 0.0, t, segments))
+        want = float(np.array([0, 0, 1.0]) @ (propagator(0.0, t, segments) @ np.append(r0, 1.0))[:3])
         assert correlator_recursive(spec, [det], segments) == pytest.approx(want, abs=1e-14)
         assert correlator_enumerate(spec, [det], segments) == pytest.approx(want, abs=1e-14)
 

@@ -20,7 +20,6 @@ from cqmcorr import (
     rabi_dephasing_generator,
     run_ensemble,
     simulate_states,
-    synthesize_raw,
 )
 from cqmcorr.trajectory import _batch_normals
 
@@ -236,12 +235,6 @@ class TestRunEnsemble:
             run_ensemble(**self.small_args(n_traj=0))
         with pytest.raises(ConfigError):
             run_ensemble(**self.small_args(detectors=()))
-
-
-def test_synthesize_raw_affine_map():
-    det = DetectorModel(axis=(0, 0, 1), tau_m=1.0, response=2.0, offset=-0.4)
-    sig = np.array([0.0, 1.0, -1.0])
-    np.testing.assert_array_equal(synthesize_raw(sig, det), [-0.4, 1.6, -2.4])
 
 
 class TestArchiveSerialization:
