@@ -244,13 +244,16 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
             problems.append(f"{path}: {err}")
 
     need(config.detectors, "detectors: none configured")
+    detectors = []
     for i, dc in enumerate(config.detectors):
         if dc.tau_min_us is None and dc.tau_m_us is None:
             problems.append(f"detectors[{i}]: need tau_min_us or tau_m_us")
+            detectors.append(None)
         else:
-            build(f"detectors[{i}]", lambda: build_detector(dc))
+            detectors.append(build(f"detectors[{i}]", lambda: build_detector(dc)))
 
     evo = config.evolution
+    generators = []
     need(evo.omega_r_rad_per_us is None or evo.rabi_mhz is None,
          "evolution: give omega_r_rad_per_us or rabi_mhz, not both")
     rabi_keys = (evo.gamma_per_us, evo.omega_r_rad_per_us, evo.rabi_mhz)
@@ -259,12 +262,18 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
     if evo.gamma < 0:
         problems.append(f"evolution.gamma_per_us must be >= 0, got {evo.gamma_per_us!r}")
     elif not evo.segments:
-        build("evolution", lambda: build_segments(config))
+        rabi = build("evolution", lambda: build_segments(config))
+        generators.extend(("evolution", seg) for seg in rabi or ())
     segments = [build(f"evolution.segments[{j}]", lambda: _build_segment(s))
                 for j, s in enumerate(evo.segments or ())]
     if segments and None not in segments:
         build("evolution.segments",
               lambda: check_segments(segments, segments[0].t_start, segments[-1].t_end))
+    generators.extend((f"evolution.segments[{j}]", seg) for j, seg in enumerate(segments)
+                      if seg is not None)
+    if detectors and None not in detectors:
+        for path, seg in generators:
+            build(path, lambda: _check_measurement_dephasing(seg, detectors))
 
     gc = config.grid
     if gc is not None:
@@ -282,8 +291,31 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
          f"correlator.t_avg_us must be positive, got {corr.t_avg_us!r}")
     need(0 <= corr.detector_index < max(len(config.detectors), 1),
          f"correlator.detector_index: detector index {corr.detector_index} out of range")
+    if corr.mode == "analytic" and not evo.segments:
+        # the closed form needs a +z detector; under the Rabi keys any other
+        # axis also fails the dephasing check, so both are reported together
+        det = detectors[corr.detector_index] if 0 <= corr.detector_index < len(detectors) else None
+        need(det is None
+             or np.allclose(det.axis, (0.0, 0.0, 1.0), rtol=0.0, atol=AXIS_NORM_TOL),
+             f"detectors[{corr.detector_index}].axis: the closed form needs the +z axis; "
+             "use mode gcr")
     build("initial_state", lambda: require_physical(config.initial_state))
     return problems
+
+
+def _check_measurement_dephasing(segment: EnsembleGenerator, detectors) -> None:
+    """The trajectory SDE takes the generator to already hold every
+    detector's measurement dephasing gamma_m (n n^T - 1). What is left,
+    L - sum_ell gamma_m (n n^T - 1), must not grow any Bloch direction: its
+    symmetric part may have no eigenvalue above round-off."""
+    rest = segment.matrix - sum(dephasing_matrix(det.axis, det.gamma_m) for det in detectors)
+    sym = 0.5 * rest + 0.5 * rest.T
+    bound = 1e-12 * max(1.0, max(det.gamma_m for det in detectors))
+    top = float(np.linalg.eigvalsh(sym)[-1]) if np.all(np.isfinite(sym)) else math.inf
+    if not top <= bound:
+        raise ConfigError(
+            f"the generator lacks the detectors' measurement dephasing: L - sum gamma_m "
+            f"(n n^T - 1) has a symmetric-part eigenvalue of {top:.3g}, above {bound:.3g}")
 
 
 def build_detector(dc: DetectorConfig) -> DetectorModel:
@@ -425,13 +457,8 @@ def cmd_correlate(args) -> int:
                    result.values_minus, result.errors_minus)
         return 0
 
-    if corr.mode == "analytic":
-        # the closed form covers only the Rabi model under a +z detector
-        if config.evolution.segments:
-            raise ConfigError("evolution.segments: the closed form needs the Rabi model; use mode gcr")
-        if not np.allclose(detectors[det_idx].axis, (0.0, 0.0, 1.0), rtol=0.0, atol=AXIS_NORM_TOL):
-            raise ConfigError(
-                f"detectors[{det_idx}].axis: the closed form needs the +z axis; use mode gcr")
+    if corr.mode == "analytic" and config.evolution.segments:
+        raise ConfigError("evolution.segments: the closed form needs the Rabi model; use mode gcr")
     grid = build_grid(config, detectors)
     lags = _lag_grid(config, grid)
     zeros = np.zeros_like(lags)
@@ -462,8 +489,7 @@ def cmd_calibrate(args) -> int:
     gamma = config.evolution.gamma
     if config.evolution.omega_r != 0:
         raise ConfigError("calibrate runs without a drive; set the Rabi rate to 0")
-    segments = (EnsembleGenerator(matrix=dephasing_matrix(det.axis, gamma),
-                                  r_st=np.zeros(3)),)
+    segments = build_segments(config)
     grid = build_grid(config, (det,))
     seed, threads = _seed_threads(args, config)
     plus, minus = _run_pair(config, (det,), segments, grid, seed, threads, det.axis)

@@ -45,6 +45,7 @@ from .core import (
     check_segments,
     require_physical,
 )
+from .ensemble import rotation_matrix
 
 DEFAULT_BATCH_SIZE = 8192
 
@@ -82,7 +83,12 @@ class NoisePlan:
 
 
 def _batch_normals(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int) -> np.ndarray:
-    """Normals for trajectories lo..hi-1, shape (hi-lo, n_steps, n_det)."""
+    """Normals for trajectories lo..hi-1, shape (hi-lo, n_steps, n_det).
+
+    The memory is step-major: the result is a transposed view of a
+    C-contiguous (n_steps, n_det, hi-lo) array, so ``.transpose(1, 2, 0)``
+    gives the stepper each step's draws for the whole batch as one
+    contiguous (n_det, hi-lo) block."""
     count = n_steps * n_det
     raw = np.empty((hi - lo, count), dtype=np.uint64)
     key = np.array([plan.seed, lo], dtype=np.uint64)
@@ -96,31 +102,13 @@ def _batch_normals(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int) 
         key[1] = j
         gen.state = state
         raw[j - lo] = gen.random_raw(count)
-    u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    raw >>= np.uint64(11)
+    u = np.empty((count, hi - lo))
+    np.multiply(raw.T, 2.0**-53, out=u)
+    del raw
+    u += 2.0**-54
     ndtri(u, out=u)
-    return u.reshape(hi - lo, n_steps, n_det)
-
-
-def _detector_constants(detectors, dt: float):
-    """Per-detector scalars used by the stepper: axis components, k_phase,
-    kick scale sqrt(dt/tau_m), output noise scale sqrt(tau_m/dt)."""
-    consts = []
-    for det in detectors:
-        n0, n1, n2 = (float(c) for c in det.axis)
-        consts.append((n0, n1, n2, float(det.k_phase),
-                       math.sqrt(dt / det.tau_m), math.sqrt(det.tau_m / dt)))
-    return consts
-
-
-def _segment_constants(segment):
-    """Generator scalars (row-major matrix entries and the constant drift
-    piece b = L r_st, so the drift is L r - b)."""
-    m = segment.matrix
-    b = segment.matrix @ segment.r_st
-    return (float(m[0, 0]), float(m[0, 1]), float(m[0, 2]),
-            float(m[1, 0]), float(m[1, 1]), float(m[1, 2]),
-            float(m[2, 0]), float(m[2, 1]), float(m[2, 2]),
-            float(b[0]), float(b[1]), float(b[2]))
+    return u.reshape(n_steps, n_det, hi - lo).transpose(2, 0, 1)
 
 
 def _segment_table(segments, grid: TimeGrid):
@@ -129,83 +117,95 @@ def _segment_table(segments, grid: TimeGrid):
     approximation, same order as the stepping error."""
     segments = list(segments)
     check_segments(segments, grid.t0, grid.t_end)
-    consts = [_segment_constants(seg) for seg in segments]
     starts = np.array([seg.t_start for seg in segments])
     idx = np.searchsorted(starts, grid.times(), side="right") - 1
     idx = np.clip(idx, 0, len(segments) - 1)
-    return consts, idx.astype(np.intp)
-
-
-def _ito_update(x, y, z, noise_step, det_consts, seg, dt):
-    """One Euler-Maruyama step on equal-shape component arrays; returns the
-    new components and the per-detector signals from the pre-step state."""
-    signals = []
-    nrs = []
-    for (n0, n1, n2, kk, kick, scale), w in zip(det_consts, noise_step):
-        nr = n0 * x + n1 * y + n2 * z
-        signals.append(nr + scale * w)
-        nrs.append(nr)
-    m00, m01, m02, m10, m11, m12, m20, m21, m22, b0, b1, b2 = seg
-    dx = (m00 * x + m01 * y + m02 * z - b0) * dt
-    dy = (m10 * x + m11 * y + m12 * z - b1) * dt
-    dz = (m20 * x + m21 * y + m22 * z - b2) * dt
-    for (n0, n1, n2, kk, kick, scale), w, nr in zip(det_consts, noise_step, nrs):
-        g = w * kick
-        dx = dx + (n0 - nr * x + kk * (n1 * z - n2 * y)) * g
-        dy = dy + (n1 - nr * y + kk * (n2 * x - n0 * z)) * g
-        dz = dz + (n2 - nr * z + kk * (n0 * y - n1 * x)) * g
-    return x + dx, y + dy, z + dz, signals
+    return segments, idx.astype(np.intp)
 
 
 def _prepare(initial_state, grid: TimeGrid, detectors, segments):
-    """Checked preparation and the stepper's per-detector and per-step
-    segment constants."""
+    """Checked preparation: the initial state, the detector and segment
+    models, and each step's segment index."""
     r0 = require_physical(initial_state)
     detectors = tuple(detectors)
     if not detectors:
         raise ConfigError("need at least one detector")
-    seg_consts, seg_idx = _segment_table(segments, grid)
-    return r0, detectors, _detector_constants(detectors, grid.dt), seg_consts, seg_idx
+    segments, seg_idx = _segment_table(segments, grid)
+    return r0, detectors, segments, seg_idx
 
 
-def _simulate_batch(r0s, grid: TimeGrid, det_consts, seg_consts, seg_idx, noise,
+def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
                     record_states: bool, traj_lo: int):
-    """Simulate a batch. Returns (signals (B, n_det, n_steps) normalized,
-    states (B, n_steps+1, 3) or None)."""
-    n_steps = grid.n_steps
-    n_det = noise.shape[2]
-    batch = r0s.shape[0]
+    """Euler-Maruyama on a batch, for the noise ``noise`` of ``_batch_normals``.
+    Returns step-major (signals (n_steps, n_det, B) normalized, states
+    (n_steps+1, 3, B) or None).
+
+    The batch state is the C-contiguous (4, B) block of columns (r, 1), and
+    one matmul per step applies every affine map of it. For the step's
+    segment s the stacked matrix has the rows [D_s | c_s], [0 | 1], [N | 0]
+    and [A_ell | n_ell] for each detector, with D_s = I + L_s dt,
+    c_s = -L_s r_st dt, N the detector axes and A_ell = K_ell [n_ell]x. Its
+    product holds the drifted state, the ones row, n.r and A r + n, so the
+    signals are n.r + sqrt(tau_m/dt) w and the kicks add
+    sqrt(dt/tau_m) w (A r + n - (n.r) r) to the drifted state in place. Two
+    such blocks alternate as input and output.
+    """
+    noise = noise.transpose(1, 2, 0)
+    n_steps, n_det, batch = noise.shape
+    if batch == 1:
+        # numpy sends a one-column matmul to gemv, which rounds differently
+        # from gemm; stepping the lone trajectory twice keeps it on gemm, so
+        # its bits match the same trajectory inside any larger batch
+        noise = np.repeat(noise, 2, axis=2)
+    width = noise.shape[2]
     dt = grid.dt
     max_norm2 = (1.0 + NORM_OVERSHOOT_TOL) ** 2
 
-    x = r0s[:, 0].copy()
-    y = r0s[:, 1].copy()
-    z = r0s[:, 2].copy()
-    signals = np.empty((batch, n_det, n_steps))
-    states = np.empty((batch, n_steps + 1, 3)) if record_states else None
+    kick = np.array([[math.sqrt(dt / det.tau_m)] for det in detectors])
+    scale = np.array([[math.sqrt(det.tau_m / dt)] for det in detectors])
+    readout = np.hstack([np.array([det.axis for det in detectors]), np.zeros((n_det, 1))])
+    kicks = [np.hstack([rotation_matrix(det.axis, det.k_phase), det.axis[:, None]])
+             for det in detectors]
+    linear = [np.vstack([np.hstack([np.eye(3) + seg.matrix * dt,
+                                    -(seg.matrix @ seg.r_st)[:, None] * dt]),
+                         [0.0, 0.0, 0.0, 1.0], readout, *kicks]) for seg in segments]
 
-    def record(k):
-        if record_states:
-            states[:, k, 0] = x
-            states[:, k, 1] = y
-            states[:, k, 2] = z
+    blocks = np.empty((2, 4 + 4 * n_det, width))
+    blocks[0, :3] = r0[:, None]
+    blocks[0, 3] = 1.0
+    states = np.empty((n_steps + 1, 3, width)) if record_states else None
+    if record_states:
+        states[0] = blocks[0, :3]
+    signals = np.empty((n_steps, n_det, width))
+    quad = np.empty((3, width))
+    gain = np.empty((n_det, width))
+    norm2 = np.empty(width)
 
-    record(0)
     for k in range(n_steps):
-        noise_step = [noise[:, k, ell] for ell in range(n_det)]
-        x, y, z, sigs = _ito_update(x, y, z, noise_step, det_consts,
-                                    seg_consts[seg_idx[k]], dt)
+        cur, nxt = blocks[k % 2], blocks[(k + 1) % 2]
+        r, r_new, nr = cur[:3], nxt[:3], nxt[4:4 + n_det]
+        w = noise[k]
+        np.matmul(linear[seg_idx[k]], cur[:4], out=nxt)
+        np.multiply(scale, w, out=signals[k])
+        signals[k] += nr
+        np.multiply(kick, w, out=gain)
         for ell in range(n_det):
-            signals[:, ell, k] = sigs[ell]
-        norm2 = x * x + y * y + z * z
-        if np.any(norm2 > max_norm2):
+            term = nxt[4 + n_det + 3 * ell:7 + n_det + 3 * ell]
+            np.multiply(nr[ell], r, out=quad)
+            term -= quad
+            term *= gain[ell]
+            r_new += term
+        np.einsum("ib,ib->b", r_new, r_new, out=norm2)
+        if norm2.max() > max_norm2:
             worst = int(np.argmax(norm2))
             raise DiagnosticError(
                 f"trajectory {traj_lo + worst} norm {math.sqrt(float(norm2[worst])):.6g} "
                 f"at t = {grid.t0 + (k + 1) * dt:.6g} overshoots the Bloch sphere "
                 f"by more than {NORM_OVERSHOOT_TOL}; reduce dt")
-        record(k + 1)
-    return signals, states
+        if record_states:
+            states[k + 1] = r_new
+    return (signals[:, :, :batch],
+            states[:, :, :batch] if record_states else None)
 
 
 def simulate_states(initial_state, grid: TimeGrid, detectors, segments, plan: NoisePlan,
@@ -218,13 +218,12 @@ def simulate_states(initial_state, grid: TimeGrid, detectors, segments, plan: No
     on the same arguments, before the raw-units map."""
     if not 0 <= traj_lo < traj_hi:
         raise ConfigError(f"need 0 <= traj_lo < traj_hi, got {traj_lo!r}, {traj_hi!r}")
-    r0, detectors, det_consts, seg_consts, seg_idx = _prepare(
-        initial_state, grid, detectors, segments)
+    r0, detectors, segments, seg_idx = _prepare(initial_state, grid, detectors, segments)
     noise = _batch_normals(plan, traj_lo, traj_hi, grid.n_steps, len(detectors))
-    r0s = np.broadcast_to(r0, (traj_hi - traj_lo, 3))
-    signals, states = _simulate_batch(r0s, grid, det_consts, seg_consts, seg_idx, noise,
+    signals, states = _simulate_batch(r0, grid, detectors, segments, seg_idx, noise,
                                       record_states=True, traj_lo=traj_lo)
-    return states, signals
+    return (np.ascontiguousarray(states.transpose(2, 0, 1)),
+            np.ascontiguousarray(signals.transpose(2, 1, 0)))
 
 
 @dataclasses.dataclass
@@ -313,8 +312,7 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     if decimate < 1 or grid.n_steps % decimate != 0:
         raise ConfigError(
             f"decimate must divide n_steps, got {decimate!r} for {grid.n_steps} steps")
-    r0, detectors, det_consts, seg_consts, seg_idx = _prepare(
-        initial_state, grid, detectors, segments)
+    r0, detectors, segments, seg_idx = _prepare(initial_state, grid, detectors, segments)
     n_det = len(detectors)
 
     n_dec = grid.n_steps // decimate
@@ -327,12 +325,16 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
         lo = b * batch_size
         hi = min(lo + batch_size, n_traj)
         noise = _batch_normals(plan, lo, hi, grid.n_steps, n_det)
-        r0s = np.broadcast_to(r0, (hi - lo, 3))
-        signals, _ = _simulate_batch(r0s, grid, det_consts, seg_consts, seg_idx, noise,
+        signals, _ = _simulate_batch(r0, grid, detectors, segments, seg_idx, noise,
                                      record_states=False, traj_lo=lo)
+        del noise
+        signals = signals.transpose(2, 1, 0)
         if decimate > 1:
-            signals = signals.reshape(hi - lo, n_det, n_dec, decimate).mean(axis=3)
-        out[lo:hi] = offsets[:, None] + responses[:, None] * signals
+            signals = np.ascontiguousarray(signals).reshape(
+                hi - lo, n_det, n_dec, decimate).mean(axis=3)
+        records = out[lo:hi]
+        np.multiply(responses[:, None], signals, out=records)
+        records += offsets[:, None]
 
     if threads == 1:
         for b in range(n_batches):

@@ -52,7 +52,10 @@ def base_config(**over):
 
 
 def segment(**over):
-    seg = {"matrix": [[0.0] * 3] * 3, "t_start_us": 0.0, "t_end_us": 1e9}
+    # damps x and y at 1/us, above the base detector's measurement dephasing
+    # of 0.556/us, so the default segment passes the dephasing check
+    seg = {"matrix": [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0]],
+           "t_start_us": 0.0, "t_end_us": 1e9}
     seg.update(over)
     return seg
 
@@ -129,6 +132,9 @@ class TestBuilders:
     def test_build_detector_explicit_tau_m_override(self, tmp_path):
         base = base_config()
         base["detectors"][0]["tau_m_us"] = 11.0
+        # gamma_m = (1 + tan^2 70deg) / (2 * 0.44 * 11 us) = 0.883/us, which the
+        # generator must hold
+        base["evolution"]["gamma_per_us"] = 0.9
         cfg = load_config(write_config(tmp_path, base))
         assert build_detector(cfg.detectors[0]).tau_m == 11.0
 
@@ -142,7 +148,7 @@ class TestBuilders:
         cfg_raw = base_config()
         cfg_raw["evolution"] = {
             "segments": [
-                {"matrix": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+                {"matrix": [[-1, 0, 0], [0, -1, 0], [0, 0, 0]],
                  "r_st": [0, 0, 0], "t_start_us": 0.0, "t_end_us": 0.5},
                 {"matrix": [[-1, 0, 0], [0, -1, 0], [0, 0, 0]],
                  "r_st": [0, 0, 0], "t_start_us": 0.5, "t_end_us": 1e9},
@@ -395,6 +401,8 @@ class TestExitCodes:
         ("correlate", lambda c: c["ensemble"].update(n_traj=0), ("ensemble.n_traj",)),
         ("correlate", lambda c: c["evolution"].update(gamma_per_us=-0.1),
          ("evolution.gamma_per_us",)),
+        ("correlate", lambda c: c["evolution"].update(gamma_per_us=0.5),
+         ("evolution", "measurement dephasing")),
         ("correlate",
          lambda c: c.update(evolution={"segments": [segment(matrix=[[0.0, 0.0], [0.0, 0.0]])]}),
          ("evolution.segments[0]", "matrix")),
@@ -420,7 +428,8 @@ class TestExitCodes:
         ("calibrate", lambda c: c.update(evolution={"segments": [segment()]}),
          ("evolution.segments", "calibrate")),
     ], ids=["no-detectors", "axis-shape", "axis-unit", "tau_m", "no-tau", "tau_min", "eta",
-            "phi_a-90", "dt", "duration", "decimate", "n_traj", "gamma", "segment-matrix",
+            "phi_a-90", "dt", "duration", "decimate", "n_traj", "gamma", "gamma-below-gamma_m",
+            "segment-matrix",
             "segment-interval", "segment-abut", "index-range", "mode", "t_avg",
             "initial_state-shape", "initial_state-norm", "segments-beside-rabi", "analytic-axis",
             "analytic-segments", "calibrate-segments"])

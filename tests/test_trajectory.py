@@ -151,6 +151,61 @@ class TestStepIto:
             one_step([0, 0, 1.2], [det], gen, 0.01)
 
 
+def euler_maruyama_oracle(r0, grid, detectors, segments, draws):
+    """One trajectory by the module docstring's SDE, step by step: each step
+    uses the segment that contains its start time, the signal reads the
+    pre-step state, and the same draw w kicks the state. Returns (states
+    (n_steps+1, 3), signals (n_det, n_steps))."""
+    r = np.array(r0, dtype=float)
+    states, signals = [r], []
+    for k in range(grid.n_steps):
+        t = grid.t0 + grid.dt * k
+        seg = next(s for s in segments if s.t_start <= t < s.t_end)
+        step = seg.matrix @ (r - seg.r_st) * grid.dt
+        outputs = []
+        for det, w in zip(detectors, draws[k]):
+            n = det.axis
+            outputs.append(n @ r + math.sqrt(det.tau_m / grid.dt) * w)
+            step = step + ((n - (n @ r) * r) + det.k_phase * np.cross(n, r)) * (
+                math.sqrt(grid.dt / det.tau_m) * w)
+        r = r + step
+        states.append(r)
+        signals.append(outputs)
+    return np.array(states), np.array(signals).T
+
+
+class TestOracle:
+    """simulate_states against the per-trajectory oracle over many steps."""
+
+    def test_two_axes_three_segments(self):
+        det_z = DetectorModel(axis=(0, 0, 1), tau_m=1.2, k_phase=0.9)
+        det_x = DetectorModel(axis=(1, 0, 0), tau_m=1.6, k_phase=-0.6)
+        base = dephasing_matrix(det_z.axis, det_z.gamma_m) + dephasing_matrix(det_x.axis,
+                                                                               det_x.gamma_m)
+        drive = rabi_dephasing_generator(0.0, OMEGA).matrix
+        grid = TimeGrid(0.0, 0.004, 50)
+        # the first boundary falls strictly inside step 15, the second inside step 35
+        segments = (
+            EnsembleGenerator(matrix=base - 0.3 * np.eye(3), r_st=np.array([0.0, 0.0, 0.2]),
+                              t_start=0.0, t_end=0.0613),
+            EnsembleGenerator(matrix=base + drive - 0.2 * np.eye(3),
+                              r_st=np.array([0.1, 0.0, -0.3]), t_start=0.0613, t_end=0.1415),
+            EnsembleGenerator(matrix=base + 0.5 * drive - 0.4 * np.eye(3),
+                              r_st=np.array([-0.2, 0.1, 0.0]), t_start=0.1415, t_end=1.0),
+        )
+        plan = NoisePlan(seed=31)
+        r0 = [0.3, -0.2, 0.4]
+        states, signals = simulate_states(r0, grid, (det_z, det_x), segments, plan, 5, 9)
+        assert states.shape == (4, 51, 3) and signals.shape == (4, 2, 50)
+        for i, j in enumerate(range(5, 9)):
+            want_states, want_signals = euler_maruyama_oracle(
+                r0, grid, (det_z, det_x), segments, plan.normals(j, 50, 2))
+            np.testing.assert_allclose(states[i], want_states, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want_states).max())
+            np.testing.assert_allclose(signals[i], want_signals, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want_signals).max())
+
+
 class TestTrajectory:
     def test_states_start_at_preparation(self):
         det = reference_detector()
@@ -169,10 +224,22 @@ class TestTrajectory:
                                 NoisePlan(1), lo, hi)
 
     def test_norm_guard_trips_on_coarse_step(self):
+        """The guard names the trajectory and time where the oracle first
+        leaves the tolerance, the worst trajectory of that step."""
         det = reference_detector(70.0)
         grid = TimeGrid(0.0, 0.02, 400)  # kick std ~ 0.1 per step: must trip
-        with pytest.raises(DiagnosticError, match="trajectory"):
-            simulate_states([0, 0, 1], grid, [det], drive_segments(), NoisePlan(2), 0, 1)
+        plan, lo, hi = NoisePlan(2), 3, 9
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.array([np.linalg.norm(euler_maruyama_oracle(
+                [0, 0, 1], grid, [det], drive_segments(), plan.normals(j, 400))[0], axis=1)
+                for j in range(lo, hi)])
+        over = norms > 1.05
+        step = int(np.argmax(over.any(axis=0)))
+        assert over[:, step].any() and step > 0
+        worst = lo + int(np.argmax(norms[:, step]))
+        message = f"trajectory {worst} norm .* at t = {grid.t0 + step * grid.dt:.6g} "
+        with pytest.raises(DiagnosticError, match=message):
+            simulate_states([0, 0, 1], grid, [det], drive_segments(), plan, lo, hi)
 
 
 class TestRunEnsemble:
