@@ -11,7 +11,6 @@ from .core import (
     TimeGrid,
     as_bloch,
     check_segments,
-    rabi_mhz,
     rabi_rad_per_us,
     require_physical,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "require_physical",
     "check_segments",
     "rabi_rad_per_us",
-    "rabi_mhz",
     "propagator",
     "rabi_dephasing_generator",
     "dephasing_matrix",

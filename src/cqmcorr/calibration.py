@@ -40,26 +40,28 @@ VARIANCE_MATCH_TOL = 0.25
 
 @dataclasses.dataclass
 class CalibrationRun:
-    """Paired raw-record ensembles for the +axis and -axis preparations."""
+    """Paired one-detector raw-record ensembles, +axis and -axis preparations."""
 
     plus: EnsembleArchive
     minus: EnsembleArchive
-    detector_index: int = 0
 
     def __post_init__(self):
         if self.plus.grid != self.minus.grid:
             raise ConfigError("calibration ensembles must share one grid")
-        if not 0 <= self.detector_index < self.plus.n_detectors:
-            raise ConfigError(f"detector index {self.detector_index} out of range")
+        for archive in (self.plus, self.minus):
+            _records(archive)
 
 
-def integrate_traces(archive: EnsembleArchive, detector_index: int = 0) -> np.ndarray:
-    """Cumulative time integral of each raw record (trapezoid rule, zero at
-    the first sample). Shape (n_traj, n_samples)."""
-    if not 0 <= detector_index < archive.n_detectors:
-        raise ConfigError(f"detector index {detector_index} out of range")
-    sig = archive.signals[:, detector_index, :]
-    return cumulative_trapezoid(sig, dx=archive.grid.dt, axis=1, initial=0.0)
+def _records(archive: EnsembleArchive) -> np.ndarray:
+    if archive.n_detectors != 1:
+        raise ConfigError(f"calibration needs one-detector archives, got {archive.n_detectors}")
+    return archive.signals[:, 0, :]
+
+
+def integrate_traces(archive: EnsembleArchive) -> np.ndarray:
+    """Cumulative time integral of each raw record of a one-detector archive
+    (trapezoid rule, zero at the first sample). Shape (n_traj, n_samples)."""
+    return cumulative_trapezoid(_records(archive), dx=archive.grid.dt, axis=1, initial=0.0)
 
 
 def _line_slope(t: np.ndarray, y: np.ndarray) -> float:
@@ -72,10 +74,10 @@ def estimate_response(run: CalibrationRun,
     """Pole separation Delta_I in raw units per unit normalized signal: the
     fitted slope of <integral_plus>(t) - <integral_minus>(t) over the first
     ``fit_window`` of the trace. The per-pole response is Delta_I / 2."""
-    ip = integrate_traces(run.plus, run.detector_index).mean(axis=0)
-    im = integrate_traces(run.minus, run.detector_index).mean(axis=0)
+    ip = integrate_traces(run.plus).mean(axis=0)
+    im = integrate_traces(run.minus).mean(axis=0)
     t = run.plus.grid.times()
-    mask = t <= run.plus.grid.t0 + fit_window + 1e-9
+    mask = t <= fit_window + 1e-9
     if mask.sum() < 3:
         raise ConfigError(f"fit window {fit_window} covers fewer than 3 samples")
     return _line_slope(t[mask], (ip - im)[mask])
@@ -94,8 +96,8 @@ def estimate_tau_m(run: CalibrationRun, delta_i: float,
     if delta_i == 0:
         raise ConfigError("delta_i must be nonzero")
     t = run.plus.grid.times()
-    ip = integrate_traces(run.plus, run.detector_index)
-    im = integrate_traces(run.minus, run.detector_index)
+    ip = integrate_traces(run.plus)
+    im = integrate_traces(run.minus)
     vp = ip.var(axis=0, ddof=1)
     vm = im.var(axis=0, ddof=1)
     sp = _line_slope(t, vp)

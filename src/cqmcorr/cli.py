@@ -148,7 +148,6 @@ class SegmentConfig:
 @dataclasses.dataclass
 class EvolutionConfig:
     gamma_per_us: float | None = None
-    omega_r_rad_per_us: float | None = None
     rabi_mhz: float | None = None
     segments: list[SegmentConfig] | None = None
 
@@ -158,18 +157,13 @@ class EvolutionConfig:
 
     @property
     def omega_r(self) -> float:
-        if self.omega_r_rad_per_us is not None:
-            return float(self.omega_r_rad_per_us)
-        if self.rabi_mhz is not None:
-            return rabi_rad_per_us(float(self.rabi_mhz))
-        return 0.0
+        return 0.0 if self.rabi_mhz is None else rabi_rad_per_us(self.rabi_mhz)
 
 
 @dataclasses.dataclass
 class GridConfig:
     duration_us: float
     dt_us: float
-    t0_us: float = 0.0
     decimate: int = 1
 
 
@@ -254,11 +248,8 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
 
     evo = config.evolution
     generators = []
-    need(evo.omega_r_rad_per_us is None or evo.rabi_mhz is None,
-         "evolution: give omega_r_rad_per_us or rabi_mhz, not both")
-    rabi_keys = (evo.gamma_per_us, evo.omega_r_rad_per_us, evo.rabi_mhz)
-    need(not evo.segments or rabi_keys == (None,) * 3,
-         "evolution.segments: give segments or gamma_per_us and the Rabi rate, not both")
+    need(not evo.segments or evo.gamma_per_us is None and evo.rabi_mhz is None,
+         "evolution.segments: give segments or gamma_per_us and rabi_mhz, not both")
     if evo.gamma < 0:
         problems.append(f"evolution.gamma_per_us must be >= 0, got {evo.gamma_per_us!r}")
     elif not evo.segments:
@@ -281,14 +272,19 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
         need(gc.decimate >= 1, f"grid.decimate must be >= 1, got {gc.decimate!r}")
         # build_grid also wants a whole number of steps, which only the
         # commands that run on the grid require
-        build("grid.dt_us", lambda: TimeGrid(t0=gc.t0_us, dt=gc.dt_us, n_steps=1))
-    need(config.ensemble.n_traj >= 1, f"ensemble.n_traj must be >= 1, got {config.ensemble.n_traj!r}")
+        build("grid.dt_us", lambda: TimeGrid(dt=gc.dt_us, n_steps=1))
+    ens = config.ensemble
+    need(ens.n_traj >= 1, f"ensemble.n_traj must be >= 1, got {ens.n_traj!r}")
+    build("ensemble.seed", lambda: NoisePlan(ens.seed))
+    need(ens.batch_size >= 1, f"ensemble.batch_size must be >= 1, got {ens.batch_size!r}")
+    need(ens.threads >= 1, f"ensemble.threads must be >= 1, got {ens.threads!r}")
 
     corr = config.correlator
     need(corr.mode in ("mc", "gcr", "analytic"),
          f"correlator.mode must be mc|gcr|analytic, got {corr.mode!r}")
     need(corr.t_avg_us is None or corr.t_avg_us > 0,
          f"correlator.t_avg_us must be positive, got {corr.t_avg_us!r}")
+    need(corr.block_size >= 2, f"correlator.block_size must be >= 2, got {corr.block_size!r}")
     need(0 <= corr.detector_index < max(len(config.detectors), 1),
          f"correlator.detector_index: detector index {corr.detector_index} out of range")
     if corr.mode == "analytic" and not evo.segments:
@@ -346,27 +342,36 @@ def build_grid(config: ExperimentConfig, detectors) -> TimeGrid:
     if n_steps < 1 or abs(n_steps * dt - gc.duration_us) > 1e-6 * gc.duration_us:
         raise ConfigError(
             f"grid.duration_us {gc.duration_us} is not a whole number of steps of dt {dt}")
-    return TimeGrid(t0=gc.t0_us, dt=dt, n_steps=n_steps)
+    return TimeGrid(dt=dt, n_steps=n_steps)
 
 
 def _seed_threads(args, config: ExperimentConfig) -> tuple[int, int]:
     """The --seed and --threads overrides, else the ensemble section's values."""
+    if args.seed is not None and not 0 <= args.seed < 2**64:
+        raise ConfigError(f"--seed must fit in uint64, got {args.seed}")
+    if args.threads is not None and args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     ens = config.ensemble
     return (ens.seed if args.seed is None else args.seed,
             ens.threads if args.threads is None else args.threads)
+
+
+def _run(config: ExperimentConfig, detectors, segments, grid, seed: int, threads: int,
+         r0) -> EnsembleArchive:
+    """The configured ensemble from initial state ``r0`` on noise stream ``seed``."""
+    return run_ensemble(config.ensemble.n_traj, NoisePlan(seed), r0, grid, detectors, segments,
+                        threads=threads, batch_size=config.ensemble.batch_size,
+                        decimate=config.grid.decimate, config_digest=config.digest)
 
 
 def _run_pair(config: ExperimentConfig, detectors, segments, grid, seed: int, threads: int,
               r0) -> tuple[EnsembleArchive, EnsembleArchive]:
     """Two ensembles: initial state ``r0`` and its antipode, on disjoint
     noise streams (seed and seed + 1)."""
-    ens = config.ensemble
-    common = dict(grid=grid, detectors=detectors, segments=segments,
-                  threads=threads, batch_size=ens.batch_size,
-                  decimate=config.grid.decimate, config_digest=config.digest)
-    plus = run_ensemble(ens.n_traj, NoisePlan(seed), r0, **common)
-    minus = run_ensemble(ens.n_traj, NoisePlan(seed + 1), -r0, **common)
-    return plus, minus
+    if seed + 1 >= 2**64:
+        raise ConfigError(f"seed {seed}: the pair also uses seed + 1, which must fit in uint64")
+    return (_run(config, detectors, segments, grid, seed, threads, r0),
+            _run(config, detectors, segments, grid, seed + 1, threads, -r0))
 
 
 def _write_csv(out, config: ExperimentConfig, seed, lags, kp, ep, km, em) -> None:
@@ -419,11 +424,8 @@ def cmd_simulate(args) -> int:
     segments = build_segments(config)
     grid = build_grid(config, detectors)
     seed, threads = _seed_threads(args, config)
-    archive = run_ensemble(config.ensemble.n_traj, NoisePlan(seed),
-                           np.asarray(config.initial_state, dtype=np.float64),
-                           grid, detectors, segments, threads=threads,
-                           batch_size=config.ensemble.batch_size,
-                           decimate=config.grid.decimate, config_digest=config.digest)
+    archive = _run(config, detectors, segments, grid, seed, threads,
+                   np.asarray(config.initial_state, dtype=np.float64))
     archive.save(args.out)
     print(f"wrote {args.out}: {archive.n_traj} trajectories x {archive.n_detectors} "
           f"detectors x {archive.n_samples} samples, sha256 {archive.digest()}")

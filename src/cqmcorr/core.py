@@ -68,11 +68,6 @@ def rabi_rad_per_us(f_mhz: float) -> float:
     return TWO_PI * f_mhz
 
 
-def rabi_mhz(omega_r: float) -> float:
-    """Inverse of :func:`rabi_rad_per_us`."""
-    return omega_r / TWO_PI
-
-
 @dataclasses.dataclass(frozen=True)
 class DetectorModel:
     """One continuous detector: measurement axis, strength, and raw-units map.
@@ -183,11 +178,10 @@ def check_segments(segments, t_from: float, t_to: float) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling grid: n_steps samples at t_k = t0 + k*dt (computed
-    multiplicatively, never by accumulation). Sample k represents the step
+    """Uniform grid from the state preparation at t = 0: samples t_k = k*dt,
+    k < n_steps, computed multiplicatively. Sample k represents the step
     [t_k, t_k + dt); the state history additionally includes the endpoint."""
 
-    t0: float
     dt: float
     n_steps: int
 
@@ -199,11 +193,11 @@ class TimeGrid:
 
     @property
     def t_end(self) -> float:
-        return self.t0 + self.n_steps * self.dt
+        return self.n_steps * self.dt
 
     def times(self) -> np.ndarray:
         """Sample times t_k, k = 0 .. n_steps-1."""
-        return self.t0 + self.dt * np.arange(self.n_steps)
+        return self.dt * np.arange(self.n_steps)
 
 
 @dataclasses.dataclass(frozen=True)

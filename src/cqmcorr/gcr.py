@@ -169,9 +169,11 @@ def correlator_time_averaged(lags, detector: DetectorModel, segments, initial_st
         Kbar(tau) = (1/t_avg) * integral of K(t1, t1 + tau) dt1
                     over t1 in [t_skip, t_skip + t_avg],
 
-    for the state ``initial_state`` prepared at t = 0, via Gauss-Legendre
-    quadrature (the integrand is entire in t1, so GAUSS_LEGENDRE_NODES = 64
-    nodes are far beyond the accuracy of anything compared against).
+    for the state ``initial_state`` prepared at t = 0, by one Gauss-Legendre
+    rule of GAUSS_LEGENDRE_NODES = 64 nodes over the window. The integrand is
+    entire in t1 only within one generator segment: a segment boundary b, or
+    b - tau, inside the window puts a kink in it that the rule spans (about
+    1e-4 off for a Rabi drive switched inside a 0.28 us window).
 
     When one generator segment spans the whole averaging window plus the
     longest lag, the t1-average commutes with the lag propagation (everything

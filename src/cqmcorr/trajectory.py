@@ -116,7 +116,7 @@ def _segment_table(segments, grid: TimeGrid):
     start time; a segment boundary strictly inside a step is an Euler-level
     approximation, same order as the stepping error."""
     segments = list(segments)
-    check_segments(segments, grid.t0, grid.t_end)
+    check_segments(segments, 0.0, grid.t_end)
     starts = np.array([seg.t_start for seg in segments])
     idx = np.searchsorted(starts, grid.times(), side="right") - 1
     idx = np.clip(idx, 0, len(segments) - 1)
@@ -200,7 +200,7 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
             worst = int(np.argmax(norm2))
             raise DiagnosticError(
                 f"trajectory {traj_lo + worst} norm {math.sqrt(float(norm2[worst])):.6g} "
-                f"at t = {grid.t0 + (k + 1) * dt:.6g} overshoots the Bloch sphere "
+                f"at t = {(k + 1) * dt:.6g} overshoots the Bloch sphere "
                 f"by more than {NORM_OVERSHOOT_TOL}; reduce dt")
         if record_states:
             states[k + 1] = r_new
@@ -232,7 +232,7 @@ class EnsembleArchive:
 
     Serialized format (little-endian): magic ``CQMARCH1``, uint32 header
     length, JSON header with sorted keys (config_digest, dt, kind = "raw",
-    n_detectors, n_samples, n_traj, seed, t0, version), then the signal
+    n_detectors, n_samples, n_traj, seed, t0 = 0.0, version), then the signal
     array as consecutive per-trajectory blocks of n_detectors * n_samples
     float64 values, C order. The package writes archives and reads none
     back.
@@ -264,7 +264,7 @@ class EnsembleArchive:
             "n_samples": self.n_samples,
             "n_traj": self.n_traj,
             "seed": self.seed,
-            "t0": self.grid.t0,
+            "t0": 0.0,
             "version": ARCHIVE_VERSION,
         }
 
@@ -343,6 +343,6 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_batch, range(n_batches)))
 
-    dec_grid = TimeGrid(t0=grid.t0, dt=grid.dt * decimate, n_steps=n_dec)
+    dec_grid = TimeGrid(dt=grid.dt * decimate, n_steps=n_dec)
     return EnsembleArchive(grid=dec_grid, seed=plan.seed, signals=out,
                            config_digest=config_digest)

@@ -94,7 +94,7 @@ def production_pair():
     """Paired production ensembles at 70 degrees: 2e5 trajectories per
     preparation, 4.88 us traces at dt = 4 ns, decimated to 40 ns samples."""
     det = production_detector(70.0)
-    grid = TimeGrid(0.0, DT, 1220)
+    grid = TimeGrid(DT, 1220)
     plus = run_ensemble(200_000, NoisePlan(202), X_PLUS, grid, (det,),
                         production_segments(), decimate=DECIMATE)
     minus = run_ensemble(200_000, NoisePlan(203), X_MINUS, grid, (det,),
@@ -108,7 +108,7 @@ def null_pair():
     """Paired ensembles at 0 degrees (no phase backaction), 2e5 trajectories
     per preparation, 2.0 us traces."""
     det = production_detector(0.0)
-    grid = TimeGrid(0.0, DT, 500)
+    grid = TimeGrid(DT, 500)
     plus = run_ensemble(200_000, NoisePlan(314), X_PLUS, grid, (det,),
                         production_segments(), decimate=DECIMATE)
     minus = run_ensemble(200_000, NoisePlan(315), X_MINUS, grid, (det,),
@@ -225,7 +225,7 @@ def test_criterion_3b_peak_significance(criteria):
     """The Monte Carlo peak at 70 degrees exceeds 1.5 with >= 5 sigma."""
     det = production_detector(70.0)
     arch = run_ensemble(4_000_000, NoisePlan(303), X_PLUS,
-                        TimeGrid(0.0, DT, 300), (det,), production_segments(),
+                        TimeGrid(DT, 300), (det,), production_segments(),
                         decimate=DECIMATE)
     res = estimate_correlator(arch, 2.0, T_AVG, T_SKIP, block_size=200_000,
                               max_lag=0.4)
@@ -330,7 +330,7 @@ def test_criterion_5_multi_time_oracle(criteria):
 
         n_steps = int(round((times[-1] + patch * dt_acq) / dt))
         arch = run_ensemble(100_000, NoisePlan(5050 + i), r0,
-                            TimeGrid(0.0, dt, n_steps), dets, segments,
+                            TimeGrid(dt, n_steps), dets, segments,
                             decimate=dec)
         prod = np.ones(arch.n_traj)
         for t, d in zip(times, det_idx):
@@ -384,7 +384,7 @@ def test_criterion_6_cross_correlator(criteria):
     dt, dec = 4e-4, 25
     dt_acq = dt * dec
     arch = run_ensemble(600_000, NoisePlan(606), setup.initial_state,
-                        TimeGrid(0.0, dt, 775), dets_mc, setup.segments,
+                        TimeGrid(dt, 775), dets_mc, setup.segments,
                         decimate=dec)
 
     nodes6, weights6 = np.polynomial.legendre.leggauss(6)
@@ -446,7 +446,7 @@ def test_criterion_7_calibration_round_trip(criteria):
                                                   offset=-0.4)
         segments = (EnsembleGenerator(matrix=dephasing_matrix(det.axis, gamma),
                                       r_st=np.zeros(3)),)
-        grid = TimeGrid(0.0, 0.04, n_steps)
+        grid = TimeGrid(0.04, n_steps)
         plus = run_ensemble(17_000, NoisePlan(seed), det.axis, grid, (det,),
                             segments)
         minus = run_ensemble(17_000, NoisePlan(seed + 1), -det.axis, grid,
@@ -528,7 +528,7 @@ def test_criterion_9a_ito_mean(criteria):
     gen = rabi_dephasing_generator(GAMMA, OMEGA)
     dt, n_steps = 0.002, 250
     n_traj, chunk = 20_000, 4096
-    grid = TimeGrid(0.0, dt, n_steps)
+    grid = TimeGrid(dt, n_steps)
     total = np.zeros((n_steps + 1, 3))
     total_sq = np.zeros((n_steps + 1, 3))
     for lo in range(0, n_traj, chunk):
@@ -630,7 +630,7 @@ def test_criterion_9e_efficiency_independence(criteria):
     taus = 0.04 * np.arange(1, 26)
     va = correlator_time_averaged(taus, det, (gen,), X_PLUS, T_SKIP, T_AVG).values
     vb = correlator_time_averaged(taus, det_hi, (gen,), X_PLUS, T_SKIP, T_AVG).values
-    grid = TimeGrid(0.0, DT, 200)
+    grid = TimeGrid(DT, 200)
     sa = run_ensemble(500, NoisePlan(17), X_PLUS, grid, (det,), (gen,))
     sb = run_ensemble(500, NoisePlan(17), X_PLUS, grid, (det_hi,), (gen,))
     ok = np.array_equal(va, vb) and np.array_equal(sa.signals, sb.signals)
@@ -644,7 +644,7 @@ def test_criterion_9f_thread_determinism(criteria):
     """The archive digest is independent of the worker thread count."""
     det = production_detector(70.0)
     gen = rabi_dephasing_generator(GAMMA, OMEGA)
-    grid = TimeGrid(0.0, DT, 300)
+    grid = TimeGrid(DT, 300)
     d1 = run_ensemble(2000, NoisePlan(23), Z_AXIS, grid, (det,), (gen,),
                       threads=1, batch_size=256).digest()
     d3 = run_ensemble(2000, NoisePlan(23), Z_AXIS, grid, (det,), (gen,),

@@ -30,7 +30,7 @@ OMEGA = 2.0 * math.pi
 
 def archive_from_signals(signals, dt=0.04, seed=0):
     signals = np.asarray(signals, dtype=np.float64)
-    grid = TimeGrid(0.0, dt, signals.shape[2])
+    grid = TimeGrid(dt, signals.shape[2])
     return EnsembleArchive(grid=grid, seed=seed, signals=signals)
 
 
@@ -47,10 +47,10 @@ def synthetic_pair(n_traj, n_samples, response, offset, tau_m, dt, seed,
 
 def test_integrate_traces_matches_cumulative_trapezoid():
     gen = np.random.default_rng(2)
-    sig = gen.normal(size=(5, 2, 30))
+    sig = gen.normal(size=(5, 1, 30))
     arch = archive_from_signals(sig, dt=0.05)
-    got = integrate_traces(arch, detector_index=1)
-    want = cumulative_trapezoid(sig[:, 1, :], dx=0.05, axis=1, initial=0.0)
+    got = integrate_traces(arch)
+    want = cumulative_trapezoid(sig[:, 0, :], dx=0.05, axis=1, initial=0.0)
     np.testing.assert_allclose(got, want, atol=1e-14)
     assert got.shape == (5, 30)
 
@@ -62,10 +62,14 @@ class TestCalibrationRun:
         with pytest.raises(ConfigError):
             CalibrationRun(plus=a, minus=b)
 
-    def test_rejects_bad_detector_index(self):
-        a = archive_from_signals(np.zeros((3, 1, 10)))
-        with pytest.raises(ConfigError):
-            CalibrationRun(plus=a, minus=a, detector_index=1)
+    def test_rejects_multi_detector_archives(self):
+        one = archive_from_signals(np.zeros((3, 1, 10)))
+        two = archive_from_signals(np.zeros((3, 2, 10)))
+        for plus, minus in ((two, two), (one, two), (two, one)):
+            with pytest.raises(ConfigError, match="one-detector archives, got 2"):
+                CalibrationRun(plus=plus, minus=minus)
+        with pytest.raises(ConfigError, match="one-detector archives"):
+            integrate_traces(two)
 
 
 class TestEstimateResponse:
@@ -194,7 +198,7 @@ class TestEstimateCorrelator:
                                                   phi_a_deg=0.0, eta=0.44,
                                                   response=1.005, offset=-0.4)
         segments = (rabi_dephasing_generator(GAMMA, OMEGA),)
-        grid = TimeGrid(0.0, 0.004, 300)
+        grid = TimeGrid(0.004, 300)
         arch = run_ensemble(6000, NoisePlan(seed=101), [1, 0, 0], grid, (det,),
                             segments, decimate=10)
         res = estimate_correlator(arch, delta_i=2 * det.response, t_avg=0.28,

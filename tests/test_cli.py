@@ -108,13 +108,6 @@ class TestConfigLoading:
             load_config(write_config(tmp_path, cfg))
         assert "axis" in str(err.value) and "n_traj" in str(err.value)
 
-    def test_both_rabi_specifications_rejected(self, tmp_path):
-        cfg = base_config()
-        cfg["evolution"] = {"gamma_per_us": GAMMA, "rabi_mhz": 1.0,
-                            "omega_r_rad_per_us": 6.28}
-        with pytest.raises(ConfigError, match="not both"):
-            load_config(write_config(tmp_path, cfg))
-
     def test_detector_needs_a_measurement_time(self, tmp_path):
         cfg = base_config()
         del cfg["detectors"][0]["tau_min_us"]
@@ -249,7 +242,7 @@ class TestSimulateCommand:
         # same engine, same seed: the file is the in-process archive, byte for byte
         cfg_obj = load_config(path)
         want = run_ensemble(40, NoisePlan(5), [1, 0, 0],
-                            TimeGrid(0.0, 0.004, 300),
+                            TimeGrid(0.004, 300),
                             (build_detector(cfg_obj.detectors[0]),),
                             build_segments(cfg_obj), decimate=10,
                             config_digest=cfg_obj.digest)
@@ -357,11 +350,15 @@ class TestExitCodes:
          "evolution.segments[0].matrix"),
         (("correlator", "detector_index"), [0, 0, 0], "correlator.detector_index"),
         (("grid", "dt_us"), DELETE, "missing grid.dt_us"),
+        (("grid", "t0_us"), 0.0, "grid: unknown keys ['t0_us']"),
+        (("evolution",), {"gamma_per_us": GAMMA, "omega_r_rad_per_us": OMEGA},
+         "evolution: unknown keys ['omega_r_rad_per_us']"),
     ], ids=["invalid-json", "n_traj-2.7", "n_traj-bool", "seed-string", "decimate-2.7",
             "eta-high", "axis-zz", "t_skip-bool", "initial_state-string", "grid-number",
             "eta-list", "detectors-number", "segments-number", "max_lag-nan", "index-range",
             "lag_step-zero", "max_lag-huge", "max_lag-minus-huge", "duration-huge",
-            "t_skip-negative", "matrix-ragged", "index-nested", "dt-missing"])
+            "t_skip-negative", "matrix-ragged", "index-nested", "dt-missing", "t0-removed",
+            "omega_r-removed"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, field, value, names):
         if field is None:
             path = tmp_path / "bad.json"
@@ -427,17 +424,31 @@ class TestExitCodes:
          ("evolution.segments", "closed form")),
         ("calibrate", lambda c: c.update(evolution={"segments": [segment()]}),
          ("evolution.segments", "calibrate")),
+        ("correlate", lambda c: c["ensemble"].update(seed=2**64), ("ensemble.seed", "uint64")),
+        ("correlate", lambda c: c["ensemble"].update(seed=-1), ("ensemble.seed", "uint64")),
+        ("correlate", lambda c: c["ensemble"].update(threads=0), ("ensemble.threads",)),
+        ("correlate", lambda c: c["ensemble"].update(batch_size=0), ("ensemble.batch_size",)),
+        ("correlate", lambda c: c["correlator"].update(block_size=1),
+         ("correlator.block_size",)),
+        ("correlate --seed 18446744073709551616", lambda c: None, ("--seed", "uint64")),
+        ("correlate --seed -1", lambda c: None, ("--seed", "uint64")),
+        ("correlate --threads 0", lambda c: None, ("--threads",)),
+        ("correlate", lambda c: (c["ensemble"].update(seed=2**64 - 1),
+                                 c["correlator"].update(mode="mc", block_size=100)),
+         ("seed 18446744073709551615", "seed + 1")),
     ], ids=["no-detectors", "axis-shape", "axis-unit", "tau_m", "no-tau", "tau_min", "eta",
             "phi_a-90", "dt", "duration", "decimate", "n_traj", "gamma", "gamma-below-gamma_m",
             "segment-matrix",
             "segment-interval", "segment-abut", "index-range", "mode", "t_avg",
             "initial_state-shape", "initial_state-norm", "segments-beside-rabi", "analytic-axis",
-            "analytic-segments", "calibrate-segments"])
+            "analytic-segments", "calibrate-segments", "seed-huge", "seed-negative",
+            "threads-zero", "batch_size-zero", "block_size-one", "seed-flag-huge",
+            "seed-flag-negative", "threads-flag-zero", "pair-seed-last"])
     def test_validation_rule_names_section_and_field(self, tmp_path, capsys, command, mutate,
                                                      names):
         cfg = base_config()
         mutate(cfg)
-        assert main([command, "--config", write_config(tmp_path, cfg),
+        assert main([*command.split(), "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
@@ -460,7 +471,7 @@ class TestExitCodes:
 
     def test_overdamped_closed_form_is_diagnostic(self, tmp_path):
         cfg = base_config()
-        cfg["evolution"] = {"gamma_per_us": 8.0, "omega_r_rad_per_us": 1.0}
+        cfg["evolution"] = {"gamma_per_us": 8.0, "rabi_mhz": 1.0 / (2.0 * math.pi)}
         path = write_config(tmp_path, cfg)
         assert main(["correlate", "--config", path,
                      "--out", str(tmp_path / "o.csv")]) == 3

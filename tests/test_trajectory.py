@@ -93,7 +93,7 @@ def one_step(r, detectors, generator, dt):
     """simulate_states over one step of dt: the state after the step, the
     signals, and the draws that made them."""
     plan = NoisePlan(seed=23)
-    states, signals = simulate_states(r, TimeGrid(0.0, dt, 1), detectors, (generator,),
+    states, signals = simulate_states(r, TimeGrid(dt, 1), detectors, (generator,),
                                       plan, 0, 1)
     return states[0, 1], signals[0, :, 0], plan.normals(0, 1, len(detectors))[0]
 
@@ -159,7 +159,7 @@ def euler_maruyama_oracle(r0, grid, detectors, segments, draws):
     r = np.array(r0, dtype=float)
     states, signals = [r], []
     for k in range(grid.n_steps):
-        t = grid.t0 + grid.dt * k
+        t = grid.dt * k
         seg = next(s for s in segments if s.t_start <= t < s.t_end)
         step = seg.matrix @ (r - seg.r_st) * grid.dt
         outputs = []
@@ -183,7 +183,7 @@ class TestOracle:
         base = dephasing_matrix(det_z.axis, det_z.gamma_m) + dephasing_matrix(det_x.axis,
                                                                                det_x.gamma_m)
         drive = rabi_dephasing_generator(0.0, OMEGA).matrix
-        grid = TimeGrid(0.0, 0.004, 50)
+        grid = TimeGrid(0.004, 50)
         # the first boundary falls strictly inside step 15, the second inside step 35
         segments = (
             EnsembleGenerator(matrix=base - 0.3 * np.eye(3), r_st=np.array([0.0, 0.0, 0.2]),
@@ -209,7 +209,7 @@ class TestOracle:
 class TestTrajectory:
     def test_states_start_at_preparation(self):
         det = reference_detector()
-        grid = TimeGrid(0.0, 0.004, 10)
+        grid = TimeGrid(0.004, 10)
         states, signals = simulate_states([0, 1, 0], grid, [det], drive_segments(),
                                           NoisePlan(1), 0, 3)
         np.testing.assert_array_equal(states[:, 0], [[0, 1, 0]] * 3)
@@ -217,7 +217,7 @@ class TestTrajectory:
         assert signals.shape == (3, 1, 10)
 
     def test_rejects_empty_trajectory_range(self):
-        grid = TimeGrid(0.0, 0.004, 10)
+        grid = TimeGrid(0.004, 10)
         for lo, hi in ((3, 3), (-1, 2)):
             with pytest.raises(ConfigError, match="traj_lo"):
                 simulate_states([0, 1, 0], grid, [reference_detector()], drive_segments(),
@@ -227,7 +227,7 @@ class TestTrajectory:
         """The guard names the trajectory and time where the oracle first
         leaves the tolerance, the worst trajectory of that step."""
         det = reference_detector(70.0)
-        grid = TimeGrid(0.0, 0.02, 400)  # kick std ~ 0.1 per step: must trip
+        grid = TimeGrid(0.02, 400)  # kick std ~ 0.1 per step: must trip
         plan, lo, hi = NoisePlan(2), 3, 9
         with np.errstate(over="ignore", invalid="ignore"):
             norms = np.array([np.linalg.norm(euler_maruyama_oracle(
@@ -237,7 +237,7 @@ class TestTrajectory:
         step = int(np.argmax(over.any(axis=0)))
         assert over[:, step].any() and step > 0
         worst = lo + int(np.argmax(norms[:, step]))
-        message = f"trajectory {worst} norm .* at t = {grid.t0 + step * grid.dt:.6g} "
+        message = f"trajectory {worst} norm .* at t = {step * grid.dt:.6g} "
         with pytest.raises(DiagnosticError, match=message):
             simulate_states([0, 0, 1], grid, [det], drive_segments(), plan, lo, hi)
 
@@ -245,7 +245,7 @@ class TestTrajectory:
 class TestRunEnsemble:
     def small_args(self, **over):
         args = dict(n_traj=64, plan=NoisePlan(seed=11), initial_state=[1, 0, 0],
-                    grid=TimeGrid(0.0, 0.004, 40), detectors=(reference_detector(40.0),),
+                    grid=TimeGrid(0.004, 40), detectors=(reference_detector(40.0),),
                     segments=drive_segments())
         args.update(over)
         return args
@@ -307,7 +307,7 @@ class TestRunEnsemble:
 class TestArchiveSerialization:
     def build(self, tmp_path):
         arch = run_ensemble(n_traj=9, plan=NoisePlan(seed=5), initial_state=[0, 0, 1],
-                            grid=TimeGrid(0.0, 0.01, 12),
+                            grid=TimeGrid(0.01, 12),
                             detectors=(reference_detector(0.0, response=1.005, offset=-0.4),),
                             segments=(EnsembleGenerator(
                                 matrix=dephasing_matrix((0, 0, 1), GAMMA), r_st=np.zeros(3)),),
