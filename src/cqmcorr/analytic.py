@@ -115,33 +115,33 @@ def k_qrf_baseline(params: RabiCaseParams, tau) -> np.ndarray:
     return envelope * (np.cos(wt * tau) + (0.5 * params.gamma / wt) * np.sin(wt * tau))
 
 
+def _phase_term(amplitude, gamma: float, omega_r: float, tau) -> np.ndarray:
+    """The phase-backaction term amplitude (omega_r/wt) sin(wt tau)
+    exp(-gamma tau/2), multiplied left to right."""
+    tau = np.asarray(tau, dtype=np.float64)
+    wt = _omega_tilde(gamma, omega_r)
+    return amplitude * (omega_r / wt) * np.sin(wt * tau) * np.exp(-0.5 * gamma * tau)
+
+
 def _phase_design(gamma: float, omega_r: float, c: float, tau) -> np.ndarray:
     """Paired-difference template per unit tan(phi_a):
     2 c (omega_r/wt) sin(wt tau) exp(-gamma tau/2)."""
-    tau = np.asarray(tau, dtype=np.float64)
-    wt = _omega_tilde(gamma, omega_r)
-    return 2.0 * c * (omega_r / wt) * np.sin(wt * tau) * np.exp(-0.5 * gamma * tau)
+    return _phase_term(2.0 * c, gamma, omega_r, tau)
 
 
 def k_analytic_pointwise(params: RabiCaseParams, t1, tau) -> np.ndarray:
     """K(t1, t1 + tau): baseline plus the phase-backaction term with its
     exp(-gamma t1) preparation memory."""
     t1 = np.asarray(t1, dtype=np.float64)
-    tau = np.asarray(tau, dtype=np.float64)
-    wt = params.omega_tilde
-    phase = (params.x0 * np.exp(-params.gamma * t1) * params.k_phase
-             * (params.omega_r / wt) * np.sin(wt * tau) * np.exp(-0.5 * params.gamma * tau))
-    return k_qrf_baseline(params, tau) + phase
+    amplitude = params.x0 * np.exp(-params.gamma * t1) * params.k_phase
+    return k_qrf_baseline(params, tau) + _phase_term(amplitude, params.gamma, params.omega_r, tau)
 
 
 def k_analytic_averaged(params: RabiCaseParams, tau) -> np.ndarray:
     """First-time average of the pointwise form over [t_skip, t_skip + t_avg]:
     the exp(-gamma t1) factor becomes the window constant c."""
-    tau = np.asarray(tau, dtype=np.float64)
-    wt = params.omega_tilde
-    phase = (params.c * params.x0 * params.k_phase
-             * (params.omega_r / wt) * np.sin(wt * tau) * np.exp(-0.5 * params.gamma * tau))
-    return k_qrf_baseline(params, tau) + phase
+    amplitude = params.c * params.x0 * params.k_phase
+    return k_qrf_baseline(params, tau) + _phase_term(amplitude, params.gamma, params.omega_r, tau)
 
 
 def delta_k(params: RabiCaseParams, tau) -> np.ndarray:

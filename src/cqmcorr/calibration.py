@@ -25,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .core import ConfigError, CorrelatorResult, DiagnosticError
 from .trajectory import EnsembleArchive
@@ -61,7 +60,10 @@ def _records(archive: EnsembleArchive) -> np.ndarray:
 def integrate_traces(archive: EnsembleArchive) -> np.ndarray:
     """Cumulative time integral of each raw record of a one-detector archive
     (trapezoid rule, zero at the first sample). Shape (n_traj, n_samples)."""
-    return cumulative_trapezoid(_records(archive), dx=archive.grid.dt, axis=1, initial=0.0)
+    x = _records(archive)
+    out = np.zeros(x.shape)
+    out[:, 1:] = np.cumsum(archive.grid.dt * (x[:, 1:] + x[:, :-1]) / 2.0, axis=1)
+    return out
 
 
 def _line_slope(t: np.ndarray, y: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 """Command line interface.
 
-Subcommands (all take --config JSON; --seed/--threads override the config):
+Subcommands (all take --config JSON; the noise seed is ``ensemble.seed``, and
+the three that run trajectories take --threads, default 1):
 
 * ``simulate``: run a trajectory ensemble, write the raw-record archive.
 * ``correlate``: paired first-time-averaged correlator (the configured
@@ -13,10 +14,10 @@ Subcommands (all take --config JSON; --seed/--threads override the config):
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 numerical
 diagnostic failure, 4 file I/O failure.
 
-CSV output is byte-stable for a fixed config and seed: a comment line with
-the canonical config digest, a fixed header, then %.12g-formatted rows
-``tau_us,K_plus,err_plus,K_minus,err_minus,dK,err_dK`` (error columns are 0
-for the deterministic modes).
+CSV output is byte-stable for a fixed config, whatever the thread count: a
+comment line with the canonical config digest and seed, a fixed header, then
+%.12g-formatted rows ``tau_us,K_plus,err_plus,K_minus,err_minus,dK,err_dK``
+(error columns are 0 for the deterministic modes).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .core import (
 )
 from .ensemble import dephasing_matrix, rabi_dephasing_generator
 from .gcr import correlator_time_averaged
-from .trajectory import DEFAULT_BATCH_SIZE, EnsembleArchive, NoisePlan, run_ensemble
+from .trajectory import EnsembleArchive, NoisePlan, run_ensemble
 
 CSV_HEADER = "tau_us,K_plus,err_plus,K_minus,err_minus,dK,err_dK"
 
@@ -171,8 +172,6 @@ class GridConfig:
 class EnsembleConfig:
     n_traj: int = 1
     seed: int = 0
-    batch_size: int = DEFAULT_BATCH_SIZE
-    threads: int = 1
 
 
 @dataclasses.dataclass
@@ -268,16 +267,15 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
 
     gc = config.grid
     if gc is not None:
-        need(gc.duration_us > 0, f"grid.duration_us must be positive, got {gc.duration_us!r}")
+        positive = gc.duration_us > 0
+        need(positive, f"grid.duration_us must be positive, got {gc.duration_us!r}")
         need(gc.decimate >= 1, f"grid.decimate must be >= 1, got {gc.decimate!r}")
-        # build_grid also wants a whole number of steps, which only the
-        # commands that run on the grid require
-        build("grid.dt_us", lambda: TimeGrid(dt=gc.dt_us, n_steps=1))
+        # build_grid divides by dt, so it runs only on a valid dt and duration
+        if build("grid.dt_us", lambda: TimeGrid(dt=gc.dt_us, n_steps=1)) and positive:
+            build("grid", lambda: build_grid(config, ()))
     ens = config.ensemble
     need(ens.n_traj >= 1, f"ensemble.n_traj must be >= 1, got {ens.n_traj!r}")
     build("ensemble.seed", lambda: NoisePlan(ens.seed))
-    need(ens.batch_size >= 1, f"ensemble.batch_size must be >= 1, got {ens.batch_size!r}")
-    need(ens.threads >= 1, f"ensemble.threads must be >= 1, got {ens.threads!r}")
 
     corr = config.correlator
     need(corr.mode in ("mc", "gcr", "analytic"),
@@ -345,40 +343,36 @@ def build_grid(config: ExperimentConfig, detectors) -> TimeGrid:
     return TimeGrid(dt=dt, n_steps=n_steps)
 
 
-def _seed_threads(args, config: ExperimentConfig) -> tuple[int, int]:
-    """The --seed and --threads overrides, else the ensemble section's values."""
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        raise ConfigError(f"--seed must fit in uint64, got {args.seed}")
-    if args.threads is not None and args.threads < 1:
+def _threads(args) -> int:
+    if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    ens = config.ensemble
-    return (ens.seed if args.seed is None else args.seed,
-            ens.threads if args.threads is None else args.threads)
+    return args.threads
 
 
 def _run(config: ExperimentConfig, detectors, segments, grid, seed: int, threads: int,
          r0) -> EnsembleArchive:
     """The configured ensemble from initial state ``r0`` on noise stream ``seed``."""
     return run_ensemble(config.ensemble.n_traj, NoisePlan(seed), r0, grid, detectors, segments,
-                        threads=threads, batch_size=config.ensemble.batch_size,
-                        decimate=config.grid.decimate, config_digest=config.digest)
+                        threads=threads, decimate=config.grid.decimate,
+                        config_digest=config.digest)
 
 
-def _run_pair(config: ExperimentConfig, detectors, segments, grid, seed: int, threads: int,
+def _run_pair(config: ExperimentConfig, detectors, segments, grid, threads: int,
               r0) -> tuple[EnsembleArchive, EnsembleArchive]:
     """Two ensembles: initial state ``r0`` and its antipode, on disjoint
-    noise streams (seed and seed + 1)."""
+    noise streams (ensemble.seed and ensemble.seed + 1)."""
+    seed = config.ensemble.seed
     if seed + 1 >= 2**64:
         raise ConfigError(f"seed {seed}: the pair also uses seed + 1, which must fit in uint64")
     return (_run(config, detectors, segments, grid, seed, threads, r0),
             _run(config, detectors, segments, grid, seed + 1, threads, -r0))
 
 
-def _write_csv(out, config: ExperimentConfig, seed, lags, kp, ep, km, em) -> None:
+def _write_csv(out, config: ExperimentConfig, lags, kp, ep, km, em) -> None:
     columns = (lags, kp, ep, km, em, kp - km, np.sqrt(ep**2 + em**2))
     if not all(np.all(np.isfinite(c)) for c in columns):
         raise DiagnosticError("non-finite value in the correlator output")
-    lines = [f"# config sha256 {config.digest} seed {seed}", CSV_HEADER]
+    lines = [f"# config sha256 {config.digest} seed {config.ensemble.seed}", CSV_HEADER]
     for row in zip(*columns):
         lines.append(",".join(f"{v:.12g}" for v in row))
     _emit(out, "\n".join(lines) + "\n")
@@ -423,8 +417,7 @@ def cmd_simulate(args) -> int:
     detectors = tuple(build_detector(d) for d in config.detectors)
     segments = build_segments(config)
     grid = build_grid(config, detectors)
-    seed, threads = _seed_threads(args, config)
-    archive = _run(config, detectors, segments, grid, seed, threads,
+    archive = _run(config, detectors, segments, grid, config.ensemble.seed, _threads(args),
                    np.asarray(config.initial_state, dtype=np.float64))
     archive.save(args.out)
     print(f"wrote {args.out}: {archive.n_traj} trajectories x {archive.n_detectors} "
@@ -440,7 +433,7 @@ def cmd_correlate(args) -> int:
     det_idx = corr.detector_index
     if corr.t_avg_us is None:
         raise ConfigError("correlator.t_avg_us required")
-    seed, threads = _seed_threads(args, config)
+    threads = _threads(args)
     r0 = np.asarray(config.initial_state, dtype=np.float64)
 
     if corr.mode == "mc":
@@ -450,12 +443,12 @@ def cmd_correlate(args) -> int:
                 f"blocks for ensemble.n_traj {config.ensemble.n_traj}; "
                 "need n_traj >= 2 * block_size")
         grid = build_grid(config, detectors)
-        plus, minus = _run_pair(config, detectors, segments, grid, seed, threads, r0)
+        plus, minus = _run_pair(config, detectors, segments, grid, threads, r0)
         delta_i = 2.0 * detectors[det_idx].response
         result = estimate_correlator(plus, delta_i, corr.t_avg_us, corr.t_skip_us,
                                      block_size=corr.block_size, archive_minus=minus,
                                      detector_index=det_idx, max_lag=corr.max_lag_us)
-        _write_csv(args.out, config, seed, result.lags, result.values, result.errors,
+        _write_csv(args.out, config, result.lags, result.values, result.errors,
                    result.values_minus, result.errors_minus)
         return 0
 
@@ -477,7 +470,7 @@ def cmd_correlate(args) -> int:
                                 t_avg=corr.t_avg_us)
         kp = k_analytic_averaged(params, lags)
         km = k_analytic_averaged(dataclasses.replace(params, x0=-params.x0), lags)
-    _write_csv(args.out, config, seed, lags, kp, zeros, km, zeros)
+    _write_csv(args.out, config, lags, kp, zeros, km, zeros)
     return 0
 
 
@@ -493,11 +486,10 @@ def cmd_calibrate(args) -> int:
         raise ConfigError("calibrate runs without a drive; set the Rabi rate to 0")
     segments = build_segments(config)
     grid = build_grid(config, (det,))
-    seed, threads = _seed_threads(args, config)
-    plus, minus = _run_pair(config, (det,), segments, grid, seed, threads, det.axis)
+    plus, minus = _run_pair(config, (det,), segments, grid, _threads(args), det.axis)
     run = CalibrationRun(plus=plus, minus=minus)
     delta_i = estimate_response(run, fit_window=config.calibrate.fit_window_us)
-    tau_m, eta = estimate_tau_m(run, delta_i, gamma=gamma if gamma > 0 else None)
+    tau_m, eta = estimate_tau_m(run, delta_i, gamma=gamma)
     report = {
         "config_digest": config.digest,
         "delta_i": delta_i,
@@ -505,7 +497,7 @@ def cmd_calibrate(args) -> int:
         "gamma_per_us": gamma,
         "n_traj": config.ensemble.n_traj,
         "response": delta_i / 2.0,
-        "seed": seed,
+        "seed": config.ensemble.seed,
         "tau_m_us": tau_m,
     }
     _write_json(args.out, report)
@@ -558,10 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Continuous qubit measurement: trajectories, correlators, calibration")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out: bool):
+    def common(p, needs_out: bool, threads: bool = True):
         p.add_argument("--config", required=True, help="experiment config JSON")
-        p.add_argument("--seed", type=int, default=None, help="override ensemble.seed")
-        p.add_argument("--threads", type=int, default=None, help="override ensemble.threads")
+        if threads:
+            p.add_argument("--threads", type=int, default=1,
+                           help="worker threads for the trajectories (default 1)")
         if needs_out:
             p.add_argument("--out", required=True, help="output path")
         else:
@@ -580,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("fit-phase", help="fit the quadrature angle to a correlate CSV")
-    common(p, needs_out=False)
+    common(p, needs_out=False, threads=False)
     p.add_argument("--dk", required=True, help="CSV written by correlate")
     p.set_defaults(func=cmd_fit_phase)
 

@@ -51,6 +51,16 @@ def base_config(**over):
     return cfg
 
 
+def calibrate_config():
+    return {
+        "detectors": [{"axis": [0, 0, 1], "phi_a_deg": 0.0, "tau_min_us": 2.04,
+                       "eta": 0.44, "response": 1.005, "offset": -0.4}],
+        "evolution": {"gamma_per_us": 0.5570409982174688},
+        "grid": {"duration_us": 2.4, "dt_us": 0.04},
+        "ensemble": {"n_traj": 3000, "seed": 19},
+    }
+
+
 def segment(**over):
     # damps x and y at 1/us, above the base detector's measurement dephasing
     # of 0.556/us, so the default segment passes the dephasing check
@@ -157,9 +167,8 @@ class TestBuilders:
         assert grid.n_steps == 300
         bad = base_config()
         bad["grid"]["duration_us"] = 1.2342
-        cfg = load_config(write_config(tmp_path, bad))
-        with pytest.raises(ConfigError, match="whole number of steps"):
-            build_grid(cfg, ())
+        with pytest.raises(ConfigError, match="grid: .* whole number of steps"):
+            load_config(write_config(tmp_path, bad))
 
 
 class TestCorrelateCommand:
@@ -219,17 +228,20 @@ class TestCorrelateCommand:
         assert "correlator.block_size" in err and "ensemble.n_traj" in err
         assert not out.exists()
 
-    def test_seed_override_changes_mc_output(self, tmp_path):
-        cfg = base_config()
-        cfg["correlator"] = {"mode": "mc", "t_skip_us": 0.28, "t_avg_us": 0.28,
-                             "block_size": 100, "max_lag_us": 0.4}
-        path = write_config(tmp_path, cfg)
-        a, b, c = (tmp_path / n for n in ("s5.csv", "s9.csv", "s5b.csv"))
-        main(["correlate", "--config", path, "--out", str(a)])
-        main(["correlate", "--config", path, "--seed", "9", "--out", str(b)])
-        main(["correlate", "--config", path, "--seed", "5", "--out", str(c)])
-        assert a.read_bytes() != b.read_bytes()
-        assert a.read_bytes() == c.read_bytes()
+    def test_config_seed_changes_mc_output(self, tmp_path):
+        outs = []
+        for name, seed in (("a", 5), ("b", 9), ("c", 5)):
+            cfg = base_config(ensemble={"n_traj": 300, "seed": seed})
+            cfg["correlator"] = {"mode": "mc", "t_skip_us": 0.28, "t_avg_us": 0.28,
+                                 "block_size": 100, "max_lag_us": 0.4}
+            out = tmp_path / f"{name}.csv"
+            assert main(["correlate", "--config", write_config(tmp_path, cfg, f"{name}.json"),
+                         "--out", str(out)]) == 0
+            outs.append(out.read_text().split("\n"))
+        a, b, c = outs
+        assert a[0].endswith(" seed 5") and b[0].endswith(" seed 9")
+        assert a[2:] != b[2:]
+        assert a == c
 
 
 class TestSimulateCommand:
@@ -253,20 +265,25 @@ class TestSimulateCommand:
 
 class TestCalibrateCommand:
     def test_report_recovers_detector_scale(self, tmp_path):
-        cfg = {
-            "detectors": [{"axis": [0, 0, 1], "phi_a_deg": 0.0, "tau_min_us": 2.04,
-                           "eta": 0.44, "response": 1.005, "offset": -0.4}],
-            "evolution": {"gamma_per_us": 0.5570409982174688},
-            "grid": {"duration_us": 2.4, "dt_us": 0.04},
-            "ensemble": {"n_traj": 3000, "seed": 19},
-        }
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, calibrate_config())
         out = tmp_path / "cal.json"
         assert main(["calibrate", "--config", path, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["delta_i"] == pytest.approx(2.01, rel=0.08)
         assert report["tau_m_us"] == pytest.approx(2.04, rel=0.15)
         assert report["eta"] == pytest.approx(0.44, rel=0.15)
+
+    @pytest.mark.parametrize("gamma", [0.0, DELETE], ids=["zero", "absent"])
+    def test_needs_the_dephasing_rate(self, tmp_path, capsys, gamma):
+        cfg = calibrate_config()
+        if gamma is DELETE:
+            del cfg["evolution"]["gamma_per_us"]
+        else:
+            cfg["evolution"]["gamma_per_us"] = gamma
+        assert main(["calibrate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "x.json")]) == 2
+        err = capsys.readouterr().err
+        assert "evolution" in err and "measurement dephasing" in err
 
     def test_requires_zero_drive_and_one_detector(self, tmp_path):
         cfg = base_config()  # has a drive
@@ -353,12 +370,15 @@ class TestExitCodes:
         (("grid", "t0_us"), 0.0, "grid: unknown keys ['t0_us']"),
         (("evolution",), {"gamma_per_us": GAMMA, "omega_r_rad_per_us": OMEGA},
          "evolution: unknown keys ['omega_r_rad_per_us']"),
+        (("ensemble", "threads"), 1, "ensemble: unknown keys ['threads']"),
+        (("ensemble", "batch_size"), 8192, "ensemble: unknown keys ['batch_size']"),
+        (("grid", "dt_us"), 0.0, "grid.dt_us: dt must be positive"),
     ], ids=["invalid-json", "n_traj-2.7", "n_traj-bool", "seed-string", "decimate-2.7",
             "eta-high", "axis-zz", "t_skip-bool", "initial_state-string", "grid-number",
             "eta-list", "detectors-number", "segments-number", "max_lag-nan", "index-range",
             "lag_step-zero", "max_lag-huge", "max_lag-minus-huge", "duration-huge",
             "t_skip-negative", "matrix-ragged", "index-nested", "dt-missing", "t0-removed",
-            "omega_r-removed"])
+            "omega_r-removed", "threads-removed", "batch_size-removed", "dt-zero"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, field, value, names):
         if field is None:
             path = tmp_path / "bad.json"
@@ -426,12 +446,12 @@ class TestExitCodes:
          ("evolution.segments", "calibrate")),
         ("correlate", lambda c: c["ensemble"].update(seed=2**64), ("ensemble.seed", "uint64")),
         ("correlate", lambda c: c["ensemble"].update(seed=-1), ("ensemble.seed", "uint64")),
-        ("correlate", lambda c: c["ensemble"].update(threads=0), ("ensemble.threads",)),
-        ("correlate", lambda c: c["ensemble"].update(batch_size=0), ("ensemble.batch_size",)),
+        ("correlate", lambda c: c["ensemble"].update(threads=0),
+         ("ensemble: unknown keys ['threads']",)),
+        ("correlate", lambda c: c["ensemble"].update(batch_size=0),
+         ("ensemble: unknown keys ['batch_size']",)),
         ("correlate", lambda c: c["correlator"].update(block_size=1),
          ("correlator.block_size",)),
-        ("correlate --seed 18446744073709551616", lambda c: None, ("--seed", "uint64")),
-        ("correlate --seed -1", lambda c: None, ("--seed", "uint64")),
         ("correlate --threads 0", lambda c: None, ("--threads",)),
         ("correlate", lambda c: (c["ensemble"].update(seed=2**64 - 1),
                                  c["correlator"].update(mode="mc", block_size=100)),
@@ -442,8 +462,8 @@ class TestExitCodes:
             "segment-interval", "segment-abut", "index-range", "mode", "t_avg",
             "initial_state-shape", "initial_state-norm", "segments-beside-rabi", "analytic-axis",
             "analytic-segments", "calibrate-segments", "seed-huge", "seed-negative",
-            "threads-zero", "batch_size-zero", "block_size-one", "seed-flag-huge",
-            "seed-flag-negative", "threads-flag-zero", "pair-seed-last"])
+            "threads-zero", "batch_size-zero", "block_size-one", "threads-flag-zero",
+            "pair-seed-last"])
     def test_validation_rule_names_section_and_field(self, tmp_path, capsys, command, mutate,
                                                      names):
         cfg = base_config()
@@ -452,6 +472,35 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--seed"), ("correlate", "--seed"), ("calibrate", "--seed"),
+        ("fit-phase", "--seed"), ("fit-phase", "--threads"),
+    ])
+    def test_dropped_flag_is_rejected(self, tmp_path, capsys, command, flag):
+        """The seed lives only in ensemble.seed; fit-phase runs no trajectories."""
+        cfg = calibrate_config() if command == "calibrate" else base_config()
+        path = write_config(tmp_path, cfg)
+        argv = [command, "--config", path, flag, "2", "--out", str(tmp_path / "o")]
+        if command == "fit-phase":
+            dk = tmp_path / "dk.csv"
+            assert main(["correlate", "--config", path, "--out", str(dk)]) == 0
+            argv += ["--dk", str(dk)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+    def test_grid_steps_checked_at_load(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        dk = tmp_path / "dk.csv"
+        assert main(["correlate", "--config", path, "--out", str(dk)]) == 0
+        bad = base_config()
+        bad["grid"]["duration_us"] = 1.2342
+        assert main(["fit-phase", "--config", write_config(tmp_path, bad, "bad.json"),
+                     "--dk", str(dk), "--out", str(tmp_path / "fit.json")]) == 2
+        err = capsys.readouterr().err
+        assert "grid: grid.duration_us 1.2342 is not a whole number of steps" in err
 
     def test_non_finite_csv_is_diagnostic(self, tmp_path, capsys):
         # the collapse recipe's propagators over a 1e300 us window come out NaN
