@@ -17,6 +17,7 @@ from .core import (
 from .ensemble import (
     dephasing_matrix,
     propagator,
+    propagators,
     rabi_dephasing_generator,
     rotation_matrix,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "check_segments",
     "rabi_rad_per_us",
     "propagator",
+    "propagators",
     "rabi_dephasing_generator",
     "dephasing_matrix",
     "rotation_matrix",

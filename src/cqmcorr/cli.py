@@ -272,7 +272,10 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
         need(gc.decimate >= 1, f"grid.decimate must be >= 1, got {gc.decimate!r}")
         # build_grid divides by dt, so it runs only on a valid dt and duration
         if build("grid.dt_us", lambda: TimeGrid(dt=gc.dt_us, n_steps=1)) and positive:
-            build("grid", lambda: build_grid(config, ()))
+            grid = build("grid", lambda: build_grid(config, ()))
+            if grid is not None and gc.decimate >= 1:
+                need(grid.n_steps % gc.decimate == 0,
+                     f"grid.decimate {gc.decimate} does not divide the {grid.n_steps} steps")
     ens = config.ensemble
     need(ens.n_traj >= 1, f"ensemble.n_traj must be >= 1, got {ens.n_traj!r}")
     build("ensemble.seed", lambda: NoisePlan(ens.seed))
@@ -282,6 +285,12 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
          f"correlator.mode must be mc|gcr|analytic, got {corr.mode!r}")
     need(corr.t_avg_us is None or corr.t_avg_us > 0,
          f"correlator.t_avg_us must be positive, got {corr.t_avg_us!r}")
+    need(corr.t_skip_us >= 0, f"correlator.t_skip_us must be >= 0, got {corr.t_skip_us!r}")
+    if corr.max_lag_us is not None:
+        dt = gc.dt_us if gc is not None and gc.dt_us > 0 else 1.0
+        need(corr.max_lag_us > 0 and math.isfinite(corr.max_lag_us / dt),
+             "correlator.max_lag_us must be positive and a finite number of grid.dt_us "
+             f"steps, got {corr.max_lag_us!r}")
     need(corr.block_size >= 2, f"correlator.block_size must be >= 2, got {corr.block_size!r}")
     need(0 <= corr.detector_index < max(len(config.detectors), 1),
          f"correlator.detector_index: detector index {corr.detector_index} out of range")

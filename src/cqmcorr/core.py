@@ -122,9 +122,12 @@ class DetectorModel:
     def from_quadrature_angle(cls, axis, tau_min: float, phi_a_deg: float,
                               eta: float = 1.0, response: float = 1.0,
                               offset: float = 0.0, tau_m: float | None = None):
-        """Build a detector from (tau_min, phi_a) with tau_m = tau_min/cos^2(phi_a)
-        and K = tan(phi_a). ``tau_m`` may be given explicitly to override the
-        cos^2 law (e.g. an independently measured value)."""
+        """Build a detector from (tau_min, phi_a), phi_a in (-90, 90) degrees,
+        with tau_m = tau_min/cos^2(phi_a) and K = tan(phi_a). ``tau_m`` may be
+        given explicitly to override the cos^2 law (e.g. an independently
+        measured value)."""
+        if not -90.0 < phi_a_deg < 90.0:
+            raise ConfigError(f"phi_a_deg must lie in (-90, 90), got {phi_a_deg!r}")
         phi = math.radians(phi_a_deg)
         c = math.cos(phi)
         if abs(c) < 1e-6:

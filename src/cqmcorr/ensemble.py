@@ -9,7 +9,8 @@ An affine map r -> P r + s is held as the augmented 4x4 matrix
 [[P, s], [0, 1]] acting on (r, 1), so chaining maps is a matrix product. The
 step over one segment is the matrix exponential of the augmented generator
 [[L, -L r_st], [0, 0]], which handles singular L (pure rotations, partial
-dephasing) with no special cases.
+dephasing) with no special cases. ``propagator`` builds one interval's map;
+``propagators`` builds a stack of them with one batched ``expm`` per segment.
 """
 
 from __future__ import annotations
@@ -55,12 +56,17 @@ def rabi_dephasing_generator(gamma: float, omega_r: float) -> EnsembleGenerator:
     return EnsembleGenerator(matrix=mat, r_st=np.zeros(3))
 
 
-def _segment_step(segment: EnsembleGenerator, dt: float) -> np.ndarray:
-    """Augmented propagator for evolving dt under one segment's generator."""
+def _augmented_generator(segment: EnsembleGenerator) -> np.ndarray:
+    """The segment's generator acting on (r, 1): [[L, -L r_st], [0, 0]]."""
     aug = np.zeros((4, 4))
     aug[:3, :3] = segment.matrix
     aug[:3, 3] = -segment.matrix @ segment.r_st
-    return expm(aug * dt)
+    return aug
+
+
+def _segment_step(segment: EnsembleGenerator, dt: float) -> np.ndarray:
+    """Augmented propagator for evolving dt under one segment's generator."""
+    return expm(_augmented_generator(segment) * dt)
 
 
 def propagator(t_from: float, t_to: float, segments, cache: dict | None = None) -> np.ndarray:
@@ -93,3 +99,43 @@ def propagator(t_from: float, t_to: float, segments, cache: dict | None = None) 
             step = cache[key] = _segment_step(seg, hi - lo)
         prop = step @ prop
     return prop
+
+
+def propagators(t_from, t_to, segments) -> np.ndarray:
+    """Stacked affine propagators over the intervals [t_from[i], t_to[i]], as
+    an (n, 4, 4) array whose i-th matrix equals ``propagator(t_from[i],
+    t_to[i], segments)`` bit for bit.
+
+    Per segment, the distinct durations the intervals spend in it are
+    exponentiated in one batched ``expm`` call and chained onto the stack in
+    one batched matmul, in segment order as ``propagator`` chains them.
+    Zero-length intervals give the identity exactly. ``check_segments`` runs
+    once, on the hull [min t_from, max t_to] of the nonempty intervals: a
+    segment gap inside the hull raises even if no interval meets it. The
+    time average's intervals cover their hull without holes, so there it
+    equals checking each interval.
+    """
+    t_from = np.asarray(t_from, dtype=np.float64)
+    t_to = np.asarray(t_to, dtype=np.float64)
+    if t_from.ndim != 1 or t_from.shape != t_to.shape:
+        raise ConfigError("t_from and t_to must be 1-D arrays of equal length")
+    backward = t_to < t_from
+    if np.any(backward):
+        i = int(np.argmax(backward))
+        raise ConfigError(f"t_to {t_to[i]} precedes t_from {t_from[i]}")
+    props = np.broadcast_to(np.eye(4), (t_from.size, 4, 4)).copy()
+    moving = t_to > t_from
+    if not np.any(moving):
+        return props
+    segments = list(segments)
+    check_segments(segments, float(t_from[moving].min()), float(t_to[moving].max()))
+
+    for seg in segments:
+        duration = np.minimum(t_to, seg.t_end) - np.maximum(t_from, seg.t_start)
+        inside = duration > 0
+        if not np.any(inside):
+            continue
+        distinct, which = np.unique(duration[inside], return_inverse=True)
+        steps = expm(_augmented_generator(seg) * distinct[:, None, None])
+        props[inside] = np.matmul(steps[which], props[inside])
+    return props

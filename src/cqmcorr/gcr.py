@@ -16,7 +16,8 @@ Two evaluation routes are provided: brute-force enumeration of the 2^N
 outcome paths, and an O(N) recursion over a sign-weighted running vector.
 They agree to rounding and the tests hold them to that. The recursion and
 the time-averaged form chain 4x4 matrices: the augmented propagators of
-``ensemble.propagator`` and the collapse matrix of each detector.
+``ensemble.propagator`` (stacked by ``ensemble.propagators`` in the time
+average) and the collapse matrix of each detector.
 """
 
 from __future__ import annotations
@@ -33,12 +34,15 @@ from .core import (
     as_bloch,
     require_physical,
 )
-from .ensemble import dephasing_matrix, propagator, rotation_matrix
+from .ensemble import dephasing_matrix, propagator, propagators, rotation_matrix
 
 # enumeration walks 2^N paths; beyond this it is pointless (use the recursion)
 MAX_ENUMERATION_TIMES = 20
 
 GAUSS_LEGENDRE_NODES = 64
+
+# most (lag, start) pairs the time average stacks in one propagators call
+MAX_STACKED_PAIRS = 1024
 
 
 def collapsed_state(r_pre, axis, k_phase: float, outcome: int) -> np.ndarray:
@@ -178,8 +182,14 @@ def correlator_time_averaged(lags, detector: DetectorModel, segments, initial_st
     When one generator segment spans the whole averaging window plus the
     longest lag, the t1-average commutes with the lag propagation (everything
     is affine in the state), so the quadrature reduces to averaging the state
-    once and sweeping lags with shared propagators. Equal-time lag 0 is fine
-    and evaluates to exactly 1 for an auto-correlator.
+    once and sweeping lags from that one start. Equal-time lag 0 is fine and
+    evaluates to exactly 1 for an auto-correlator.
+
+    The propagators come stacked from ``ensemble.propagators``: one call for
+    the node states, then one per chunk of lags holding at most
+    MAX_STACKED_PAIRS (lag, start) pairs. Each matrix acts on (4, 1) columns
+    and the starts are summed per lag in node order, so the values equal a
+    loop of scalar ``propagator`` calls bit for bit.
     """
     lags = np.asarray(lags, dtype=np.float64)
     if lags.ndim != 1 or lags.size == 0:
@@ -196,14 +206,13 @@ def correlator_time_averaged(lags, detector: DetectorModel, segments, initial_st
     t1_nodes = t_skip + 0.5 * t_avg * (nodes + 1.0)
     avg_weights = 0.5 * weights  # sum to 1: quadrature of the mean
 
-    cache: dict = {}
     segments = list(segments)
     t_max = t_skip + t_avg + float(lags.max())
     collapse = _collapse_matrix(detector)
     v0 = np.append(r0, 1.0)
 
-    # states (r, 1) at the quadrature nodes
-    v_nodes = [propagator(0.0, t1, segments, cache) @ v0 for t1 in t1_nodes]
+    # states (r, 1) at the quadrature nodes, as (64, 4, 1) columns
+    v_nodes = np.matmul(propagators(np.zeros_like(t1_nodes), t1_nodes, segments), v0[:, None])
 
     homogeneous = any(
         seg.t_start <= t_skip and seg.t_end >= t_max for seg in segments)
@@ -214,17 +223,25 @@ def correlator_time_averaged(lags, detector: DetectorModel, segments, initial_st
         # stay exactly 1
         r_mean = np.zeros(3)
         for w, v in zip(avg_weights, v_nodes):
-            r_mean += w * v[:3]
-        starts = [(1.0, t_skip, collapse @ np.append(r_mean, 1.0))]
+            r_mean += w * v[:3, 0]
+        start_weights = np.ones(1)
+        start_times = np.array([t_skip])
+        firsts = np.matmul(collapse, np.append(r_mean, 1.0)[:, None])[None]
     else:
-        starts = [(w, t1, collapse @ v) for w, t1, v in zip(avg_weights, t1_nodes, v_nodes)]
+        start_weights, start_times = avg_weights, t1_nodes
+        firsts = np.matmul(collapse, v_nodes)
 
-    values = np.empty(lags.size)
-    for j, tau in enumerate(lags):
-        acc = 0.0
-        for w, t1, first in starts:
-            acc += w * (collapse @ (propagator(t1, t1 + tau, segments, cache) @ first))[3]
-        values[j] = acc
+    # every (lag, start) pair of a chunk of lags in one stack
+    chunk = MAX_STACKED_PAIRS // start_times.size
+    values = np.zeros(lags.size)
+    for lo in range(0, lags.size, chunk):
+        taus = lags[lo:lo + chunk]
+        t_to = (start_times + taus[:, None]).ravel()
+        lagged = np.matmul(propagators(np.tile(start_times, taus.size), t_to, segments),
+                           np.tile(firsts, (taus.size, 1, 1)))
+        outs = np.matmul(collapse, lagged)[:, 3, 0].reshape(taus.size, start_times.size)
+        for k, w in enumerate(start_weights):
+            values[lo:lo + chunk] += w * outs[:, k]
 
     return CorrelatorResult(lags=lags, values=values)
 

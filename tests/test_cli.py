@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -32,6 +33,7 @@ GAMMA = 1.0 / 1.8
 OMEGA = 2.0 * math.pi
 
 DELETE = object()  # a config case that removes the field
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def base_config(**over):
@@ -456,6 +458,20 @@ class TestExitCodes:
         ("correlate", lambda c: (c["ensemble"].update(seed=2**64 - 1),
                                  c["correlator"].update(mode="mc", block_size=100)),
          ("seed 18446744073709551615", "seed + 1")),
+        ("correlate", lambda c: c["correlator"].update(mode="mc", block_size=100,
+                                                       max_lag_us=1e308),
+         ("correlator.max_lag_us must be positive and a finite number",)),
+        ("correlate", lambda c: c["correlator"].update(mode="mc", block_size=100,
+                                                       max_lag_us=-1e308),
+         ("correlator.max_lag_us must be positive and a finite number",)),
+        ("correlate", lambda c: c["correlator"].update(t_skip_us=-1.0),
+         ("correlator.t_skip_us must be >= 0",)),
+        ("simulate", lambda c: c["correlator"].update(t_skip_us=-1.0),
+         ("correlator.t_skip_us must be >= 0",)),
+        ("correlate", lambda c: c["detectors"][0].update(phi_a_deg=95.0),
+         ("detectors[0]", "phi_a_deg must lie in (-90, 90)")),
+        ("correlate", lambda c: c["detectors"][0].update(phi_a_deg=1e308),
+         ("detectors[0]", "phi_a_deg must lie in (-90, 90)")),
     ], ids=["no-detectors", "axis-shape", "axis-unit", "tau_m", "no-tau", "tau_min", "eta",
             "phi_a-90", "dt", "duration", "decimate", "n_traj", "gamma", "gamma-below-gamma_m",
             "segment-matrix",
@@ -463,7 +479,8 @@ class TestExitCodes:
             "initial_state-shape", "initial_state-norm", "segments-beside-rabi", "analytic-axis",
             "analytic-segments", "calibrate-segments", "seed-huge", "seed-negative",
             "threads-zero", "batch_size-zero", "block_size-one", "threads-flag-zero",
-            "pair-seed-last"])
+            "pair-seed-last", "max_lag-mc-huge", "max_lag-mc-minus-huge",
+            "t_skip-negative-correlate", "t_skip-negative-simulate", "phi_a-95", "phi_a-huge"])
     def test_validation_rule_names_section_and_field(self, tmp_path, capsys, command, mutate,
                                                      names):
         cfg = base_config()
@@ -501,6 +518,14 @@ class TestExitCodes:
                      "--dk", str(dk), "--out", str(tmp_path / "fit.json")]) == 2
         err = capsys.readouterr().err
         assert "grid: grid.duration_us 1.2342 is not a whole number of steps" in err
+
+    def test_decimate_checked_at_load(self, tmp_path, capsys):
+        """610 steps of the sample config in blocks of 7."""
+        cfg = json.loads((CONFIGS / "rabi_70deg_analytic.json").read_text())
+        cfg["grid"]["decimate"] = 7
+        assert main(["correlate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        assert "grid.decimate 7 does not divide the 610 steps" in capsys.readouterr().err
 
     def test_non_finite_csv_is_diagnostic(self, tmp_path, capsys):
         # the collapse recipe's propagators over a 1e300 us window come out NaN

@@ -16,9 +16,11 @@ from cqmcorr import (
     EnsembleGenerator,
     dephasing_matrix,
     propagator,
+    propagators,
     rabi_dephasing_generator,
     rotation_matrix,
 )
+from conftest import random_unit_vector
 
 GAMMA = 1.0 / 1.8
 OMEGA = 2.0 * math.pi
@@ -152,3 +154,60 @@ def test_evolve_requires_segment_cover():
                             t_start=0.0, t_end=1.0)
     with pytest.raises(ConfigError):
         propagator(0.0, 2.0, [seg])
+
+
+def random_segments(rng, n_segments):
+    """``n_segments`` random generators with nonzero fixed points, abutting
+    at sorted random boundaries in (0.1, 2) and running from 0 to infinity."""
+    edges = [0.0, *np.sort(rng.uniform(0.1, 2.0, n_segments - 1)), math.inf]
+    return [EnsembleGenerator(
+        matrix=(dephasing_matrix(random_unit_vector(rng), rng.uniform(0.2, 2.0))
+                + rotation_matrix(random_unit_vector(rng), rng.uniform(0.0, 8.0))),
+        r_st=rng.uniform(-0.3, 0.3, 3), t_start=lo, t_end=hi)
+        for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+class TestPropagators:
+    """The stacked propagators equal the scalar propagator bit for bit."""
+
+    @pytest.mark.parametrize("n_segments", [1, 2, 3, 4])
+    def test_equals_scalar_propagator(self, rng, n_segments):
+        for _ in range(10):
+            segments = random_segments(rng, n_segments)
+            inner = [seg.t_end for seg in segments[:-1]]
+            t_from = rng.uniform(0.0, 2.5, 40)
+            t_to = t_from + rng.uniform(0.0, 1.5, 40)
+            t_to[:3] = t_from[:3]                       # zero length
+            t_from[3] = t_to[3] = 1.0                   # zero length, alone
+            for i, b in enumerate(inner):
+                t_to[4 + i] = max(b, t_from[4 + i])     # ends on a boundary
+                t_from[8 + i] = min(b, t_to[8 + i])     # starts on a boundary
+                t_from[12 + i] = t_to[12 + i] = b       # zero length on a boundary
+                t_from[18 + i], t_to[18 + i] = 0.5 * b, b + 1e-13  # a sliver past one
+            if len(inner) >= 2:
+                t_from[16], t_to[16] = 0.5 * inner[0], inner[1] + 0.3  # crosses two
+                t_from[17], t_to[17] = inner[0], inner[-1]              # boundary to boundary
+            got = propagators(t_from, t_to, segments)
+            assert got.shape == (40, 4, 4)
+            for a, b, prop in zip(t_from, t_to, got):
+                np.testing.assert_array_equal(prop, propagator(a, b, segments))
+            for prop in got[:4]:
+                np.testing.assert_array_equal(prop, np.eye(4))
+
+    @pytest.mark.parametrize("t_from, t_to, segments", [
+        (1.0, 0.5, [rabi_dephasing_generator(GAMMA, OMEGA)]),
+        (0.0, 2.0, [EnsembleGenerator(np.zeros((3, 3)), np.zeros(3), 0.0, 1.0)]),
+        (0.5, 2.5, [EnsembleGenerator(np.zeros((3, 3)), np.zeros(3), 0.0, 1.0),
+                    EnsembleGenerator(np.zeros((3, 3)), np.zeros(3), 2.0, math.inf)]),
+        (0.0, 1.0, []),
+    ], ids=["backward", "uncovered", "gap", "no-segments"])
+    def test_same_errors_as_scalar_propagator(self, t_from, t_to, segments):
+        with pytest.raises(ConfigError) as scalar:
+            propagator(t_from, t_to, segments)
+        with pytest.raises(ConfigError) as stacked:
+            propagators(np.array([0.2, t_from]), np.array([0.2, t_to]), segments)
+        assert str(stacked.value) == str(scalar.value)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ConfigError):
+            propagators(np.zeros(2), np.ones(3), [rabi_dephasing_generator(GAMMA, OMEGA)])

@@ -1,6 +1,9 @@
 """Collapse-recipe correlators: enumeration, recursion, time averaging."""
 
+import hashlib
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -20,16 +23,43 @@ from cqmcorr import (
     outcome_probability,
     propagator,
     rabi_dephasing_generator,
+    rotation_matrix,
 )
-from cqmcorr.gcr import _collapse_matrix
+from cqmcorr.cli import main
+from cqmcorr.gcr import MAX_STACKED_PAIRS, _collapse_matrix
 from conftest import random_bloch_vector, random_unit_vector
 
 GAMMA = 1.0 / 1.8
 OMEGA = 2.0 * math.pi
+SAMPLE_CONFIG = (pathlib.Path(__file__).resolve().parent.parent
+                 / "configs" / "rabi_70deg_analytic.json")
 
 
 def z_detector(k_phase=0.0):
     return DetectorModel(axis=(0, 0, 1), tau_m=1.0, k_phase=k_phase)
+
+
+def scalar_time_average(lags, detector, segments, r0, t_skip, t_avg):
+    """Oracle for correlator_time_averaged: the same quadrature with one
+    scalar propagator call per node and per (lag, start) pair, the starts
+    summed per lag in node order."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    t1_nodes = t_skip + 0.5 * t_avg * (nodes + 1.0)
+    collapse = _collapse_matrix(detector)
+    v_nodes = [propagator(0.0, t1, segments) @ np.append(r0, 1.0) for t1 in t1_nodes]
+    t_max = t_skip + t_avg + float(np.max(lags))
+    if any(seg.t_start <= t_skip and seg.t_end >= t_max for seg in segments):
+        r_mean = np.zeros(3)
+        for w, v in zip(0.5 * weights, v_nodes):
+            r_mean += w * v[:3]
+        starts = [(1.0, t_skip, collapse @ np.append(r_mean, 1.0))]
+    else:
+        starts = [(w, t1, collapse @ v) for w, t1, v in zip(0.5 * weights, t1_nodes, v_nodes)]
+    values = np.zeros(len(lags))
+    for j, tau in enumerate(lags):
+        for w, t1, first in starts:
+            values[j] += w * (collapse @ (propagator(t1, t1 + tau, segments) @ first))[3]
+    return values
 
 
 class TestCollapseStep:
@@ -251,6 +281,28 @@ class TestTimeAveraged:
                         spec, [self.det], segments)
             assert val == pytest.approx(oracle / 0.28, abs=1e-10)
 
+    @pytest.mark.parametrize("n_segments, n_lags", [
+        (1, 2 * MAX_STACKED_PAIRS + 3),            # one averaged start per lag
+        (3, 2 * (MAX_STACKED_PAIRS // 64) + 3),    # 64 starts per lag
+    ], ids=["homogeneous", "piecewise"])
+    def test_equals_scalar_loop_across_stack_seams(self, rng, n_segments, n_lags):
+        """Bit for bit, over lag counts that span three stacks of (lag, start)
+        pairs, with nonzero fixed points and boundaries inside the window and
+        the lag range."""
+        det = DetectorModel(axis=random_unit_vector(rng), tau_m=rng.uniform(0.5, 3.0),
+                            k_phase=rng.uniform(-3.0, 3.0))
+        edges = [0.0, 0.37, 0.91][:n_segments] + [math.inf]
+        segments = [EnsembleGenerator(
+            matrix=(dephasing_matrix(det.axis, det.gamma_m)
+                    + rotation_matrix(random_unit_vector(rng), rng.uniform(0.0, 8.0))),
+            r_st=rng.uniform(-0.3, 0.3, 3), t_start=lo, t_end=hi)
+            for lo, hi in zip(edges[:-1], edges[1:])]
+        lags = np.append(0.0, rng.uniform(0.0, 1.5, n_lags - 1))
+        r0 = random_bloch_vector(rng)
+        got = correlator_time_averaged(lags, det, segments, r0, t_skip=0.28, t_avg=0.28).values
+        np.testing.assert_array_equal(
+            got, scalar_time_average(lags, det, segments, r0, t_skip=0.28, t_avg=0.28))
+
     def test_input_validation(self):
         with pytest.raises(ConfigError):
             correlator_time_averaged(np.array([-0.1]), self.det, self.segments,
@@ -261,6 +313,36 @@ class TestTimeAveraged:
         with pytest.raises(ConfigError):
             correlator_time_averaged(np.array([[0.1]]), self.det, self.segments,
                                      self.r0, t_skip=0.28, t_avg=0.28)
+
+
+def three_segment_config():
+    """The sample config on a drive switched on at 0.437 us, inside the
+    averaging window, and to half rate at 1.321 us; the full-rate segment
+    has a displaced fixed point."""
+    config = json.loads(SAMPLE_CONFIG.read_text())
+    config["evolution"] = {"segments": [
+        {"matrix": rabi_dephasing_generator(GAMMA, w).matrix.tolist(), "r_st": r_st,
+         "t_start_us": lo, "t_end_us": hi}
+        for lo, hi, w, r_st in ((0.0, 0.437, 0.0, [0.0, 0.0, 0.0]),
+                                (0.437, 1.321, OMEGA, [0.1, 0.0, 0.2]),
+                                (1.321, 1e9, 0.5 * OMEGA, [0.0, 0.0, 0.0]))]}
+    return config
+
+
+@pytest.mark.parametrize("config, digest", [
+    (lambda: json.loads(SAMPLE_CONFIG.read_text()),
+     "1d1a1f7c9d66b504262e7610d81971dd6970375382f2df073bd0d9330aa634c1"),
+    (three_segment_config,
+     "888e2110a6f87926d3acca9c12d5220db26200c42c1b1d80b1114904f1879249"),
+], ids=["sample", "three-segments"])
+def test_gcr_correlate_output_is_frozen(tmp_path, config, digest):
+    """sha256 of the ``correlate`` CSV in gcr mode."""
+    cfg = config()
+    cfg["correlator"]["mode"] = "gcr"
+    path, out = tmp_path / "cfg.json", tmp_path / "k.csv"
+    path.write_text(json.dumps(cfg))
+    assert main(["correlate", "--config", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestZxDemo:
