@@ -60,6 +60,9 @@ CSV_HEADER = "tau_us,K_plus,err_plus,K_minus,err_minus,dK,err_dK"
 # most lags a deterministic route evaluates: far finer than any lag grid in
 # use, far smaller than an array that exhausts memory
 MAX_LAGS = 100_000
+# most float64 values one ensemble's records may hold (2 GB): twice criterion
+# 3b's 4e6 trajectories x 30 samples, far below an array numpy refuses
+MAX_RECORD_VALUES = 250_000_000
 
 
 def _no_extras(d: dict, allowed, ctx: str) -> None:
@@ -276,6 +279,10 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
             if grid is not None and gc.decimate >= 1:
                 need(grid.n_steps % gc.decimate == 0,
                      f"grid.decimate {gc.decimate} does not divide the {grid.n_steps} steps")
+                per_traj = max(len(config.detectors) * (grid.n_steps // gc.decimate), 1)
+                need(config.ensemble.n_traj * per_traj <= MAX_RECORD_VALUES,
+                     f"ensemble.n_traj: records of {per_traj} values each allow at most "
+                     f"{MAX_RECORD_VALUES // per_traj} trajectories ({MAX_RECORD_VALUES} values)")
     ens = config.ensemble
     need(ens.n_traj >= 1, f"ensemble.n_traj must be >= 1, got {ens.n_traj!r}")
     build("ensemble.seed", lambda: NoisePlan(ens.seed))
@@ -428,6 +435,8 @@ def cmd_simulate(args) -> int:
     grid = build_grid(config, detectors)
     archive = _run(config, detectors, segments, grid, config.ensemble.seed, _threads(args),
                    np.asarray(config.initial_state, dtype=np.float64))
+    if not np.isfinite(archive.signals).all():
+        raise DiagnosticError("non-finite value in the records; check detectors[].response and offset")
     archive.save(args.out)
     print(f"wrote {args.out}: {archive.n_traj} trajectories x {archive.n_detectors} "
           f"detectors x {archive.n_samples} samples, sha256 {archive.digest()}")

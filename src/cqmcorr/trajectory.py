@@ -48,6 +48,8 @@ from .core import (
 from .ensemble import rotation_matrix
 
 DEFAULT_BATCH_SIZE = 8192
+# trajectories whose Philox words share one buffer in _batch_normals
+NOISE_TILE = 64
 
 # trajectories may overshoot the unit sphere by Euler error; beyond this the
 # step size is unusable and the run aborts
@@ -88,9 +90,12 @@ def _batch_normals(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int) 
     The memory is step-major: the result is a transposed view of a
     C-contiguous (n_steps, n_det, hi-lo) array, so ``.transpose(1, 2, 0)``
     gives the stepper each step's draws for the whole batch as one
-    contiguous (n_det, hi-lo) block."""
+    contiguous (n_det, hi-lo) block. The words are drawn NOISE_TILE
+    trajectories at a time into one reused buffer, and each tile is shifted
+    and scaled into its columns of that array."""
     count = n_steps * n_det
-    raw = np.empty((hi - lo, count), dtype=np.uint64)
+    buf = np.empty((min(NOISE_TILE, hi - lo), count), dtype=np.uint64)
+    u = np.empty((count, hi - lo))
     key = np.array([plan.seed, lo], dtype=np.uint64)
     gen = np.random.Philox(key=key)
     # the setter copies the arrays, so this dict stays at counter 0
@@ -98,14 +103,14 @@ def _batch_normals(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int) 
              "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for j in range(lo, hi):
-        key[1] = j
-        gen.state = state
-        raw[j - lo] = gen.random_raw(count)
-    raw >>= np.uint64(11)
-    u = np.empty((count, hi - lo))
-    np.multiply(raw.T, 2.0**-53, out=u)
-    del raw
+    for t in range(lo, hi, NOISE_TILE):
+        tile = buf[:min(NOISE_TILE, hi - t)]
+        for i in range(len(tile)):
+            key[1] = t + i
+            gen.state = state
+            tile[i] = gen.random_raw(count)
+        tile >>= np.uint64(11)
+        np.multiply(tile.T, 2.0**-53, out=u[:, t - lo:t - lo + len(tile)])
     u += 2.0**-54
     ndtri(u, out=u)
     return u.reshape(n_steps, n_det, hi - lo).transpose(2, 0, 1)
@@ -134,11 +139,33 @@ def _prepare(initial_state, grid: TimeGrid, detectors, segments):
     return r0, detectors, segments, seg_idx
 
 
+def _pairwise_sum(window):
+    """Sum over the first axis of ``window`` in numpy's pairwise order (that
+    of ``np.add.reduce`` along a contiguous axis), in place; returns the
+    slice that holds the sum."""
+    n = len(window)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        total = _pairwise_sum(window[:half])
+        total += _pairwise_sum(window[half:])
+        return total
+    rest = 1
+    if n >= 8:
+        for i in range(8, n - n % 8, 8):
+            window[:8] += window[i:i + 8]
+        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
+            window[a] += window[b]
+        rest = n - n % 8
+    for row in window[rest:]:
+        window[0] += row
+    return window[0]
+
+
 def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
-                    record_states: bool, traj_lo: int):
+                    record_states: bool, traj_lo: int, decimate: int = 1):
     """Euler-Maruyama on a batch, for the noise ``noise`` of ``_batch_normals``.
-    Returns step-major (signals (n_steps, n_det, B) normalized, states
-    (n_steps+1, 3, B) or None).
+    Returns step-major (signals (n_steps // decimate, n_det, B) normalized,
+    states (n_steps+1, 3, B) or None).
 
     The batch state is the C-contiguous (4, B) block of columns (r, 1), and
     one matmul per step applies every affine map of it. For the step's
@@ -149,6 +176,10 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
     signals are n.r + sqrt(tau_m/dt) w and the kicks add
     sqrt(dt/tau_m) w (A r + n - (n.r) r) to the drifted state in place. Two
     such blocks alternate as input and output.
+
+    With ``decimate`` D > 1, step k writes its signals into slot k % D of a
+    (D, n_det, B) window, and a full window's mean (``_pairwise_sum`` over
+    D, so each value equals ``.mean`` of its D samples) goes to row k // D.
     """
     noise = noise.transpose(1, 2, 0)
     n_steps, n_det, batch = noise.shape
@@ -176,7 +207,8 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
     states = np.empty((n_steps + 1, 3, width)) if record_states else None
     if record_states:
         states[0] = blocks[0, :3]
-    signals = np.empty((n_steps, n_det, width))
+    signals = np.empty((n_steps // decimate, n_det, width))
+    window = np.empty((decimate, n_det, width))
     quad = np.empty((3, width))
     gain = np.empty((n_det, width))
     norm2 = np.empty(width)
@@ -186,8 +218,9 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
         r, r_new, nr = cur[:3], nxt[:3], nxt[4:4 + n_det]
         w = noise[k]
         np.matmul(linear[seg_idx[k]], cur[:4], out=nxt)
-        np.multiply(scale, w, out=signals[k])
-        signals[k] += nr
+        sig = window[k % decimate] if decimate > 1 else signals[k]
+        np.multiply(scale, w, out=sig)
+        sig += nr
         np.multiply(kick, w, out=gain)
         for ell in range(n_det):
             term = nxt[4 + n_det + 3 * ell:7 + n_det + 3 * ell]
@@ -204,6 +237,8 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
                 f"by more than {NORM_OVERSHOOT_TOL}; reduce dt")
         if record_states:
             states[k + 1] = r_new
+        if decimate > 1 and k % decimate == decimate - 1:
+            np.divide(_pairwise_sum(window), decimate, out=signals[k // decimate])
     return (signals[:, :, :batch],
             states[:, :, :batch] if record_states else None)
 
@@ -326,14 +361,10 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
         hi = min(lo + batch_size, n_traj)
         noise = _batch_normals(plan, lo, hi, grid.n_steps, n_det)
         signals, _ = _simulate_batch(r0, grid, detectors, segments, seg_idx, noise,
-                                     record_states=False, traj_lo=lo)
+                                     record_states=False, traj_lo=lo, decimate=decimate)
         del noise
-        signals = signals.transpose(2, 1, 0)
-        if decimate > 1:
-            signals = np.ascontiguousarray(signals).reshape(
-                hi - lo, n_det, n_dec, decimate).mean(axis=3)
         records = out[lo:hi]
-        np.multiply(responses[:, None], signals, out=records)
+        np.multiply(responses[:, None], signals.transpose(2, 1, 0), out=records)
         records += offsets[:, None]
 
     if threads == 1:

@@ -22,6 +22,7 @@ from cqmcorr import (
 )
 from cqmcorr.cli import (
     CSV_HEADER,
+    MAX_RECORD_VALUES,
     build_detector,
     build_grid,
     build_segments,
@@ -489,6 +490,40 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert all(name in err for name in names), err
+
+    @pytest.mark.parametrize("command", ["correlate", "simulate", "calibrate"])
+    @pytest.mark.parametrize("n_traj", [1e308, MAX_RECORD_VALUES // 30 + 1])
+    def test_record_bound_names_n_traj(self, tmp_path, capsys, command, n_traj):
+        """Records past MAX_RECORD_VALUES are refused at load; both configs
+        hold 1 detector x 30 samples per trajectory."""
+        if command == "calibrate":
+            cfg = calibrate_config()
+            cfg["grid"].update(duration_us=1.2)
+        else:
+            cfg = base_config()
+            cfg["correlator"].update(mode="mc", block_size=100)
+        cfg["ensemble"]["n_traj"] = n_traj
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o.out")]) == 2
+        err = capsys.readouterr().err
+        assert f"ensemble.n_traj: records of 30 values each allow at most " \
+               f"{MAX_RECORD_VALUES // 30} trajectories" in err, err
+
+    def test_record_bound_admits_criterion_3b(self, tmp_path):
+        cfg = base_config()
+        cfg["ensemble"]["n_traj"] = 4_000_000
+        assert load_config(write_config(tmp_path, cfg)).ensemble.n_traj == 4_000_000
+
+    def test_simulate_refuses_non_finite_records(self, tmp_path, capsys):
+        cfg = base_config()
+        cfg["ensemble"]["n_traj"] = 20
+        cfg["detectors"][0]["response"] = 1e308
+        out = tmp_path / "run.cqm"
+        with np.errstate(over="ignore"):
+            assert main(["simulate", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)]) == 3
+        assert "non-finite value in the records" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--seed"), ("correlate", "--seed"), ("calibrate", "--seed"),

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,14 @@ class TestNoiseStreamV1:
         got = _batch_normals(NoisePlan(seed), lo, lo + 4, 61, n_det)
         want = np.stack([stream_v1_oracle(seed, j, 61, n_det) for j in range(lo, lo + 4)])
         assert got.shape == (4, 61, n_det)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("lo, width", [(3, 1), (3, 64), (3, 65), (3, 130),
+                                           (2**40 - 1, 66)])
+    def test_batch_across_tiles_matches_fresh_streams(self, lo, width):
+        """Batches that end inside, at and past 64-trajectory word tiles."""
+        got = _batch_normals(NoisePlan(7), lo, lo + width, 61, 2)
+        want = np.stack([stream_v1_oracle(7, j, 61, 2) for j in range(lo, lo + width)])
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_pinned_digest(self):
@@ -279,13 +288,33 @@ class TestRunEnsemble:
         hi = run_ensemble(**{**base, "detectors": (det_hi,)})
         np.testing.assert_array_equal(lo.signals, hi.signals)
 
-    def test_decimation_averages_fine_samples(self):
-        fine = run_ensemble(**self.small_args())
-        coarse = run_ensemble(**self.small_args(), decimate=4)
-        want = fine.signals.reshape(64, 1, 10, 4).mean(axis=3)
+    # 130 sums in numpy's recursive branch, 8 to 40 in its eight-accumulator
+    # one and 4 in its running sum
+    @pytest.mark.parametrize("n_steps, decimate", [(40, 4), (40, 8), (40, 10), (40, 20),
+                                                   (40, 40), (260, 130)])
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_decimation_averages_fine_samples(self, n_steps, decimate, batch_size):
+        args = self.small_args(grid=TimeGrid(0.004, n_steps))
+        fine = run_ensemble(**args)
+        coarse = run_ensemble(**args, decimate=decimate, batch_size=batch_size)
+        n_dec = n_steps // decimate
+        want = fine.signals.reshape(64, 1, n_dec, decimate).mean(axis=3)
         np.testing.assert_array_equal(coarse.signals, want)
-        assert coarse.grid.dt == pytest.approx(0.016)
-        assert coarse.grid.n_steps == 10
+        assert coarse.grid.dt == pytest.approx(0.004 * decimate)
+        assert coarse.grid.n_steps == n_dec
+
+    def test_batch_memory_stays_near_its_noise(self):
+        """A batch holds its step-major noise and little else: no raw-word
+        array and no full-size signal copy."""
+        noise_bytes = 1024 * 610 * 8
+        tracemalloc.start()
+        try:
+            run_ensemble(**self.small_args(n_traj=1024, grid=TimeGrid(0.004, 610)),
+                         decimate=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * noise_bytes
 
     def test_decimate_must_divide(self):
         with pytest.raises(ConfigError):
