@@ -367,10 +367,15 @@ def _threads(args) -> int:
 
 def _run(config: ExperimentConfig, detectors, segments, grid, seed: int, threads: int,
          r0) -> EnsembleArchive:
-    """The configured ensemble from initial state ``r0`` on noise stream ``seed``."""
-    return run_ensemble(config.ensemble.n_traj, NoisePlan(seed), r0, grid, detectors, segments,
-                        threads=threads, decimate=config.grid.decimate,
-                        config_digest=config.digest)
+    """The configured ensemble from initial state ``r0`` on noise stream
+    ``seed``. Records that overflow the raw-units map end the run before any
+    estimator sees them."""
+    archive = run_ensemble(config.ensemble.n_traj, NoisePlan(seed), r0, grid, detectors,
+                           segments, threads=threads, decimate=config.grid.decimate,
+                           config_digest=config.digest)
+    if not np.isfinite(archive.signals).all():
+        raise DiagnosticError("non-finite value in the records; check detectors[].response and offset")
+    return archive
 
 
 def _run_pair(config: ExperimentConfig, detectors, segments, grid, threads: int,
@@ -435,8 +440,6 @@ def cmd_simulate(args) -> int:
     grid = build_grid(config, detectors)
     archive = _run(config, detectors, segments, grid, config.ensemble.seed, _threads(args),
                    np.asarray(config.initial_state, dtype=np.float64))
-    if not np.isfinite(archive.signals).all():
-        raise DiagnosticError("non-finite value in the records; check detectors[].response and offset")
     archive.save(args.out)
     print(f"wrote {args.out}: {archive.n_traj} trajectories x {archive.n_detectors} "
           f"detectors x {archive.n_samples} samples, sha256 {archive.digest()}")

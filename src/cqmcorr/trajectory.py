@@ -36,7 +36,6 @@ import math
 import struct
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import (
     ConfigError,
@@ -48,7 +47,8 @@ from .core import (
 from .ensemble import rotation_matrix
 
 DEFAULT_BATCH_SIZE = 8192
-# trajectories whose Philox words share one buffer in _batch_normals
+# trajectories per Philox key in noise stream v2; part of the stream's
+# definition, not a tuning knob
 NOISE_TILE = 64
 
 # trajectories may overshoot the unit sphere by Euler error; beyond this the
@@ -56,21 +56,21 @@ NOISE_TILE = 64
 NORM_OVERSHOOT_TOL = 0.05
 
 ARCHIVE_MAGIC = b"CQMARCH1"
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
 
 
 @dataclasses.dataclass(frozen=True)
 class NoisePlan:
     """Counter-based standard normals keyed on (seed, trajectory).
 
-    The raw 64-bit words of trajectory j are those of Philox4x64-10 with key
-    [seed, j] from counter 0 (noise stream v1). Each batch call builds one
-    generator and re-keys it to [seed, j], counter 0, for every trajectory,
-    so the words are those of a fresh ``np.random.Philox(key=[seed, j])``.
-    The word at flat index step * n_detectors + detector is mapped to an
-    open-interval uniform ((raw >> 11) * 2^-53 + 2^-54) and through the
-    inverse normal CDF. No state is carried between calls, so any
-    trajectory's noise can be regenerated in isolation.
+    Noise stream v2: trajectories are grouped in tiles of NOISE_TILE = 64,
+    and the normals of trajectory j are lane j % 64 of
+    ``np.random.Generator(np.random.Philox(key=[seed, j // 64]))
+    .standard_normal((n_steps, n_detectors, 64))``, drawn from counter 0 by
+    numpy's ziggurat. The draws of a tile run step-major, so a longer record
+    extends the stream without changing its start. No state is carried
+    between calls, so any trajectory's noise can be regenerated in
+    isolation, by drawing its whole tile.
     """
 
     seed: int
@@ -90,30 +90,28 @@ def _batch_normals(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int) 
     The memory is step-major: the result is a transposed view of a
     C-contiguous (n_steps, n_det, hi-lo) array, so ``.transpose(1, 2, 0)``
     gives the stepper each step's draws for the whole batch as one
-    contiguous (n_det, hi-lo) block. The words are drawn NOISE_TILE
-    trajectories at a time into one reused buffer, and each tile is shifted
-    and scaled into its columns of that array."""
-    count = n_steps * n_det
-    buf = np.empty((min(NOISE_TILE, hi - lo), count), dtype=np.uint64)
-    u = np.empty((count, hi - lo))
-    key = np.array([plan.seed, lo], dtype=np.uint64)
-    gen = np.random.Philox(key=key)
+    contiguous (n_det, hi-lo) block. One Philox is re-keyed to [seed, tile],
+    counter 0, for each tile that meets [lo, hi); the tile's normals go into
+    one reused (n_steps, n_det, NOISE_TILE) buffer, and its lanes inside
+    [lo, hi) are copied into the result in runs of at most 64 values."""
+    out = np.empty((n_steps, n_det, hi - lo))
+    buf = np.empty((n_steps, n_det, NOISE_TILE))
+    key = np.array([plan.seed, lo // NOISE_TILE], dtype=np.uint64)
+    bits = np.random.Philox(key=key)
+    gen = np.random.Generator(bits)
     # the setter copies the arrays, so this dict stays at counter 0
     state = {"bit_generator": "Philox",
              "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for t in range(lo, hi, NOISE_TILE):
-        tile = buf[:min(NOISE_TILE, hi - t)]
-        for i in range(len(tile)):
-            key[1] = t + i
-            gen.state = state
-            tile[i] = gen.random_raw(count)
-        tile >>= np.uint64(11)
-        np.multiply(tile.T, 2.0**-53, out=u[:, t - lo:t - lo + len(tile)])
-    u += 2.0**-54
-    ndtri(u, out=u)
-    return u.reshape(n_steps, n_det, hi - lo).transpose(2, 0, 1)
+    for tile in range(lo // NOISE_TILE, (hi - 1) // NOISE_TILE + 1):
+        key[1] = tile
+        bits.state = state
+        gen.standard_normal(out=buf)
+        first = tile * NOISE_TILE
+        a, b = max(lo, first), min(hi, first + NOISE_TILE)
+        out[:, :, a - lo:b - lo] = buf[:, :, a - first:b - first]
+    return out.transpose(2, 0, 1)
 
 
 def _segment_table(segments, grid: TimeGrid):
@@ -364,8 +362,11 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
                                      record_states=False, traj_lo=lo, decimate=decimate)
         del noise
         records = out[lo:hi]
-        np.multiply(responses[:, None], signals.transpose(2, 1, 0), out=records)
-        records += offsets[:, None]
+        # a huge response or offset overflows to inf here, which the caller
+        # reports; numpy's error state is per thread, so it is set in the worker
+        with np.errstate(over="ignore"):
+            np.multiply(responses[:, None], signals.transpose(2, 1, 0), out=records)
+            records += offsets[:, None]
 
     if threads == 1:
         for b in range(n_batches):

@@ -124,12 +124,14 @@ def test_criterion_1_recipe_equals_closed_form(criteria):
     taus = 0.04 * np.arange(101)      # 0 .. 4.0 us
     start = time.perf_counter()
     worst = 0.0
+    slowest = (0.0, "")
     for omega in (OMEGA, -OMEGA):
         for phi in (0.0, 40.0, 70.0, 80.0):
             det = DetectorModel.from_quadrature_angle(Z_AXIS, 1.0, phi)
             segments = (rabi_dephasing_generator(GAMMA, omega),)
             cache = {}
             for x0 in (1.0, -1.0):
+                combo_start = time.perf_counter()
                 params = RabiCaseParams(gamma=GAMMA, omega_r=omega,
                                         k_phase=det.k_phase, x0=x0)
                 ref = k_analytic_pointwise(params, t1, taus)
@@ -144,11 +146,14 @@ def test_criterion_1_recipe_equals_closed_form(criteria):
                                           initial_state=(x0, 0.0, 0.0))
                     got[j] = correlator_recursive(spec, (det,), segments, cache)
                 worst = max(worst, float(np.abs(got - ref).max()))
+                # the slowest combo shows where a wall-time spike sat
+                slowest = max(slowest, (time.perf_counter() - combo_start,
+                                        f"omega {omega:+.2f}, phi {phi:g}, x0 {x0:+g}"))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 1.0
     criteria.record(1, "", ok,
                     f"max |recipe - closed form| {worst:.2e} over 16 combos, "
-                    f"{elapsed:.2f} s")
+                    f"{elapsed:.2f} s (slowest combo {slowest[0]:.2f} s at {slowest[1]})")
     assert worst <= 1e-9
     assert elapsed < 1.0
 

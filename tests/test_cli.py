@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
@@ -524,6 +525,25 @@ class TestExitCodes:
                          "--out", str(out)]) == 3
         assert "non-finite value in the records" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "correlate", "calibrate"])
+    def test_non_finite_records_end_every_mc_command(self, tmp_path, command):
+        """A response that overflows the raw-units map exits 3 with the
+        records diagnostic before any estimator runs, and without a numpy
+        warning, also from a worker thread."""
+        cfg = calibrate_config() if command == "calibrate" else base_config()
+        if command == "correlate":
+            cfg["correlator"].update(mode="mc", block_size=100)
+        cfg["detectors"][0]["response"] = 1e308
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cqmcorr.cli", command, "--config",
+             write_config(tmp_path, cfg), "--threads", "2", "--out", str(tmp_path / "o.out")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == ("diagnostic: non-finite value in the records; "
+                               "check detectors[].response and offset\n")
+        assert not (tmp_path / "o.out").exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--seed"), ("correlate", "--seed"), ("calibrate", "--seed"),
