@@ -73,15 +73,30 @@ def stream_v2_oracle(seed, j, n_steps, n_det):
     return tile[:, :, j % 64]
 
 
-class TestNoiseStreamV2:
+class TestNoiseStreamV1:
+    """The batch contract that noise stream v1 set and every later stream
+    keeps: a batch holds, bit for bit, each trajectory's stream drawn alone."""
+
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     @pytest.mark.parametrize("lo", [0, 3, 2**40])
     @pytest.mark.parametrize("n_det", [1, 3])
     def test_batch_matches_fresh_stream_per_trajectory(self, seed, lo, n_det):
-        # 61 steps: an odd draw count per lane
-        got = _batch_normals(NoisePlan(seed), lo, lo + 4, 61, n_det)
-        want = np.stack([stream_v2_oracle(seed, j, 61, n_det) for j in range(lo, lo + 4)])
+        plan = NoisePlan(seed)
+        got = _batch_normals(plan, lo, lo + 4, 61, n_det)
+        want = np.stack([plan.normals(j, 61, n_det) for j in range(lo, lo + 4)])
         assert got.shape == (4, 61, n_det)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestNoiseStreamV2:
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize("j", [0, 3, 63, 64, 2**40])
+    @pytest.mark.parametrize("n_det", [1, 3])
+    def test_normals_match_definition(self, seed, j, n_det):
+        # 61 steps: an odd draw count per lane
+        got = NoisePlan(seed).normals(j, 61, n_det)
+        want = stream_v2_oracle(seed, j, 61, n_det)
+        assert got.shape == (61, n_det)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("lo, width", [(3, 1), (3, 63), (3, 64), (3, 65), (3, 130),
