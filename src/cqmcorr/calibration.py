@@ -26,7 +26,7 @@ import dataclasses
 
 import numpy as np
 
-from .core import ConfigError, CorrelatorResult, DiagnosticError
+from .core import ConfigError, CorrelatorResult, DiagnosticError, TimeGrid
 from .trajectory import EnsembleArchive
 
 DEFAULT_RESPONSE_FIT_WINDOW = 0.6
@@ -123,12 +123,22 @@ def estimate_tau_m(run: CalibrationRun, delta_i: float,
     return tau_m, eta
 
 
-def _first_time_indices(times: np.ndarray, t_skip: float, t_avg: float) -> np.ndarray:
+def first_time_window(grid: TimeGrid, t_skip: float, t_avg: float,
+                      max_lag: float | None = None) -> tuple[np.ndarray, int]:
+    """First-time sample indices on ``grid`` and the count of lags after the
+    last, cut to ``max_lag`` rounded to whole samples."""
+    times = grid.times()
     idx = np.where((times >= t_skip - 1e-9) & (times < t_skip + t_avg - 1e-9))[0]
     if idx.size == 0:
-        raise ConfigError(
-            f"no samples in the first-time window [{t_skip}, {t_skip + t_avg})")
-    return idx
+        raise ConfigError(f"no samples in the first-time window [{t_skip}, {t_skip + t_avg})")
+    n_lags = grid.n_steps - 1 - int(idx[-1])
+    if n_lags < 1:
+        raise ConfigError("record too short for any positive lag after the first-time window")
+    if max_lag is not None:
+        n_lags = min(n_lags, int(round(max_lag / grid.dt)))
+        if n_lags < 1:
+            raise ConfigError(f"max_lag {max_lag} rounds to no lag at the sample step {grid.dt}")
+    return idx, n_lags
 
 
 def _block_bounds(n_traj: int, block_size: int) -> list[tuple[int, int]]:
@@ -146,12 +156,7 @@ def _estimate_one(archive: EnsembleArchive, detector_index: int, delta_i: float,
     sig = archive.signals[:, detector_index, :]
     times = archive.grid.times()
     dt = archive.grid.dt
-    i1 = _first_time_indices(times, t_skip, t_avg)
-    n_lags = sig.shape[1] - 1 - int(i1[-1])
-    if max_lag is not None:
-        n_lags = min(n_lags, int(round(max_lag / dt)))
-    if n_lags < 1:
-        raise ConfigError("record too short for any positive lag after the first-time window")
+    i1, n_lags = first_time_window(archive.grid, t_skip, t_avg, max_lag)
 
     offset_mask = times >= t_skip - 1e-9
     bounds = _block_bounds(sig.shape[0], block_size)

@@ -39,6 +39,7 @@ from .calibration import (
     estimate_correlator,
     estimate_response,
     estimate_tau_m,
+    first_time_window,
 )
 from .core import (
     AXIS_NORM_TOL,
@@ -269,6 +270,7 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
             build(path, lambda: _check_measurement_dephasing(seg, detectors))
 
     gc = config.grid
+    acquisition = None
     if gc is not None:
         positive = gc.duration_us > 0
         need(positive, f"grid.duration_us must be positive, got {gc.duration_us!r}")
@@ -283,6 +285,8 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
                 need(config.ensemble.n_traj * per_traj <= MAX_RECORD_VALUES,
                      f"ensemble.n_traj: records of {per_traj} values each allow at most "
                      f"{MAX_RECORD_VALUES // per_traj} trajectories ({MAX_RECORD_VALUES} values)")
+                if grid.n_steps % gc.decimate == 0:
+                    acquisition = TimeGrid(grid.dt * gc.decimate, grid.n_steps // gc.decimate)
     ens = config.ensemble
     need(ens.n_traj >= 1, f"ensemble.n_traj must be >= 1, got {ens.n_traj!r}")
     build("ensemble.seed", lambda: NoisePlan(ens.seed))
@@ -293,11 +297,24 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
     need(corr.t_avg_us is None or corr.t_avg_us > 0,
          f"correlator.t_avg_us must be positive, got {corr.t_avg_us!r}")
     need(corr.t_skip_us >= 0, f"correlator.t_skip_us must be >= 0, got {corr.t_skip_us!r}")
+    max_lag_ok = True
     if corr.max_lag_us is not None:
         dt = gc.dt_us if gc is not None and gc.dt_us > 0 else 1.0
-        need(corr.max_lag_us > 0 and math.isfinite(corr.max_lag_us / dt),
-             "correlator.max_lag_us must be positive and a finite number of grid.dt_us "
-             f"steps, got {corr.max_lag_us!r}")
+        max_lag_ok = corr.max_lag_us > 0 and math.isfinite(corr.max_lag_us / dt)
+        need(max_lag_ok, "correlator.max_lag_us must be positive and a finite number of "
+             f"grid.dt_us steps, got {corr.max_lag_us!r}")
+    if corr.mode == "mc" and acquisition is not None:
+        # the Monte Carlo estimator's lags are the acquisition samples
+        step = acquisition.dt
+        need(corr.lag_step_us is None or abs(corr.lag_step_us - step) <= 1e-9 * step,
+             f"correlator.lag_step_us {corr.lag_step_us!r} must equal grid.dt_us x "
+             f"grid.decimate = {step!r} in mode mc")
+        if corr.t_avg_us is not None and corr.t_avg_us > 0 and corr.t_skip_us >= 0:
+            window = build("correlator.t_skip_us / correlator.t_avg_us", lambda: first_time_window(
+                acquisition, corr.t_skip_us, corr.t_avg_us))
+            if window and corr.max_lag_us is not None and max_lag_ok:
+                build("correlator.max_lag_us", lambda: first_time_window(
+                    acquisition, corr.t_skip_us, corr.t_avg_us, corr.max_lag_us))
     need(corr.block_size >= 2, f"correlator.block_size must be >= 2, got {corr.block_size!r}")
     need(0 <= corr.detector_index < max(len(config.detectors), 1),
          f"correlator.detector_index: detector index {corr.detector_index} out of range")
@@ -368,13 +385,18 @@ def _threads(args) -> int:
 def _run(config: ExperimentConfig, detectors, segments, grid, seed: int, threads: int,
          r0) -> EnsembleArchive:
     """The configured ensemble from initial state ``r0`` on noise stream
-    ``seed``. Records that overflow the raw-units map end the run before any
-    estimator sees them."""
+    ``seed``. Records that overflow the raw-units map, or are so large that a
+    sum of their squares could, end the run before any estimator sees them."""
     archive = run_ensemble(config.ensemble.n_traj, NoisePlan(seed), r0, grid, detectors,
                            segments, threads=threads, decimate=config.grid.decimate,
                            config_digest=config.digest)
-    if not np.isfinite(archive.signals).all():
+    signals = archive.signals
+    peak = max(float(signals.max()), -float(signals.min()))
+    if not math.isfinite(peak):
         raise DiagnosticError("non-finite value in the records; check detectors[].response and offset")
+    if peak > math.sqrt(sys.float_info.max / signals.size):
+        raise DiagnosticError(f"record value {peak:.3g} overflows the estimators' sums; "
+                              "check detectors[].response and offset")
     return archive
 
 
@@ -501,6 +523,9 @@ def cmd_calibrate(args) -> int:
         raise ConfigError("calibrate expects exactly one detector")
     if config.evolution.segments:
         raise ConfigError("evolution.segments: calibrate builds its own generator from gamma_per_us")
+    if config.ensemble.n_traj < 2:
+        raise ConfigError("ensemble.n_traj: calibrate needs two or more trajectories per "
+                          f"preparation for a variance, got {config.ensemble.n_traj}")
     det = build_detector(config.detectors[0])
     gamma = config.evolution.gamma
     if config.evolution.omega_r != 0:

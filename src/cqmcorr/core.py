@@ -51,7 +51,7 @@ def as_bloch(r) -> np.ndarray:
 def require_physical(r, tol: float = PHYSICAL_NORM_TOL) -> np.ndarray:
     """Coerce to a Bloch vector and enforce |r| <= 1 + tol."""
     arr = as_bloch(r)
-    norm = float(np.linalg.norm(arr))
+    norm = math.hypot(*arr)
     if norm > 1.0 + tol:
         raise ConfigError(f"state norm {norm:.12g} exceeds 1 + {tol:g}")
     return arr
@@ -101,7 +101,7 @@ class DetectorModel:
         axis = np.asarray(self.axis, dtype=np.float64)
         if axis.shape != (3,) or not np.all(np.isfinite(axis)):
             raise ConfigError(f"detector axis must be a finite 3-vector, got {self.axis!r}")
-        norm = float(np.linalg.norm(axis))
+        norm = math.hypot(*axis)
         if abs(norm - 1.0) > AXIS_NORM_TOL:
             raise ConfigError(f"detector axis norm {norm!r} differs from 1 by more than {AXIS_NORM_TOL:g}")
         _frozen_array(self, "axis", axis)

@@ -137,28 +137,6 @@ def _prepare(initial_state, grid: TimeGrid, detectors, segments):
     return r0, detectors, segments, seg_idx
 
 
-def _pairwise_sum(window):
-    """Sum over the first axis of ``window`` in numpy's pairwise order (that
-    of ``np.add.reduce`` along a contiguous axis), in place; returns the
-    slice that holds the sum."""
-    n = len(window)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        total = _pairwise_sum(window[:half])
-        total += _pairwise_sum(window[half:])
-        return total
-    rest = 1
-    if n >= 8:
-        for i in range(8, n - n % 8, 8):
-            window[:8] += window[i:i + 8]
-        for a, b in ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (4, 6), (0, 4)):
-            window[a] += window[b]
-        rest = n - n % 8
-    for row in window[rest:]:
-        window[0] += row
-    return window[0]
-
-
 def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
                     record_states: bool, traj_lo: int, decimate: int = 1):
     """Euler-Maruyama on a batch, for the noise ``noise`` of ``_batch_normals``.
@@ -175,9 +153,11 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
     sqrt(dt/tau_m) w (A r + n - (n.r) r) to the drifted state in place. Two
     such blocks alternate as input and output.
 
-    With ``decimate`` D > 1, step k writes its signals into slot k % D of a
-    (D, n_det, B) window, and a full window's mean (``_pairwise_sum`` over
-    D, so each value equals ``.mean`` of its D samples) goes to row k // D.
+    Step k adds its signals into row k // D of a zeroed
+    (n_steps // D, n_det, B) array, for ``decimate`` D, and the array is
+    divided by D after the last step: a sample is its D fine samples summed
+    in step order, divided by D. With D = 1 both are exact, so the signals
+    are the fine samples themselves.
     """
     noise = noise.transpose(1, 2, 0)
     n_steps, n_det, batch = noise.shape
@@ -205,8 +185,8 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
     states = np.empty((n_steps + 1, 3, width)) if record_states else None
     if record_states:
         states[0] = blocks[0, :3]
-    signals = np.empty((n_steps // decimate, n_det, width))
-    window = np.empty((decimate, n_det, width))
+    signals = np.zeros((n_steps // decimate, n_det, width))
+    sig = np.empty((n_det, width))
     quad = np.empty((3, width))
     gain = np.empty((n_det, width))
     norm2 = np.empty(width)
@@ -216,9 +196,9 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
         r, r_new, nr = cur[:3], nxt[:3], nxt[4:4 + n_det]
         w = noise[k]
         np.matmul(linear[seg_idx[k]], cur[:4], out=nxt)
-        sig = window[k % decimate] if decimate > 1 else signals[k]
         np.multiply(scale, w, out=sig)
         sig += nr
+        signals[k // decimate] += sig
         np.multiply(kick, w, out=gain)
         for ell in range(n_det):
             term = nxt[4 + n_det + 3 * ell:7 + n_det + 3 * ell]
@@ -235,8 +215,7 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
                 f"by more than {NORM_OVERSHOOT_TOL}; reduce dt")
         if record_states:
             states[k + 1] = r_new
-        if decimate > 1 and k % decimate == decimate - 1:
-            np.divide(_pairwise_sum(window), decimate, out=signals[k // decimate])
+    signals /= decimate
     return (signals[:, :, :batch],
             states[:, :, :batch] if record_states else None)
 

@@ -474,6 +474,18 @@ class TestExitCodes:
          ("detectors[0]", "phi_a_deg must lie in (-90, 90)")),
         ("correlate", lambda c: c["detectors"][0].update(phi_a_deg=1e308),
          ("detectors[0]", "phi_a_deg must lie in (-90, 90)")),
+        ("correlate", lambda c: c["correlator"].update(mode="mc", block_size=100,
+                                                       lag_step_us=0.5),
+         ("correlator.lag_step_us 0.5 must equal grid.dt_us x grid.decimate",)),
+        ("correlate", lambda c: c["correlator"].update(mode="mc", block_size=100,
+                                                       max_lag_us=0.01),
+         ("correlator.max_lag_us: max_lag 0.01 rounds to no lag",)),
+        ("correlate", lambda c: c["correlator"].update(mode="mc", block_size=100, t_skip_us=2.5),
+         ("correlator.t_skip_us / correlator.t_avg_us: no samples in the first-time window",)),
+        ("correlate", lambda c: c["correlator"].update(mode="mc", block_size=100, t_avg_us=1.0),
+         ("correlator.t_skip_us / correlator.t_avg_us: record too short",)),
+        ("calibrate", lambda c: c["ensemble"].update(n_traj=1),
+         ("ensemble.n_traj", "two or more trajectories")),
     ], ids=["no-detectors", "axis-shape", "axis-unit", "tau_m", "no-tau", "tau_min", "eta",
             "phi_a-90", "dt", "duration", "decimate", "n_traj", "gamma", "gamma-below-gamma_m",
             "segment-matrix",
@@ -482,7 +494,9 @@ class TestExitCodes:
             "analytic-segments", "calibrate-segments", "seed-huge", "seed-negative",
             "threads-zero", "batch_size-zero", "block_size-one", "threads-flag-zero",
             "pair-seed-last", "max_lag-mc-huge", "max_lag-mc-minus-huge",
-            "t_skip-negative-correlate", "t_skip-negative-simulate", "phi_a-95", "phi_a-huge"])
+            "t_skip-negative-correlate", "t_skip-negative-simulate", "phi_a-95", "phi_a-huge",
+            "lag_step-mc", "max_lag-mc-below-step", "t_skip-mc-past-record",
+            "t_avg-mc-to-record-end", "calibrate-one-traj"])
     def test_validation_rule_names_section_and_field(self, tmp_path, capsys, command, mutate,
                                                      names):
         cfg = base_config()
@@ -543,6 +557,18 @@ class TestExitCodes:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == ("diagnostic: non-finite value in the records; "
                                "check detectors[].response and offset\n")
+        assert not (tmp_path / "o.out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "correlate", "calibrate"])
+    def test_huge_records_end_every_mc_command(self, tmp_path, capsys, command):
+        """Finite records whose sums overflow exit 3 before any estimator runs."""
+        cfg = calibrate_config() if command == "calibrate" else base_config()
+        if command == "correlate":
+            cfg["correlator"].update(mode="mc", block_size=100)
+        cfg["detectors"][0]["offset"] = 1e308
+        assert main([command, "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o.out")]) == 3
+        assert "record value 1e+308 overflows the estimators' sums" in capsys.readouterr().err
         assert not (tmp_path / "o.out").exists()
 
     @pytest.mark.parametrize("command, flag", [
