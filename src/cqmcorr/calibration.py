@@ -126,18 +126,22 @@ def estimate_tau_m(run: CalibrationRun, delta_i: float,
 def first_time_window(grid: TimeGrid, t_skip: float, t_avg: float,
                       max_lag: float | None = None) -> tuple[np.ndarray, int]:
     """First-time sample indices on ``grid`` and the count of lags after the
-    last, cut to ``max_lag`` rounded to whole samples."""
+    last, cut to ``max_lag`` rounded to whole samples. The errors name the
+    ``correlator`` keys that set the window and the lags."""
     times = grid.times()
     idx = np.where((times >= t_skip - 1e-9) & (times < t_skip + t_avg - 1e-9))[0]
     if idx.size == 0:
-        raise ConfigError(f"no samples in the first-time window [{t_skip}, {t_skip + t_avg})")
+        raise ConfigError("correlator.t_skip_us / correlator.t_avg_us: no samples in the "
+                          f"first-time window [{t_skip}, {t_skip + t_avg})")
     n_lags = grid.n_steps - 1 - int(idx[-1])
     if n_lags < 1:
-        raise ConfigError("record too short for any positive lag after the first-time window")
+        raise ConfigError("correlator.t_skip_us / correlator.t_avg_us: record too short for "
+                          "any positive lag after the first-time window")
     if max_lag is not None:
-        n_lags = min(n_lags, int(round(max_lag / grid.dt)))
+        n_lags = round(min(max(max_lag / grid.dt, 0.0), n_lags))
         if n_lags < 1:
-            raise ConfigError(f"max_lag {max_lag} rounds to no lag at the sample step {grid.dt}")
+            raise ConfigError(f"correlator.max_lag_us: {max_lag} rounds to no lag at the "
+                              f"sample step {grid.dt}")
     return idx, n_lags
 
 

@@ -238,7 +238,7 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
         try:
             return make()
         except ConfigError as err:
-            problems.append(f"{path}: {err}")
+            problems.append(f"{path}: {err}" if path else str(err))
 
     need(config.detectors, "detectors: none configured")
     detectors = []
@@ -281,12 +281,12 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
             if grid is not None and gc.decimate >= 1:
                 need(grid.n_steps % gc.decimate == 0,
                      f"grid.decimate {gc.decimate} does not divide the {grid.n_steps} steps")
-                per_traj = max(len(config.detectors) * (grid.n_steps // gc.decimate), 1)
-                need(config.ensemble.n_traj * per_traj <= MAX_RECORD_VALUES,
-                     f"ensemble.n_traj: records of {per_traj} values each allow at most "
+                per_traj = max(len(config.detectors), 1) * max(grid.n_steps // gc.decimate, 1)
+                fits = max(config.ensemble.n_traj, 1) * per_traj <= MAX_RECORD_VALUES
+                need(fits, f"ensemble.n_traj: records of {per_traj} values each allow at most "
                      f"{MAX_RECORD_VALUES // per_traj} trajectories ({MAX_RECORD_VALUES} values)")
-                if grid.n_steps % gc.decimate == 0:
-                    acquisition = TimeGrid(grid.dt * gc.decimate, grid.n_steps // gc.decimate)
+                if fits and grid.n_steps % gc.decimate == 0:
+                    acquisition = grid.decimated(gc.decimate)
     ens = config.ensemble
     need(ens.n_traj >= 1, f"ensemble.n_traj must be >= 1, got {ens.n_traj!r}")
     build("ensemble.seed", lambda: NoisePlan(ens.seed))
@@ -297,12 +297,11 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
     need(corr.t_avg_us is None or corr.t_avg_us > 0,
          f"correlator.t_avg_us must be positive, got {corr.t_avg_us!r}")
     need(corr.t_skip_us >= 0, f"correlator.t_skip_us must be >= 0, got {corr.t_skip_us!r}")
-    max_lag_ok = True
     if corr.max_lag_us is not None:
         dt = gc.dt_us if gc is not None and gc.dt_us > 0 else 1.0
-        max_lag_ok = corr.max_lag_us > 0 and math.isfinite(corr.max_lag_us / dt)
-        need(max_lag_ok, "correlator.max_lag_us must be positive and a finite number of "
-             f"grid.dt_us steps, got {corr.max_lag_us!r}")
+        need(corr.max_lag_us > 0 and math.isfinite(corr.max_lag_us / dt),
+             "correlator.max_lag_us must be positive and a finite number of grid.dt_us "
+             f"steps, got {corr.max_lag_us!r}")
     if corr.mode == "mc" and acquisition is not None:
         # the Monte Carlo estimator's lags are the acquisition samples
         step = acquisition.dt
@@ -310,11 +309,8 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
              f"correlator.lag_step_us {corr.lag_step_us!r} must equal grid.dt_us x "
              f"grid.decimate = {step!r} in mode mc")
         if corr.t_avg_us is not None and corr.t_avg_us > 0 and corr.t_skip_us >= 0:
-            window = build("correlator.t_skip_us / correlator.t_avg_us", lambda: first_time_window(
-                acquisition, corr.t_skip_us, corr.t_avg_us))
-            if window and corr.max_lag_us is not None and max_lag_ok:
-                build("correlator.max_lag_us", lambda: first_time_window(
-                    acquisition, corr.t_skip_us, corr.t_avg_us, corr.max_lag_us))
+            build(None, lambda: first_time_window(acquisition, corr.t_skip_us, corr.t_avg_us,
+                                                  corr.max_lag_us))
     need(corr.block_size >= 2, f"correlator.block_size must be >= 2, got {corr.block_size!r}")
     need(0 <= corr.detector_index < max(len(config.detectors), 1),
          f"correlator.detector_index: detector index {corr.detector_index} out of range")
@@ -385,8 +381,9 @@ def _threads(args) -> int:
 def _run(config: ExperimentConfig, detectors, segments, grid, seed: int, threads: int,
          r0) -> EnsembleArchive:
     """The configured ensemble from initial state ``r0`` on noise stream
-    ``seed``. Records that overflow the raw-units map, or are so large that a
-    sum of their squares could, end the run before any estimator sees them."""
+    ``seed``. Raw records that overflow the raw-units map, or pass
+    sqrt(float max / record count) so that a sum of their squares can
+    overflow, end the run before any estimator sees them."""
     archive = run_ensemble(config.ensemble.n_traj, NoisePlan(seed), r0, grid, detectors,
                            segments, threads=threads, decimate=config.grid.decimate,
                            config_digest=config.digest)
@@ -395,8 +392,8 @@ def _run(config: ExperimentConfig, detectors, segments, grid, seed: int, threads
     if not math.isfinite(peak):
         raise DiagnosticError("non-finite value in the records; check detectors[].response and offset")
     if peak > math.sqrt(sys.float_info.max / signals.size):
-        raise DiagnosticError(f"record value {peak:.3g} overflows the estimators' sums; "
-                              "check detectors[].response and offset")
+        raise DiagnosticError(f"raw record value {peak:.3g} is so large that a sum of the "
+                              "records' squares can overflow; check detectors[].response and offset")
     return archive
 
 
@@ -629,7 +626,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # each output is checked for non-finite values (exit 3), so numpy's
+        # floating-point warnings would only repeat that on stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -202,6 +202,12 @@ class TimeGrid:
         """Sample times t_k, k = 0 .. n_steps-1."""
         return self.dt * np.arange(self.n_steps)
 
+    def decimated(self, factor: int) -> TimeGrid:
+        """The grid of means over ``factor`` consecutive samples."""
+        if not (factor >= 1 and self.n_steps % factor == 0):
+            raise ConfigError(f"decimate must divide n_steps, got {factor!r} for {self.n_steps} steps")
+        return TimeGrid(dt=self.dt * factor, n_steps=self.n_steps // factor)
+
 
 @dataclasses.dataclass(frozen=True)
 class CorrelatorResult:

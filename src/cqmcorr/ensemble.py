@@ -136,8 +136,6 @@ def propagators(t_from, t_to, segments) -> np.ndarray:
         if not np.any(inside):
             continue
         distinct, which = np.unique(duration[inside], return_inverse=True)
-        # an exponent past float range gives a non-finite map; callers report it
-        with np.errstate(over="ignore"):
-            steps = expm(_augmented_generator(seg) * distinct[:, None, None])
+        steps = expm(_augmented_generator(seg) * distinct[:, None, None])
         props[inside] = np.matmul(steps[which], props[inside])
     return props

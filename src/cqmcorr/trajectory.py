@@ -185,7 +185,9 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
     states = np.empty((n_steps + 1, 3, width)) if record_states else None
     if record_states:
         states[0] = blocks[0, :3]
-    signals = np.zeros((n_steps // decimate, n_det, width))
+    # filled now, not left as calloc's untouched pages: the first add to a
+    # row would fault each page in twice, a read and then a copy-on-write
+    signals = np.full((n_steps // decimate, n_det, width), 0.0)
     sig = np.empty((n_det, width))
     quad = np.empty((3, width))
     gain = np.empty((n_det, width))
@@ -321,14 +323,11 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
         raise ConfigError(f"n_traj must be >= 1, got {n_traj!r}")
     if threads < 1 or batch_size < 1:
         raise ConfigError("threads and batch_size must be >= 1")
-    if decimate < 1 or grid.n_steps % decimate != 0:
-        raise ConfigError(
-            f"decimate must divide n_steps, got {decimate!r} for {grid.n_steps} steps")
+    dec_grid = grid.decimated(decimate)
     r0, detectors, segments, seg_idx = _prepare(initial_state, grid, detectors, segments)
     n_det = len(detectors)
 
-    n_dec = grid.n_steps // decimate
-    out = np.empty((n_traj, n_det, n_dec))
+    out = np.empty((n_traj, n_det, dec_grid.n_steps))
     n_batches = (n_traj + batch_size - 1) // batch_size
     offsets = np.array([det.offset for det in detectors])
     responses = np.array([det.response for det in detectors])
@@ -354,6 +353,5 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_batch, range(n_batches)))
 
-    dec_grid = TimeGrid(dt=grid.dt * decimate, n_steps=n_dec)
     return EnsembleArchive(grid=dec_grid, seed=plan.seed, signals=out,
                            config_digest=config_digest)

@@ -479,7 +479,7 @@ class TestExitCodes:
          ("correlator.lag_step_us 0.5 must equal grid.dt_us x grid.decimate",)),
         ("correlate", lambda c: c["correlator"].update(mode="mc", block_size=100,
                                                        max_lag_us=0.01),
-         ("correlator.max_lag_us: max_lag 0.01 rounds to no lag",)),
+         ("correlator.max_lag_us: 0.01 rounds to no lag",)),
         ("correlate", lambda c: c["correlator"].update(mode="mc", block_size=100, t_skip_us=2.5),
          ("correlator.t_skip_us / correlator.t_avg_us: no samples in the first-time window",)),
         ("correlate", lambda c: c["correlator"].update(mode="mc", block_size=100, t_avg_us=1.0),
@@ -523,6 +523,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"ensemble.n_traj: records of 30 values each allow at most " \
                f"{MAX_RECORD_VALUES // 30} trajectories" in err, err
+
+    def test_record_bound_comes_before_the_mc_window_rules(self, tmp_path, capsys):
+        """A 1e9 us grid (2.5e11 steps) fails the record bound; the window
+        rules, which build the acquisition times, are not run on it."""
+        cfg = json.loads((CONFIGS / "rabi_70deg_mc.json").read_text())
+        cfg["grid"]["duration_us"] = 1e9
+        assert main(["correlate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "ensemble.n_traj: records of 25000000000 values each allow at most 0" in err, err
 
     def test_record_bound_admits_criterion_3b(self, tmp_path):
         cfg = base_config()
@@ -568,8 +578,23 @@ class TestExitCodes:
         cfg["detectors"][0]["offset"] = 1e308
         assert main([command, "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "o.out")]) == 3
-        assert "record value 1e+308 overflows the estimators' sums" in capsys.readouterr().err
+        assert ("raw record value 1e+308 is so large that a sum of the records' squares can "
+                "overflow") in capsys.readouterr().err
         assert not (tmp_path / "o.out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scaled_records_that_overflow_give_a_non_finite_csv(self, tmp_path, capsys):
+        """A tiny response leaves the raw records small but scales their
+        offset-removed values past float range; the products overflow and the
+        CSV check exits 3 without a numpy warning."""
+        cfg = base_config()
+        cfg["correlator"].update(mode="mc", block_size=100)
+        cfg["detectors"][0].update(response=1e-300, offset=0.3)
+        out = tmp_path / "o.csv"
+        assert main(["correlate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "diagnostic: non-finite value in the correlator output\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--seed"), ("correlate", "--seed"), ("calibrate", "--seed"),

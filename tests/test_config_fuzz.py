@@ -21,7 +21,7 @@ BASE = json.loads((CONFIGS / "rabi_70deg_analytic.json").read_text())
 
 DELETE = "<delete>"
 WRONG_TYPE = "<wrong type>"
-MUTATIONS = [WRONG_TYPE, None, 0, -1, 1e308, -1e308, [], {}, DELETE]
+MUTATIONS = [WRONG_TYPE, None, 0, -1, 1e308, -1e308, 1e-300, [], {}, DELETE]
 
 
 def tiny(name):
