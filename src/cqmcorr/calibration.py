@@ -14,10 +14,10 @@ trajectory sits at its pole for the whole trace):
   efficiency is eta = 1/(2 gamma tau_min), tau_min the minimal (phi_a = 0)
   measurement time.
 
-The correlator estimator works on raw records directly: it removes a
-per-block offset, normalizes by Delta_I/2 so pole means sit at +-1, averages
-the two-sample product over a window of first times, and quotes delete-one-
-block jackknife standard errors.
+The correlator estimator works on the raw records of one prepared state
+directly: it removes a per-block offset, normalizes by Delta_I/2 so pole
+means sit at +-1, averages the two-sample product over a window of first
+times, and quotes delete-one-block jackknife standard errors.
 """
 
 from __future__ import annotations
@@ -39,28 +39,28 @@ VARIANCE_MATCH_TOL = 0.25
 
 @dataclasses.dataclass
 class CalibrationRun:
-    """Paired one-detector raw-record ensembles, +axis and -axis preparations."""
+    """Paired one-detector raw-record ensembles, +axis and -axis preparations,
+    and their records' time integrals (``integrate_traces``), made once for
+    both estimators."""
 
     plus: EnsembleArchive
     minus: EnsembleArchive
+    plus_integrals: np.ndarray = dataclasses.field(init=False, repr=False)
+    minus_integrals: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         if self.plus.grid != self.minus.grid:
             raise ConfigError("calibration ensembles must share one grid")
-        for archive in (self.plus, self.minus):
-            _records(archive)
-
-
-def _records(archive: EnsembleArchive) -> np.ndarray:
-    if archive.n_detectors != 1:
-        raise ConfigError(f"calibration needs one-detector archives, got {archive.n_detectors}")
-    return archive.signals[:, 0, :]
+        self.plus_integrals = integrate_traces(self.plus)
+        self.minus_integrals = integrate_traces(self.minus)
 
 
 def integrate_traces(archive: EnsembleArchive) -> np.ndarray:
     """Cumulative time integral of each raw record of a one-detector archive
     (trapezoid rule, zero at the first sample). Shape (n_traj, n_samples)."""
-    x = _records(archive)
+    if archive.n_detectors != 1:
+        raise ConfigError(f"calibration needs one-detector archives, got {archive.n_detectors}")
+    x = archive.signals[:, 0, :]
     out = np.zeros(x.shape)
     out[:, 1:] = np.cumsum(archive.grid.dt * (x[:, 1:] + x[:, :-1]) / 2.0, axis=1)
     return out
@@ -76,8 +76,8 @@ def estimate_response(run: CalibrationRun,
     """Pole separation Delta_I in raw units per unit normalized signal: the
     fitted slope of <integral_plus>(t) - <integral_minus>(t) over the first
     ``fit_window`` of the trace. The per-pole response is Delta_I / 2."""
-    ip = integrate_traces(run.plus).mean(axis=0)
-    im = integrate_traces(run.minus).mean(axis=0)
+    ip = run.plus_integrals.mean(axis=0)
+    im = run.minus_integrals.mean(axis=0)
     t = run.plus.grid.times()
     mask = t <= fit_window + 1e-9
     if mask.sum() < 3:
@@ -98,8 +98,8 @@ def estimate_tau_m(run: CalibrationRun, delta_i: float,
     if delta_i == 0:
         raise ConfigError("delta_i must be nonzero")
     t = run.plus.grid.times()
-    ip = integrate_traces(run.plus)
-    im = integrate_traces(run.minus)
+    ip = run.plus_integrals
+    im = run.minus_integrals
     vp = ip.var(axis=0, ddof=1)
     vm = im.var(axis=0, ddof=1)
     sp = _line_slope(t, vp)
@@ -155,11 +155,28 @@ def _block_bounds(n_traj: int, block_size: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _estimate_one(archive: EnsembleArchive, detector_index: int, delta_i: float,
-                  t_skip: float, t_avg: float, block_size: int, max_lag: float | None):
+def estimate_correlator(archive: EnsembleArchive, delta_i: float,
+                        t_avg: float, t_skip: float,
+                        block_size: int = DEFAULT_BLOCK_SIZE,
+                        detector_index: int = 0,
+                        max_lag: float | None = None) -> CorrelatorResult:
+    """First-time-averaged output correlator of one prepared state, from raw
+    records.
+
+    Khat(m dt) = mean over trajectories and first times t1 of J(t1) J(t1 + m dt),
+    J = (raw - block offset) / (Delta_I / 2), for lags m >= 1 (the equal-time
+    product is noise-variance dominated and excluded). The block offset is the
+    record mean over each block of trajectories at t >= t_skip. Standard
+    errors are delete-one-block jackknife over the same blocks.
+    """
+    if delta_i == 0:
+        raise ConfigError("delta_i must be nonzero")
+    if not t_avg > 0:
+        raise ConfigError(f"t_avg must be positive, got {t_avg!r}")
+    if not 0 <= detector_index < archive.n_detectors:
+        raise ConfigError(f"detector index {detector_index} out of range")
     sig = archive.signals[:, detector_index, :]
     times = archive.grid.times()
-    dt = archive.grid.dt
     i1, n_lags = first_time_window(archive.grid, t_skip, t_avg, max_lag)
 
     offset_mask = times >= t_skip - 1e-9
@@ -186,40 +203,5 @@ def _estimate_one(archive: EnsembleArchive, detector_index: int, delta_i: float,
         errors = np.sqrt((g - 1) / g * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
     else:
         errors = None
-    lags = dt * np.arange(1, n_lags + 1)
-    return lags, values, errors, times[i1]
-
-
-def estimate_correlator(archive_plus: EnsembleArchive, delta_i: float,
-                        t_avg: float, t_skip: float,
-                        block_size: int = DEFAULT_BLOCK_SIZE,
-                        archive_minus: EnsembleArchive | None = None,
-                        detector_index: int = 0,
-                        max_lag: float | None = None) -> CorrelatorResult:
-    """First-time-averaged output correlator from raw records.
-
-    Khat(m dt) = mean over trajectories and first times t1 of J(t1) J(t1 + m dt),
-    J = (raw - block offset) / (Delta_I / 2), for lags m >= 1 (the equal-time
-    product is noise-variance dominated and excluded). The block offset is the
-    record mean over each block of trajectories at t >= t_skip. Standard
-    errors are delete-one-block jackknife over the same blocks; a second
-    archive makes a paired result (``delta`` and ``delta_error`` give the
-    preparation difference).
-    """
-    if delta_i == 0:
-        raise ConfigError("delta_i must be nonzero")
-    if not t_avg > 0:
-        raise ConfigError(f"t_avg must be positive, got {t_avg!r}")
-    if not 0 <= detector_index < archive_plus.n_detectors:
-        raise ConfigError(f"detector index {detector_index} out of range")
-    lags, values, errors, t1s = _estimate_one(
-        archive_plus, detector_index, delta_i, t_skip, t_avg, block_size, max_lag)
-    values_minus = errors_minus = None
-    if archive_minus is not None:
-        if archive_plus.grid != archive_minus.grid:
-            raise ConfigError("paired archives must share one grid")
-        _, values_minus, errors_minus, _ = _estimate_one(
-            archive_minus, detector_index, delta_i, t_skip, t_avg, block_size, max_lag)
-    return CorrelatorResult(lags=lags, values=values, errors=errors,
-                            values_minus=values_minus, errors_minus=errors_minus,
-                            t1_values=t1s)
+    return CorrelatorResult(lags=archive.grid.dt * np.arange(1, n_lags + 1), values=values,
+                            errors=errors, t1_values=times[i1])

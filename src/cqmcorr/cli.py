@@ -297,18 +297,20 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
     need(corr.t_avg_us is None or corr.t_avg_us > 0,
          f"correlator.t_avg_us must be positive, got {corr.t_avg_us!r}")
     need(corr.t_skip_us >= 0, f"correlator.t_skip_us must be >= 0, got {corr.t_skip_us!r}")
-    if corr.max_lag_us is not None:
+    max_lag_ok = corr.max_lag_us is None
+    if not max_lag_ok:
         dt = gc.dt_us if gc is not None and gc.dt_us > 0 else 1.0
-        need(corr.max_lag_us > 0 and math.isfinite(corr.max_lag_us / dt),
-             "correlator.max_lag_us must be positive and a finite number of grid.dt_us "
-             f"steps, got {corr.max_lag_us!r}")
+        max_lag_ok = corr.max_lag_us > 0 and math.isfinite(corr.max_lag_us / dt)
+        need(max_lag_ok, "correlator.max_lag_us must be positive and a finite number of "
+             f"grid.dt_us steps, got {corr.max_lag_us!r}")
     if corr.mode == "mc" and acquisition is not None:
         # the Monte Carlo estimator's lags are the acquisition samples
         step = acquisition.dt
         need(corr.lag_step_us is None or abs(corr.lag_step_us - step) <= 1e-9 * step,
              f"correlator.lag_step_us {corr.lag_step_us!r} must equal grid.dt_us x "
              f"grid.decimate = {step!r} in mode mc")
-        if corr.t_avg_us is not None and corr.t_avg_us > 0 and corr.t_skip_us >= 0:
+        if (max_lag_ok and corr.t_avg_us is not None and corr.t_avg_us > 0
+                and corr.t_skip_us >= 0):
             build(None, lambda: first_time_window(acquisition, corr.t_skip_us, corr.t_avg_us,
                                                   corr.max_lag_us))
     need(corr.block_size >= 2, f"correlator.block_size must be >= 2, got {corr.block_size!r}")
@@ -397,15 +399,11 @@ def _run(config: ExperimentConfig, detectors, segments, grid, seed: int, threads
     return archive
 
 
-def _run_pair(config: ExperimentConfig, detectors, segments, grid, threads: int,
-              r0) -> tuple[EnsembleArchive, EnsembleArchive]:
-    """Two ensembles: initial state ``r0`` and its antipode, on disjoint
-    noise streams (ensemble.seed and ensemble.seed + 1)."""
-    seed = config.ensemble.seed
+def _check_pair_seed(seed: int) -> None:
+    """The antipodal preparation runs on noise stream seed + 1; refuse a seed
+    whose successor leaves uint64 before the first ensemble runs."""
     if seed + 1 >= 2**64:
         raise ConfigError(f"seed {seed}: the pair also uses seed + 1, which must fit in uint64")
-    return (_run(config, detectors, segments, grid, seed, threads, r0),
-            _run(config, detectors, segments, grid, seed + 1, threads, -r0))
 
 
 def _write_csv(out, config: ExperimentConfig, lags, kp, ep, km, em) -> None:
@@ -470,12 +468,14 @@ def cmd_correlate(args) -> int:
     detectors = tuple(build_detector(d) for d in config.detectors)
     segments = build_segments(config)
     corr = config.correlator
-    det_idx = corr.detector_index
+    det = detectors[corr.detector_index]
     if corr.t_avg_us is None:
         raise ConfigError("correlator.t_avg_us required")
     threads = _threads(args)
+    seed = config.ensemble.seed
     r0 = np.asarray(config.initial_state, dtype=np.float64)
 
+    # curve(r, seed): (lags, values, errors) of the state r prepared at t = 0
     if corr.mode == "mc":
         if config.ensemble.n_traj < 2 * corr.block_size:
             raise ConfigError(
@@ -483,34 +483,35 @@ def cmd_correlate(args) -> int:
                 f"blocks for ensemble.n_traj {config.ensemble.n_traj}; "
                 "need n_traj >= 2 * block_size")
         grid = build_grid(config, detectors)
-        plus, minus = _run_pair(config, detectors, segments, grid, threads, r0)
-        delta_i = 2.0 * detectors[det_idx].response
-        result = estimate_correlator(plus, delta_i, corr.t_avg_us, corr.t_skip_us,
-                                     block_size=corr.block_size, archive_minus=minus,
-                                     detector_index=det_idx, max_lag=corr.max_lag_us)
-        _write_csv(args.out, config, result.lags, result.values, result.errors,
-                   result.values_minus, result.errors_minus)
-        return 0
+        _check_pair_seed(seed)
 
-    if corr.mode == "analytic" and config.evolution.segments:
-        raise ConfigError("evolution.segments: the closed form needs the Rabi model; use mode gcr")
-    grid = build_grid(config, detectors)
-    lags = _lag_grid(config, grid)
-    zeros = np.zeros_like(lags)
-    if corr.mode == "gcr":
-        kp = correlator_time_averaged(lags, detectors[det_idx], segments, r0,
-                                      corr.t_skip_us, corr.t_avg_us).values
-        km = correlator_time_averaged(lags, detectors[det_idx], segments, -r0,
-                                      corr.t_skip_us, corr.t_avg_us).values
+        def curve(r, seed):
+            archive = _run(config, detectors, segments, grid, seed, threads, r)
+            result = estimate_correlator(archive, 2.0 * det.response, corr.t_avg_us,
+                                         corr.t_skip_us, block_size=corr.block_size,
+                                         detector_index=corr.detector_index,
+                                         max_lag=corr.max_lag_us)
+            return result.lags, result.values, result.errors
     else:
-        params = RabiCaseParams(gamma=config.evolution.gamma,
-                                omega_r=config.evolution.omega_r,
-                                k_phase=detectors[det_idx].k_phase,
-                                x0=float(r0[0]), t_skip=corr.t_skip_us,
-                                t_avg=corr.t_avg_us)
-        kp = k_analytic_averaged(params, lags)
-        km = k_analytic_averaged(dataclasses.replace(params, x0=-params.x0), lags)
-    _write_csv(args.out, config, lags, kp, zeros, km, zeros)
+        if corr.mode == "analytic" and config.evolution.segments:
+            raise ConfigError("evolution.segments: the closed form needs the Rabi model; "
+                              "use mode gcr")
+        lags = _lag_grid(config, build_grid(config, detectors))
+
+        def curve(r, seed):
+            if corr.mode == "gcr":
+                values = correlator_time_averaged(lags, det, segments, r, corr.t_skip_us,
+                                                  corr.t_avg_us).values
+            else:
+                values = k_analytic_averaged(RabiCaseParams(
+                    gamma=config.evolution.gamma, omega_r=config.evolution.omega_r,
+                    k_phase=det.k_phase, x0=float(r[0]), t_skip=corr.t_skip_us,
+                    t_avg=corr.t_avg_us), lags)
+            return lags, values, np.zeros_like(lags)
+
+    lags, kp, ep = curve(r0, seed)
+    _, km, em = curve(-r0, seed + 1)
+    _write_csv(args.out, config, lags, kp, ep, km, em)
     return 0
 
 
@@ -529,9 +530,14 @@ def cmd_calibrate(args) -> int:
         raise ConfigError("calibrate runs without a drive; set the Rabi rate to 0")
     segments = build_segments(config)
     grid = build_grid(config, (det,))
-    plus, minus = _run_pair(config, (det,), segments, grid, _threads(args), det.axis)
-    run = CalibrationRun(plus=plus, minus=minus)
+    threads, seed = _threads(args), config.ensemble.seed
+    _check_pair_seed(seed)
+    run = CalibrationRun(plus=_run(config, (det,), segments, grid, seed, threads, det.axis),
+                         minus=_run(config, (det,), segments, grid, seed + 1, threads, -det.axis))
     delta_i = estimate_response(run, fit_window=config.calibrate.fit_window_us)
+    if delta_i == 0 or not math.isfinite(delta_i):
+        raise DiagnosticError(f"fitted pole separation delta_i {delta_i!r} is zero or "
+                              "non-finite; check detectors[0].response")
     tau_m, eta = estimate_tau_m(run, delta_i, gamma=gamma)
     report = {
         "config_digest": config.digest,

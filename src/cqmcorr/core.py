@@ -211,26 +211,11 @@ class TimeGrid:
 
 @dataclasses.dataclass(frozen=True)
 class CorrelatorResult:
-    """Correlator values on a lag grid, optionally paired (two prepared cases)
-    and with standard errors for Monte Carlo estimates. ``t1_values`` holds
-    the first times a Monte Carlo estimate averaged over."""
+    """Correlator values of one prepared state on a lag grid, with standard
+    errors for Monte Carlo estimates. ``t1_values`` holds the first times a
+    Monte Carlo estimate averaged over."""
 
     lags: np.ndarray
     values: np.ndarray
     errors: np.ndarray | None = None
-    values_minus: np.ndarray | None = None
-    errors_minus: np.ndarray | None = None
     t1_values: np.ndarray | None = None
-
-    @property
-    def delta(self) -> np.ndarray:
-        """Paired difference K_plus - K_minus."""
-        if self.values_minus is None:
-            raise ValueError("no paired case present")
-        return self.values - self.values_minus
-
-    @property
-    def delta_error(self) -> np.ndarray | None:
-        if self.errors is None or self.errors_minus is None:
-            return None
-        return np.sqrt(self.errors**2 + self.errors_minus**2)

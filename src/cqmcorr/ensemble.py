@@ -11,6 +11,8 @@ step over one segment is the matrix exponential of the augmented generator
 [[L, -L r_st], [0, 0]], which handles singular L (pure rotations, partial
 dephasing) with no special cases. ``propagator`` builds one interval's map;
 ``propagators`` builds a stack of them with one batched ``expm`` per segment.
+A detector's measurement is the 4x4 ``_collapse_matrix`` on the same columns;
+the collapse recipe and the trajectory stepper both build on these maps.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm
 
-from .core import ConfigError, EnsembleGenerator, as_bloch, check_segments
+from .core import ConfigError, DetectorModel, EnsembleGenerator, as_bloch, check_segments
 
 
 def dephasing_matrix(axis, rate: float) -> np.ndarray:
@@ -62,6 +64,18 @@ def _augmented_generator(segment: EnsembleGenerator) -> np.ndarray:
     aug[:3, :3] = segment.matrix
     aug[:3, 3] = -segment.matrix @ segment.r_st
     return aug
+
+
+def _collapse_matrix(det: DetectorModel) -> np.ndarray:
+    """Linear map of one measurement by the detector ``det`` on the
+    sign-weighted pair (Kvec, K) of the collapse recipe:
+    (Kvec, K) -> (K n + K_phase (n x Kvec), n . Kvec), as the 4x4 matrix
+    [[K_phase [n]x, n], [n^T, 0]]."""
+    mat = np.zeros((4, 4))
+    mat[:3, :3] = rotation_matrix(det.axis, det.k_phase)
+    mat[:3, 3] = det.axis
+    mat[3, :3] = det.axis
+    return mat
 
 
 def _segment_step(segment: EnsembleGenerator, dt: float) -> np.ndarray:

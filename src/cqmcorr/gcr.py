@@ -17,7 +17,8 @@ outcome paths, and an O(N) recursion over a sign-weighted running vector.
 They agree to rounding and the tests hold them to that. The recursion and
 the time-averaged form chain 4x4 matrices: the augmented propagators of
 ``ensemble.propagator`` (stacked by ``ensemble.propagators`` in the time
-average) and the collapse matrix of each detector.
+average) and the collapse matrix of each detector, which the trajectory
+stepper shares.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .core import (
     as_bloch,
     require_physical,
 )
-from .ensemble import dephasing_matrix, propagator, propagators, rotation_matrix
+from .ensemble import _collapse_matrix, dephasing_matrix, propagator, propagators
 
 # enumeration walks 2^N paths; beyond this it is pointless (use the recursion)
 MAX_ENUMERATION_TIMES = 20
@@ -100,17 +101,6 @@ def _resolve_detectors(spec: CorrelatorSpec, detectors) -> list[DetectorModel]:
         if not 0 <= idx < len(detectors):
             raise ConfigError(f"detector index {idx} out of range for {len(detectors)} detectors")
     return [detectors[idx] for idx in spec.detector_indices]
-
-
-def _collapse_matrix(det: DetectorModel) -> np.ndarray:
-    """Linear map of one measurement on the sign-weighted pair (Kvec, K):
-    (Kvec, K) -> (K n + K_phase (n x Kvec), n . Kvec), as the 4x4 matrix
-    [[K_phase [n]x, n], [n^T, 0]]."""
-    mat = np.zeros((4, 4))
-    mat[:3, :3] = rotation_matrix(det.axis, det.k_phase)
-    mat[:3, 3] = det.axis
-    mat[3, :3] = det.axis
-    return mat
 
 
 def correlator_enumerate(spec: CorrelatorSpec, detectors, segments) -> float:
@@ -257,14 +247,6 @@ class ZxDemoSetup:
     t1_grid: np.ndarray
     lag_grid: np.ndarray
     values: np.ndarray  # shape (t1, lag)
-
-    def closed_form(self, t1, tau):
-        """k_z * exp(-(gamma_z + gamma_x) t1) * exp(-gamma_z tau) for this
-        configuration (z-detector phase backaction feeding the x output)."""
-        k_z = self.detectors[0].k_phase
-        gamma_z = self.detectors[0].gamma_m
-        gamma_x = self.detectors[1].gamma_m
-        return k_z * np.exp(-(gamma_z + gamma_x) * np.asarray(t1)) * np.exp(-gamma_z * np.asarray(tau))
 
 
 def cross_correlator_zx_demo() -> ZxDemoSetup:

@@ -44,7 +44,7 @@ from .core import (
     check_segments,
     require_physical,
 )
-from .ensemble import rotation_matrix
+from .ensemble import _augmented_generator, _collapse_matrix
 
 DEFAULT_BATCH_SIZE = 8192
 # trajectories per Philox key in noise stream v2; part of the stream's
@@ -145,13 +145,13 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
 
     The batch state is the C-contiguous (4, B) block of columns (r, 1), and
     one matmul per step applies every affine map of it. For the step's
-    segment s the stacked matrix has the rows [D_s | c_s], [0 | 1], [N | 0]
-    and [A_ell | n_ell] for each detector, with D_s = I + L_s dt,
-    c_s = -L_s r_st dt, N the detector axes and A_ell = K_ell [n_ell]x. Its
-    product holds the drifted state, the ones row, n.r and A r + n, so the
-    signals are n.r + sqrt(tau_m/dt) w and the kicks add
-    sqrt(dt/tau_m) w (A r + n - (n.r) r) to the drifted state in place. Two
-    such blocks alternate as input and output.
+    segment s the stacked matrix is I + G_s dt, G_s the segment's augmented
+    generator, on top of row 3 of every detector's collapse matrix
+    [[K [n]x, n], [n^T, 0]], then rows 0-2 of each. Its product holds the
+    drifted state, the ones row, n.r and K (n x r) + n, so the signals are
+    n.r + sqrt(tau_m/dt) w and the kicks add
+    sqrt(dt/tau_m) w (K (n x r) + n - (n.r) r) to the drifted state in
+    place. Two such blocks alternate as input and output.
 
     Step k adds its signals into row k // D of a zeroed
     (n_steps // D, n_det, B) array, for ``decimate`` D, and the array is
@@ -172,12 +172,10 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
 
     kick = np.array([[math.sqrt(dt / det.tau_m)] for det in detectors])
     scale = np.array([[math.sqrt(det.tau_m / dt)] for det in detectors])
-    readout = np.hstack([np.array([det.axis for det in detectors]), np.zeros((n_det, 1))])
-    kicks = [np.hstack([rotation_matrix(det.axis, det.k_phase), det.axis[:, None]])
-             for det in detectors]
-    linear = [np.vstack([np.hstack([np.eye(3) + seg.matrix * dt,
-                                    -(seg.matrix @ seg.r_st)[:, None] * dt]),
-                         [0.0, 0.0, 0.0, 1.0], readout, *kicks]) for seg in segments]
+    collapses = [_collapse_matrix(det) for det in detectors]
+    measured = [m[3] for m in collapses] + [m[:3] for m in collapses]
+    linear = [np.vstack([np.eye(4) + _augmented_generator(seg) * dt, *measured])
+              for seg in segments]
 
     blocks = np.empty((2, 4 + 4 * n_det, width))
     blocks[0, :3] = r0[:, None]

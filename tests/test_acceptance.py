@@ -89,32 +89,32 @@ def recipe_reference(lags, centroids, detector, segments, x0):
     return ref
 
 
+def preparation_pair(det, n_steps, seed, max_lag):
+    """Correlator estimates of the +x and -x preparations, 2e5 trajectories
+    each on noise seeds ``seed`` and ``seed + 1``, one ensemble at a time."""
+    return tuple(
+        estimate_correlator(run_ensemble(200_000, NoisePlan(s), r0, TimeGrid(DT, n_steps),
+                                         (det,), production_segments(), decimate=DECIMATE),
+                            2.0, T_AVG, T_SKIP, block_size=10_000, max_lag=max_lag)
+        for r0, s in ((X_PLUS, seed), (X_MINUS, seed + 1)))
+
+
+def preparation_difference(plus, minus):
+    """Delta K = K_plus - K_minus and its standard error."""
+    return plus.values - minus.values, np.sqrt(plus.errors**2 + minus.errors**2)
+
+
 @pytest.fixture(scope="session")
 def production_pair():
-    """Paired production ensembles at 70 degrees: 2e5 trajectories per
-    preparation, 4.88 us traces at dt = 4 ns, decimated to 40 ns samples."""
-    det = production_detector(70.0)
-    grid = TimeGrid(DT, 1220)
-    plus = run_ensemble(200_000, NoisePlan(202), X_PLUS, grid, (det,),
-                        production_segments(), decimate=DECIMATE)
-    minus = run_ensemble(200_000, NoisePlan(203), X_MINUS, grid, (det,),
-                         production_segments(), decimate=DECIMATE)
-    return estimate_correlator(plus, 2.0, T_AVG, T_SKIP, block_size=10_000,
-                               archive_minus=minus, max_lag=2.0)
+    """Production estimates at 70 degrees: 4.88 us traces at dt = 4 ns,
+    decimated to 40 ns samples."""
+    return preparation_pair(production_detector(70.0), 1220, 202, max_lag=2.0)
 
 
 @pytest.fixture(scope="session")
 def null_pair():
-    """Paired ensembles at 0 degrees (no phase backaction), 2e5 trajectories
-    per preparation, 2.0 us traces."""
-    det = production_detector(0.0)
-    grid = TimeGrid(DT, 500)
-    plus = run_ensemble(200_000, NoisePlan(314), X_PLUS, grid, (det,),
-                        production_segments(), decimate=DECIMATE)
-    minus = run_ensemble(200_000, NoisePlan(315), X_MINUS, grid, (det,),
-                         production_segments(), decimate=DECIMATE)
-    return estimate_correlator(plus, 2.0, T_AVG, T_SKIP, block_size=10_000,
-                               archive_minus=minus, max_lag=1.0)
+    """Estimates at 0 degrees (no phase backaction), 2.0 us traces."""
+    return preparation_pair(production_detector(0.0), 500, 314, max_lag=1.0)
 
 
 def test_criterion_1_recipe_equals_closed_form(criteria):
@@ -162,16 +162,15 @@ def test_criterion_2_recipe_matches_monte_carlo(criteria, production_pair):
     """The trajectory-estimated correlator lies within 3 jackknife SE of the
     recipe curve at >= 95% of lag points, for both preparations."""
     det = production_detector(70.0)
-    centroids = sampling_centroids(production_pair)
-    ref_p = recipe_reference(production_pair.lags, centroids, det,
-                             production_segments(), +1.0)
-    ref_m = recipe_reference(production_pair.lags, centroids, det,
-                             production_segments(), -1.0)
-    zp = (production_pair.values - ref_p) / production_pair.errors
-    zm = (production_pair.values_minus - ref_m) / production_pair.errors_minus
+    plus, minus = production_pair
+    centroids = sampling_centroids(plus)
+    ref_p = recipe_reference(plus.lags, centroids, det, production_segments(), +1.0)
+    ref_m = recipe_reference(plus.lags, centroids, det, production_segments(), -1.0)
+    zp = (plus.values - ref_p) / plus.errors
+    zm = (minus.values - ref_m) / minus.errors
     frac_p = float(np.mean(np.abs(zp) <= 3.0))
     frac_m = float(np.mean(np.abs(zm) <= 3.0))
-    n = production_pair.lags.size
+    n = plus.lags.size
     ok = frac_p >= 0.95 and frac_m >= 0.95
     criteria.record(2, "", ok,
                     f"plus {int(frac_p * n)}/{n}, minus {int(frac_m * n)}/{n} "
@@ -245,10 +244,11 @@ def test_criterion_3b_peak_significance(criteria):
 def test_criterion_3c_zero_angle_null(criteria, null_pair):
     """At 0 degrees |Khat| stays below 1 + 3 SE everywhere and the two
     preparations agree within errors."""
-    over_p = float(((np.abs(null_pair.values) - 1.0) / null_pair.errors).max())
-    over_m = float(((np.abs(null_pair.values_minus) - 1.0)
-                    / null_pair.errors_minus).max())
-    zd = np.abs(null_pair.delta / null_pair.delta_error)
+    plus, minus = null_pair
+    over_p = float(((np.abs(plus.values) - 1.0) / plus.errors).max())
+    over_m = float(((np.abs(minus.values) - 1.0) / minus.errors).max())
+    dk, dk_err = preparation_difference(plus, minus)
+    zd = np.abs(dk / dk_err)
     frac = float(np.mean(zd <= 3.0))
     ok = over_p <= 3.0 and over_m <= 3.0 and frac >= 0.92 and zd.max() <= 5.0
     criteria.record(3, "c", ok,
@@ -500,8 +500,8 @@ def test_criterion_8_monte_carlo_recovery(criteria, production_pair):
     within 2 degrees."""
     params = RabiCaseParams.from_quadrature_angle(GAMMA, OMEGA, 70.0, x0=1.0,
                                                   t_skip=T_SKIP, t_avg=T_AVG)
-    fit = fit_phase_angle(production_pair.lags, production_pair.delta,
-                          production_pair.delta_error, gamma=GAMMA, omega_r=OMEGA,
+    dk, dk_err = preparation_difference(*production_pair)
+    fit = fit_phase_angle(production_pair[0].lags, dk, dk_err, gamma=GAMMA, omega_r=OMEGA,
                           c=params.c)
     err = abs(fit.phi_a_deg - 70.0)
     criteria.record(8, " recovery", err <= 2.0,
@@ -513,8 +513,8 @@ def test_criterion_8_null_angle(criteria, null_pair):
     """At a true angle of zero the fitted 95% interval covers zero."""
     params = RabiCaseParams.from_quadrature_angle(GAMMA, OMEGA, 0.0, x0=1.0,
                                                   t_skip=T_SKIP, t_avg=T_AVG)
-    fit = fit_phase_angle(null_pair.lags, null_pair.delta,
-                          null_pair.delta_error, gamma=GAMMA, omega_r=OMEGA,
+    dk, dk_err = preparation_difference(*null_pair)
+    fit = fit_phase_angle(null_pair[0].lags, dk, dk_err, gamma=GAMMA, omega_r=OMEGA,
                           c=params.c)
     covers = fit.ci[0] <= 0.0 <= fit.ci[1]
     lo, hi = (math.degrees(v) for v in fit.ci)

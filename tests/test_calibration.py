@@ -177,17 +177,6 @@ class TestEstimateCorrelator:
         assert np.all(np.abs(res.values) <= 4.5 * res.errors + 1e-12)
         assert np.all(res.errors > 0)
 
-    def test_paired_archives_give_delta(self):
-        gen = np.random.default_rng(17)
-        plus = archive_from_signals(1.0 + gen.normal(size=(400, 1, 50)))
-        minus = archive_from_signals(-1.0 + gen.normal(size=(400, 1, 50)))
-        res = estimate_correlator(plus, delta_i=2.0, t_avg=0.28, t_skip=0.28,
-                                  block_size=100, archive_minus=minus)
-        assert res.values_minus is not None
-        np.testing.assert_allclose(res.delta, res.values - res.values_minus,
-                                   atol=1e-15)
-        assert res.delta_error is not None
-
     def test_validation(self):
         arch = archive_from_signals(np.zeros((10, 1, 50)))
         with pytest.raises(ConfigError):

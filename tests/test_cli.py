@@ -582,6 +582,31 @@ class TestExitCodes:
                 "overflow") in capsys.readouterr().err
         assert not (tmp_path / "o.out").exists()
 
+    def test_calibrate_zero_fitted_response_names_the_response(self, tmp_path, capsys):
+        """A response far below the rounding of the offset leaves the two
+        preparations' records equal, so the fitted pole separation is 0."""
+        cfg = json.loads((CONFIGS / "calibrate_0deg.json").read_text())
+        cfg["ensemble"]["n_traj"] = 40
+        cfg["detectors"][0]["response"] = 1e-200
+        out = tmp_path / "cal.json"
+        assert main(["calibrate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("diagnostic: fitted pole separation delta_i 0.0"), err
+        assert "check detectors[0].response" in err
+        assert not out.exists()
+
+    def test_negative_max_lag_is_one_problem(self, tmp_path, capsys):
+        """The mc window rule runs only on a max_lag_us that passed its own rule."""
+        cfg = base_config()
+        cfg["correlator"].update(mode="mc", block_size=100, max_lag_us=-1.0)
+        assert main(["correlate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        lines = [ln for ln in err.splitlines() if "correlator.max_lag_us" in ln]
+        assert lines == ["  correlator.max_lag_us must be positive and a finite number of "
+                         "grid.dt_us steps, got -1.0"], err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_scaled_records_that_overflow_give_a_non_finite_csv(self, tmp_path, capsys):
         """A tiny response leaves the raw records small but scales their

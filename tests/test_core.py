@@ -7,7 +7,6 @@ import pytest
 
 from cqmcorr import (
     ConfigError,
-    CorrelatorResult,
     DetectorModel,
     EnsembleGenerator,
     TimeGrid,
@@ -126,21 +125,3 @@ class TestSegments:
         with pytest.raises(ConfigError):
             check_segments([self.mk(0.5, math.inf)], 0.0, 1.0)
 
-
-class TestCorrelatorResult:
-    def test_paired_difference(self):
-        res = CorrelatorResult(
-            lags=np.array([0.1, 0.2]),
-            values=np.array([1.0, 0.5]),
-            errors=np.array([0.1, 0.1]),
-            values_minus=np.array([0.2, 0.1]),
-            errors_minus=np.array([0.1, 0.1]),
-        )
-        np.testing.assert_allclose(res.delta, [0.8, 0.4])
-        np.testing.assert_allclose(res.delta_error, np.sqrt(0.02))
-
-    def test_unpaired_has_no_delta(self):
-        res = CorrelatorResult(lags=np.array([0.1]), values=np.array([1.0]))
-        with pytest.raises(ValueError):
-            res.delta
-        assert res.delta_error is None

@@ -26,7 +26,8 @@ from cqmcorr import (
     rotation_matrix,
 )
 from cqmcorr.cli import main
-from cqmcorr.gcr import MAX_STACKED_PAIRS, _collapse_matrix
+from cqmcorr.ensemble import _collapse_matrix
+from cqmcorr.gcr import MAX_STACKED_PAIRS
 from conftest import random_bloch_vector, random_unit_vector
 
 GAMMA = 1.0 / 1.8
@@ -347,11 +348,15 @@ def test_gcr_correlate_output_is_frozen(tmp_path, config, digest):
 
 class TestZxDemo:
     def test_values_match_closed_form(self):
+        """k_z exp(-(gamma_z + gamma_x) t1) exp(-gamma_z tau): the z
+        detector's phase backaction feeding the x output."""
         demo = cross_correlator_zx_demo()
+        det_z, det_x = demo.detectors
         for i, t1 in enumerate(demo.t1_grid):
             for j, tau in enumerate(demo.lag_grid):
-                assert demo.values[i, j] == pytest.approx(
-                    demo.closed_form(t1, tau), abs=1e-12)
+                want = det_z.k_phase * math.exp(-(det_z.gamma_m + det_x.gamma_m) * t1
+                                                - det_z.gamma_m * tau)
+                assert demo.values[i, j] == pytest.approx(want, abs=1e-12)
 
     def test_peak_value_frozen(self):
         """Smallest (t1, tau) grid point, worked out by hand:
