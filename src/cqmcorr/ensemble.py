@@ -7,18 +7,19 @@ per-segment affine propagators in order.
 
 An affine map r -> P r + s is held as the augmented 4x4 matrix
 [[P, s], [0, 1]] acting on (r, 1), so chaining maps is a matrix product. The
-step over one segment is the matrix exponential of the augmented generator
-[[L, -L r_st], [0, 0]], which handles singular L (pure rotations, partial
-dephasing) with no special cases. ``propagator`` builds one interval's map;
-``propagators`` builds a stack of them with one batched ``expm`` per segment.
-A detector's measurement is the 4x4 ``_collapse_matrix`` on the same columns;
-the collapse recipe and the trajectory stepper both build on these maps.
+step over a duration t of one segment is [[E, (I - E) r_st], [0, 1]] with
+E = e^{L t}, which holds for singular L (pure rotations, partial dephasing)
+with no special cases and keeps the last row exactly (0, 0, 0, 1). ``_expm``
+exponentiates a stack of 3x3 generators in numpy; ``propagator`` builds one
+interval's map, and ``propagators`` a stack of them with one ``_expm`` call
+per segment. A detector's measurement is the 4x4 ``_collapse_matrix`` on the
+same columns; the collapse recipe and the trajectory stepper both build on
+these maps.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import ConfigError, DetectorModel, EnsembleGenerator, as_bloch, check_segments
 
@@ -78,9 +79,59 @@ def _collapse_matrix(det: DetectorModel) -> np.ndarray:
     return mat
 
 
-def _segment_step(segment: EnsembleGenerator, dt: float) -> np.ndarray:
-    """Augmented propagator for evolving dt under one segment's generator."""
-    return expm(_augmented_generator(segment) * dt)
+# Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005: the largest 1-norm at which
+# the degree-13 Pade approximant of e^A has a backward error below the unit
+# roundoff of double precision, and the coefficients b_0 .. b_13 of its
+# numerator
+THETA_13 = 5.371920351148152
+PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+
+
+def _expm(gens: np.ndarray) -> np.ndarray:
+    """e^A for each A of the (n, 3, 3) stack ``gens``, by Pade-13 scaling and
+    squaring (Higham 2005).
+
+    Each matrix is scaled by its own power of two 2^-s into the Pade region,
+    and its approximant I + 2 (V - U)^-1 U is squared s times; a zero matrix
+    gives the identity exactly. Squarings that all matrices need run on the
+    whole stack and the rest only on the matrices that need them, so no
+    product is discarded. Every result depends on its own matrix alone: a
+    stack equals its matrices taken one at a time, bit for bit.
+    """
+    mant, exp = np.frexp(np.abs(gens).sum(axis=1).max(axis=1) / THETA_13)
+    s = np.maximum(exp - (mant == 0.5), 0)  # ceil(log2(norm / THETA_13)), at least 0
+    a = np.ldexp(gens, -s[:, None, None])
+    b = PADE_13
+    eye = np.eye(3)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    out = eye + np.linalg.solve(v - u, 2.0 * u)
+    s_min, s_max = s.min(), s.max()
+    for _ in range(s_min):
+        out = out @ out
+    for k in range(s_min, s_max):
+        more = s > k
+        out[more] = out[more] @ out[more]
+    return out
+
+
+def _segment_steps(segment: EnsembleGenerator, durations: np.ndarray) -> np.ndarray:
+    """Augmented propagators [[E, (I - E) r_st], [0, 1]], E = e^{L t}, of one
+    segment over each of the 1-D array ``durations``, as an (n, 4, 4) stack."""
+    e = _expm(segment.matrix * durations[:, None, None])
+    steps = np.zeros((durations.size, 4, 4))
+    steps[:, :3, :3] = e
+    steps[:, :3, 3] = segment.r_st - e @ segment.r_st
+    steps[:, 3, 3] = 1.0
+    return steps
 
 
 def propagator(t_from: float, t_to: float, segments, cache: dict | None = None) -> np.ndarray:
@@ -110,7 +161,7 @@ def propagator(t_from: float, t_to: float, segments, cache: dict | None = None) 
         key = (index, hi - lo)
         step = cache.get(key)
         if step is None:
-            step = cache[key] = _segment_step(seg, hi - lo)
+            step = cache[key] = _segment_steps(seg, np.array([hi - lo]))[0]
         prop = step @ prop
     return prop
 
@@ -121,7 +172,7 @@ def propagators(t_from, t_to, segments) -> np.ndarray:
     t_to[i], segments)`` bit for bit.
 
     Per segment, the distinct durations the intervals spend in it are
-    exponentiated in one batched ``expm`` call and chained onto the stack in
+    exponentiated in one ``_expm`` call and chained onto the stack in
     one batched matmul, in segment order as ``propagator`` chains them.
     Zero-length intervals give the identity exactly. ``check_segments`` runs
     once, on the hull [min t_from, max t_to] of the nonempty intervals: a
@@ -150,6 +201,6 @@ def propagators(t_from, t_to, segments) -> np.ndarray:
         if not np.any(inside):
             continue
         distinct, which = np.unique(duration[inside], return_inverse=True)
-        steps = expm(_augmented_generator(seg) * distinct[:, None, None])
+        steps = _segment_steps(seg, distinct)
         props[inside] = np.matmul(steps[which], props[inside])
     return props

@@ -146,12 +146,14 @@ def correlator_recursive(spec: CorrelatorSpec, detectors, segments,
     v_j = M_j A_j v_{j-1}. Exactly equal to the enumeration because every
     step of the recipe is affine in the state."""
     dets = _resolve_detectors(spec, detectors)
+    collapses = {idx: _collapse_matrix(det)
+                 for idx, det in dict(zip(spec.detector_indices, dets)).items()}
     if cache is None:
         cache = {}
     v = np.append(spec.initial_state, 1.0)
     t_prev = 0.0
-    for t, det in zip(spec.times, dets):
-        v = _collapse_matrix(det) @ (propagator(t_prev, t, segments, cache) @ v)
+    for t, idx in zip(spec.times, spec.detector_indices):
+        v = collapses[idx] @ (propagator(t_prev, t, segments, cache) @ v)
         t_prev = t
     return float(v[3])
 

@@ -1,8 +1,6 @@
 """Detector calibration and the raw-record correlator estimator."""
 
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -55,13 +53,6 @@ def test_integrate_traces_matches_cumulative_trapezoid():
     want = cumulative_trapezoid(sig[:, 0, :], dx=0.05, axis=1, initial=0.0)
     np.testing.assert_array_equal(got, want)
     assert got.shape == (5, 30)
-
-
-def test_package_import_leaves_scipy_integrate_unloaded():
-    code = "import sys, cqmcorr; print('scipy.integrate' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          check=True)
-    assert proc.stdout.strip() == "False"
 
 
 class TestCalibrationRun:

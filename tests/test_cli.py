@@ -659,9 +659,10 @@ class TestExitCodes:
         assert "grid.decimate 7 does not divide the 610 steps" in capsys.readouterr().err
 
     def test_non_finite_csv_is_diagnostic(self, tmp_path, capsys):
-        # the collapse recipe's propagators over a 1e300 us window come out NaN
+        # over a 1e308 us window L t overflows, and the collapse recipe's
+        # propagators come out NaN
         cfg = base_config()
-        cfg["correlator"].update(mode="gcr", t_avg_us=1e300)
+        cfg["correlator"].update(mode="gcr", t_avg_us=1e308)
         out = tmp_path / "o.csv"
         assert main(["correlate", "--config", write_config(tmp_path, cfg),
                      "--out", str(out)]) == 3
@@ -691,3 +692,40 @@ class TestExitCodes:
                                "import sys; from cqmcorr.cli import main; sys.exit(main())",
                                ], input="", capture_output=True, text=True)
         assert proc.returncode == 2  # argparse: no command given
+
+
+def test_commands_load_no_scipy(tmp_path):
+    """scipy is a test oracle only: every command and correlator mode runs in
+    one fresh interpreter that ends with no scipy module loaded, so a lazy
+    import inside a command fails here too."""
+    analytic = base_config()
+    analytic["correlator"]["max_lag_us"] = 2.0
+    gcr = base_config()
+    gcr["correlator"]["mode"] = "gcr"
+    mc = base_config(ensemble={"n_traj": 40, "seed": 5})
+    mc["correlator"] = {"mode": "mc", "t_skip_us": 0.28, "t_avg_us": 0.28,
+                        "block_size": 10, "max_lag_us": 0.4}
+    cal = calibrate_config()
+    cal["ensemble"]["n_traj"] = 200
+    paths = {name: write_config(tmp_path, cfg, f"{name}.json") for name, cfg in
+             (("analytic", analytic), ("gcr", gcr), ("mc", mc), ("cal", cal))}
+    dk = str(tmp_path / "dk.csv")
+    runs = [
+        ["correlate", "--config", paths["gcr"], "--out", str(tmp_path / "gcr.csv")],
+        ["correlate", "--config", paths["analytic"], "--out", dk],
+        ["correlate", "--config", paths["mc"], "--out", str(tmp_path / "mc.csv")],
+        ["simulate", "--config", paths["mc"], "--out", str(tmp_path / "run.cqm")],
+        ["calibrate", "--config", paths["cal"], "--out", str(tmp_path / "cal.json")],
+        ["fit-phase", "--config", paths["analytic"], "--dk", dk,
+         "--out", str(tmp_path / "fit.json")],
+    ]
+    code = ("import json, sys, cqmcorr\n"
+            "from cqmcorr.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(json.dumps([codes, loaded]))\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          capture_output=True, text=True, check=True)
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(runs), proc.stderr
+    assert loaded == []

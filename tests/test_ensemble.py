@@ -1,15 +1,18 @@
 """Deterministic ensemble evolution: generators, propagators, segment logic.
 
-The reference oracle throughout is direct ODE integration with
+The reference oracle for the propagators is direct ODE integration with
 scipy.integrate.solve_ivp at tight tolerance, which exercises none of the
-matrix-exponential code under test.
+matrix-exponential code under test; the exponential itself is held to
+scipy.linalg.expm.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from cqmcorr import (
     ConfigError,
@@ -20,6 +23,7 @@ from cqmcorr import (
     rabi_dephasing_generator,
     rotation_matrix,
 )
+from cqmcorr.ensemble import _expm
 from conftest import random_unit_vector
 
 GAMMA = 1.0 / 1.8
@@ -211,3 +215,79 @@ class TestPropagators:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ConfigError):
             propagators(np.zeros(2), np.ones(3), [rabi_dephasing_generator(GAMMA, OMEGA)])
+
+
+class TestExpm:
+    """The package's Pade-13 exponential against scipy.linalg.expm. Both
+    round in the squarings, so the gap is held to 1e-13 of the result's norm
+    per unit of ||Lt||_1 beyond 1."""
+
+    @staticmethod
+    def assert_matches_scipy(gens):
+        got = _expm(gens)
+        for gen, mat in zip(gens, got):
+            want = expm(gen)
+            tol = 1e-13 * max(1.0, np.abs(gen).sum(axis=0).max()) * np.abs(want).sum(axis=0).max()
+            np.testing.assert_allclose(mat, want, rtol=0.0, atol=tol)
+
+    def test_random_dissipative_generators(self, rng):
+        for _ in range(5):
+            gen = (dephasing_matrix(random_unit_vector(rng), rng.uniform(0.1, 3.0))
+                   + rotation_matrix(random_unit_vector(rng), rng.uniform(0.0, 10.0)))
+            self.assert_matches_scipy(gen * rng.uniform(0.0, 2.0, 30)[:, None, None])
+
+    def test_large_norms_need_many_squarings(self, rng):
+        """Dephasing and rotation about one axis keep that axis, so e^{Lt}
+        tends to n n^T instead of vanishing; ||Lt||_1 runs from about 9 to
+        5e3, which takes 1 to 10 squarings."""
+        n = random_unit_vector(rng)
+        gen = dephasing_matrix(n, 0.8) + rotation_matrix(n, 2.0 * math.pi)
+        times = np.geomspace(1.0, 500.0, 12)
+        self.assert_matches_scipy(gen * times[:, None, None])
+        np.testing.assert_allclose(_expm(gen * times[-1:, None, None])[0], np.outer(n, n),
+                                   atol=1e-12)
+
+    def test_critically_damped_rabi(self):
+        """At omega_r = gamma / 2 the (y, z) block of L has the double
+        eigenvalue -gamma / 2 with one eigenvector, and e^{Lt} is
+        e^{-gamma t / 2} (I + (B + gamma / 2) t) on that block."""
+        gamma = 1.3
+        gen = rabi_dephasing_generator(gamma, gamma / 2.0).matrix
+        times = np.linspace(0.0, 40.0, 41)
+        self.assert_matches_scipy(gen * times[:, None, None])
+        got = _expm(gen * times[:, None, None])
+        block = gen[1:, 1:] + 0.5 * gamma * np.eye(2)
+        for t, mat in zip(times, got):
+            want = math.exp(-0.5 * gamma * t) * (np.eye(2) + block * t)
+            np.testing.assert_allclose(mat[1:, 1:], want, rtol=0.0, atol=1e-14)
+            assert mat[0, 0] == pytest.approx(math.exp(-gamma * t), rel=1e-13, abs=1e-300)
+
+    def test_zero_gives_identity_exactly(self):
+        gen = rabi_dephasing_generator(GAMMA, OMEGA).matrix
+        for gens in (np.zeros((3, 3, 3)), gen * np.zeros((2, 1, 1))):
+            np.testing.assert_array_equal(_expm(gens), np.broadcast_to(np.eye(3), gens.shape))
+
+    def test_stack_equals_one_at_a_time(self, rng):
+        """Norms from 0 to about 1e3 give each matrix its own squaring count."""
+        gens = np.stack([
+            (dephasing_matrix(random_unit_vector(rng), rng.uniform(0.1, 3.0))
+             + rotation_matrix(random_unit_vector(rng), rng.uniform(0.0, 10.0))) * t
+            for t in np.concatenate([[0.0], np.geomspace(1e-3, 100.0, 39)])])
+        rng.shuffle(gens)
+        got = _expm(gens)
+        for gen, mat in zip(gens, got):
+            np.testing.assert_array_equal(mat, _expm(gen[None])[0])
+
+    def test_no_runtime_warning(self):
+        """A growing map squared once more than it needs would overflow: e^700
+        is near the largest double. Stacked with maps that need many more
+        squarings, it still comes out finite and warns of nothing."""
+        grow = np.diag([700.0, -3.0, 0.0])
+        decay = rabi_dephasing_generator(GAMMA, OMEGA).matrix * 1e5
+        gens = np.stack([grow, decay, np.zeros((3, 3)), grow * 1e-9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _expm(gens)
+        assert np.all(np.isfinite(got))
+        assert got[0, 0, 0] == pytest.approx(math.exp(700.0), rel=1e-13)
+        np.testing.assert_array_equal(got[1], np.zeros((3, 3)))
