@@ -31,6 +31,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -81,37 +82,76 @@ class NoisePlan:
 
     def normals(self, traj_index: int, n_steps: int, n_detectors: int = 1) -> np.ndarray:
         """Standard normals for one trajectory, shape (n_steps, n_detectors)."""
+        for name, value, least in (("traj_index", traj_index, 0), ("n_steps", n_steps, 1),
+                                   ("n_detectors", n_detectors, 1)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+                    or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if traj_index >= 2**64:
+            raise ConfigError(f"traj_index must fit in uint64, got {traj_index!r}")
         return _batch_normals(self, traj_index, traj_index + 1, n_steps, n_detectors)[0]
 
 
-def _batch_normals(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int) -> np.ndarray:
-    """Normals for trajectories lo..hi-1, shape (hi-lo, n_steps, n_det).
+# steps per block of streamed noise: a tile drawn in pieces equals the tile
+# drawn at once, so this sets only the memory of a batch's noise, never a bit
+NOISE_CHUNK = 32
 
-    The memory is step-major: the result is a transposed view of a
-    C-contiguous (n_steps, n_det, hi-lo) array, so ``.transpose(1, 2, 0)``
-    gives the stepper each step's draws for the whole batch as one
-    contiguous (n_det, hi-lo) block. One Philox is re-keyed to [seed, tile],
-    counter 0, for each tile that meets [lo, hi); the tile's normals go into
-    one reused (n_steps, n_det, NOISE_TILE) buffer, and its lanes inside
-    [lo, hi) are copied into the result in runs of at most 64 values."""
-    out = np.empty((n_steps, n_det, hi - lo))
-    buf = np.empty((n_steps, n_det, NOISE_TILE))
-    key = np.array([plan.seed, lo // NOISE_TILE], dtype=np.uint64)
-    bits = np.random.Philox(key=key)
-    gen = np.random.Generator(bits)
+# idle tile generators, taken and given back by ``_noise_chunks``: building a
+# Philox costs about ten times as much as re-keying one. Each is re-keyed when
+# taken, so no state passes between callers; list.pop and list.extend are
+# atomic, so worker threads share the list safely.
+_IDLE_GENERATORS: list[np.random.Generator] = []
+
+
+def _noise_chunks(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int):
+    """Normals for trajectories lo..hi-1, in step order: C-contiguous
+    (m, n_det, hi-lo) blocks of m <= NOISE_CHUNK steps, each the next m
+    steps' draws for the whole batch. The yielded block is one buffer,
+    overwritten by the next block.
+
+    Each tile that meets [lo, hi) keeps its own Philox, re-keyed to
+    [seed, tile] at counter 0, and draws NOISE_CHUNK steps of its
+    (n_steps, n_det, NOISE_TILE) array per block into a reused tile buffer;
+    its lanes inside [lo, hi) are copied into the block in runs of at most 64
+    values. The ziggurat keeps no state outside the bit generator, so the
+    pieces are the tile drawn at once."""
+    first_tile = lo // NOISE_TILE
+    tiles = range(first_tile, (hi - 1) // NOISE_TILE + 1)
+    key = np.array([plan.seed, first_tile], dtype=np.uint64)
     # the setter copies the arrays, so this dict stays at counter 0
     state = {"bit_generator": "Philox",
              "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for tile in range(lo // NOISE_TILE, (hi - 1) // NOISE_TILE + 1):
-        key[1] = tile
-        bits.state = state
-        gen.standard_normal(out=buf)
-        first = tile * NOISE_TILE
-        a, b = max(lo, first), min(hi, first + NOISE_TILE)
-        out[:, :, a - lo:b - lo] = buf[:, :, a - first:b - first]
-    return out.transpose(2, 0, 1)
+    gens = []
+    try:
+        for tile in tiles:
+            try:
+                gens.append(_IDLE_GENERATORS.pop())
+            except IndexError:
+                gens.append(np.random.Generator(np.random.Philox(key=key)))
+            key[1] = tile
+            gens[-1].bit_generator.state = state
+        buf = np.empty((NOISE_CHUNK, n_det, NOISE_TILE))
+        block = np.empty((NOISE_CHUNK, n_det, hi - lo))
+        for start in range(0, n_steps, NOISE_CHUNK):
+            m = min(NOISE_CHUNK, n_steps - start)
+            for tile, gen in zip(tiles, gens):
+                gen.standard_normal(out=buf[:m])
+                first = tile * NOISE_TILE
+                a, b = max(lo, first), min(hi, first + NOISE_TILE)
+                block[:m, :, a - lo:b - lo] = buf[:m, :, a - first:b - first]
+            yield block[:m]
+    finally:
+        _IDLE_GENERATORS.extend(gens)
+
+
+def _batch_normals(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int) -> np.ndarray:
+    """Normals for trajectories lo..hi-1, shape (hi-lo, n_steps, n_det): the
+    blocks of ``_noise_chunks`` joined, as a transposed view of a
+    C-contiguous (n_steps, n_det, hi-lo) array."""
+    blocks = [block.copy() for block in _noise_chunks(plan, lo, hi, n_steps, n_det)]
+    return np.concatenate(blocks).transpose(2, 0, 1)
 
 
 def _segment_table(segments, grid: TimeGrid):
@@ -138,10 +178,11 @@ def _prepare(initial_state, grid: TimeGrid, detectors, segments):
 
 
 def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
-                    record_states: bool, traj_lo: int, decimate: int = 1):
-    """Euler-Maruyama on a batch, for the noise ``noise`` of ``_batch_normals``.
-    Returns step-major (signals (n_steps // decimate, n_det, B) normalized,
-    states (n_steps+1, 3, B) or None).
+                    record_states: bool, traj_lo: int, traj_hi: int, decimate: int = 1):
+    """Euler-Maruyama on trajectories traj_lo..traj_hi-1, for the noise
+    blocks ``noise`` of ``_noise_chunks``, each used as it arrives. Returns
+    step-major (signals (n_steps // decimate, n_det, B) normalized, states
+    (n_steps+1, 3, B) or None).
 
     The batch state is the C-contiguous (4, B) block of columns (r, 1), and
     one matmul per step applies every affine map of it. For the step's
@@ -159,14 +200,12 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
     in step order, divided by D. With D = 1 both are exact, so the signals
     are the fine samples themselves.
     """
-    noise = noise.transpose(1, 2, 0)
-    n_steps, n_det, batch = noise.shape
-    if batch == 1:
-        # numpy sends a one-column matmul to gemv, which rounds differently
-        # from gemm; stepping the lone trajectory twice keeps it on gemm, so
-        # its bits match the same trajectory inside any larger batch
-        noise = np.repeat(noise, 2, axis=2)
-    width = noise.shape[2]
+    n_steps, n_det, batch = grid.n_steps, len(detectors), traj_hi - traj_lo
+    # numpy sends a one-column matmul to gemv, which rounds differently from
+    # gemm; stepping a lone trajectory as two equal columns keeps it on gemm,
+    # so its bits match the same trajectory inside any larger batch. Its
+    # (n_det, 1) draws broadcast over both columns.
+    width = max(batch, 2)
     dt = grid.dt
     max_norm2 = (1.0 + NORM_OVERSHOOT_TOL) ** 2
 
@@ -191,10 +230,9 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
     gain = np.empty((n_det, width))
     norm2 = np.empty(width)
 
-    for k in range(n_steps):
+    for k, w in enumerate(itertools.chain.from_iterable(noise)):
         cur, nxt = blocks[k % 2], blocks[(k + 1) % 2]
         r, r_new, nr = cur[:3], nxt[:3], nxt[4:4 + n_det]
-        w = noise[k]
         np.matmul(linear[seg_idx[k]], cur[:4], out=nxt)
         np.multiply(scale, w, out=sig)
         sig += nr
@@ -231,9 +269,9 @@ def simulate_states(initial_state, grid: TimeGrid, detectors, segments, plan: No
     if not 0 <= traj_lo < traj_hi:
         raise ConfigError(f"need 0 <= traj_lo < traj_hi, got {traj_lo!r}, {traj_hi!r}")
     r0, detectors, segments, seg_idx = _prepare(initial_state, grid, detectors, segments)
-    noise = _batch_normals(plan, traj_lo, traj_hi, grid.n_steps, len(detectors))
+    noise = _noise_chunks(plan, traj_lo, traj_hi, grid.n_steps, len(detectors))
     signals, states = _simulate_batch(r0, grid, detectors, segments, seg_idx, noise,
-                                      record_states=True, traj_lo=traj_lo)
+                                      record_states=True, traj_lo=traj_lo, traj_hi=traj_hi)
     return (np.ascontiguousarray(states.transpose(2, 0, 1)),
             np.ascontiguousarray(signals.transpose(2, 1, 0)))
 
@@ -333,10 +371,10 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     def run_batch(b: int) -> None:
         lo = b * batch_size
         hi = min(lo + batch_size, n_traj)
-        noise = _batch_normals(plan, lo, hi, grid.n_steps, n_det)
+        noise = _noise_chunks(plan, lo, hi, grid.n_steps, n_det)
         signals, _ = _simulate_batch(r0, grid, detectors, segments, seg_idx, noise,
-                                     record_states=False, traj_lo=lo, decimate=decimate)
-        del noise
+                                     record_states=False, traj_lo=lo, traj_hi=hi,
+                                     decimate=decimate)
         records = out[lo:hi]
         # a huge response or offset overflows to inf here, which the caller
         # reports; numpy's error state is per thread, so it is set in the worker

@@ -341,6 +341,32 @@ class TestFitPhaseCommand:
         assert not out.exists()
 
 
+# sha256 of each Monte Carlo command's output on the sample configs; the
+# sample outputs listed in CHANGES.md since noise stream v2
+MC_OUTPUT_DIGESTS = {
+    ("correlate", "rabi_70deg_mc.json"):
+        "d6fdb267ff80cd3863026ee88032b62f86e573800a973db3e57ae0924231dbd7",
+    ("calibrate", "calibrate_0deg.json"):
+        "a3d4be63ae2995f6fb234c576e6cba81a1fdd296b35bc53b9cfa5d8eadf30e5b",
+    ("simulate", "rabi_70deg_mc.json"):
+        "d511f9edd9b3d0a8f88425fb2cc5ccf176862640e7fb2c55fcd38129e5a6aa3f",
+    ("simulate", "calibrate_0deg.json"):
+        "d810a1f0ae3c6773d785611ea4f221344f542294e9ee4005d64bdb50dfc15b21",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command, config", list(MC_OUTPUT_DIGESTS))
+def test_mc_output_is_frozen(tmp_path, command, config, threads):
+    """sha256 of the output file of each Monte Carlo command on a sample
+    config: any change to the noise stream, the stepper, the batching or
+    the estimators that moves a bit fails here, at either thread count."""
+    out = tmp_path / "out"
+    assert main([command, "--config", str(CONFIGS / config), "--threads", threads,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MC_OUTPUT_DIGESTS[command, config]
+
+
 class TestExitCodes:
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["correlate", "--config", str(tmp_path / "nope.json"),

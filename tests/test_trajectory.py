@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,8 @@ from cqmcorr import (
     run_ensemble,
     simulate_states,
 )
-from cqmcorr.trajectory import _batch_normals
+from cqmcorr import trajectory
+from cqmcorr.trajectory import _batch_normals, _noise_chunks
 
 GAMMA = 1.0 / 1.8
 OMEGA = 2.0 * math.pi
@@ -62,6 +64,14 @@ class TestNoisePlan:
         short = plan.normals(0, 60, 2)
         long = plan.normals(0, 100, 2)
         np.testing.assert_array_equal(long[:60], short)
+
+    @pytest.mark.parametrize("args, name", [((-1, 5), "traj_index"), ((2**64, 5), "traj_index"),
+                                            ((0, -1), "n_steps"), ((0, 0), "n_steps"),
+                                            ((3, 5, 0), "n_detectors"),
+                                            ((0, 5.0), "n_steps"), ((True, 5), "traj_index")])
+    def test_bad_arguments_name_the_argument(self, args, name):
+        with pytest.raises(ConfigError, match=f"^{name} must"):
+            NoisePlan(7).normals(*args)
 
 
 def stream_v2_oracle(seed, j, n_steps, n_det):
@@ -116,6 +126,58 @@ class TestNoiseStreamV2:
         draws = NoisePlan(7).normals(5, 61, 3)
         assert hashlib.sha256(draws.tobytes()).hexdigest() == (
             "6efabd162fd0cd0b1b173abfc82eae9735df3fac5e57fdad98a042a78f873094")
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+class TestNoiseChunks:
+    """Each batch's noise streams through the stepper in blocks of at most
+    ``trajectory.NOISE_CHUNK`` steps; the block length shapes no bit."""
+
+    N_STEPS = 40
+    DETECTORS = (DetectorModel(axis=(0, 0, 1), tau_m=1.2, k_phase=0.9),
+                 DetectorModel(axis=(1, 0, 0), tau_m=1.6, k_phase=-0.6))
+    SEGMENTS = (EnsembleGenerator(
+        matrix=dephasing_matrix((0, 0, 1), 1 / 2.4) + dephasing_matrix((1, 0, 0), 1 / 3.2)
+        + rabi_dephasing_generator(0.0, OMEGA).matrix, r_st=np.zeros(3)),)
+
+    def outputs(self):
+        """Two-detector outputs that cover a batch of one, a batch that starts
+        mid-tile, batches that cut tiles and two threads."""
+        plan, grid = NoisePlan(31), TimeGrid(0.004, self.N_STEPS)
+        ensemble = dict(plan=plan, initial_state=[0.3, -0.2, 0.4], grid=grid,
+                        detectors=self.DETECTORS, segments=self.SEGMENTS)
+        return {
+            "threads 2, batches of 33": run_ensemble(
+                70, **ensemble, threads=2, batch_size=33, decimate=4).digest(),
+            "batches of 1": run_ensemble(5, **ensemble, batch_size=1).digest(),
+            "states 3..4": _sha256(*simulate_states([0.3, -0.2, 0.4], grid, self.DETECTORS,
+                                                    self.SEGMENTS, plan, 3, 4)),
+            "states 3..70": _sha256(*simulate_states([0.3, -0.2, 0.4], grid, self.DETECTORS,
+                                                     self.SEGMENTS, plan, 3, 70)),
+            "normals 3..70": _sha256(_batch_normals(plan, 3, 70, self.N_STEPS, 2)),
+        }
+
+    @pytest.mark.parametrize("chunk", [1, 7, N_STEPS, N_STEPS + 5])
+    def test_chunk_length_shapes_no_bit(self, monkeypatch, chunk):
+        assert trajectory.NOISE_CHUNK < self.N_STEPS  # the default splits the record
+        want = self.outputs()
+        monkeypatch.setattr(trajectory, "NOISE_CHUNK", chunk)
+        assert self.outputs() == want
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (3, 70), (64, 200)])
+    def test_blocks_are_c_contiguous_and_step_ordered(self, lo, hi):
+        chunk = trajectory.NOISE_CHUNK
+        blocks = [b.copy() for b in _noise_chunks(NoisePlan(5), lo, hi, 70, 2)]
+        assert [len(b) for b in blocks] == [min(chunk, 70 - s) for s in range(0, 70, chunk)]
+        assert all(b.flags.c_contiguous and b.shape[1:] == (2, hi - lo) for b in blocks)
+        want = np.stack([stream_v2_oracle(5, j, 70, 2) for j in range(lo, hi)], axis=2)
+        np.testing.assert_array_equal(np.concatenate(blocks), want)
 
 
 def one_step(r, detectors, generator, dt):
@@ -336,8 +398,8 @@ class TestRunEnsemble:
         assert coarse.grid.n_steps == n_dec
 
     def test_batch_memory_stays_near_its_noise(self):
-        """A batch holds its step-major noise and little else: no raw-word
-        array and no full-size signal copy."""
+        """A batch holds no raw-word array and no full-size signal copy: its
+        peak stays below 1.5 times the noise of the whole batch."""
         noise_bytes = 1024 * 610 * 8
         tracemalloc.start()
         try:
@@ -347,6 +409,33 @@ class TestRunEnsemble:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * noise_bytes
+
+    def test_full_batch_peak_memory(self):
+        """One full 8192 x 610 batch, decimated by 10, peaks at 12 MB traced:
+        4 MB of records, 4 MB of step-major signals and a 2 MB noise block.
+        Its whole noise, 40 MB, is never held at once."""
+        tracemalloc.start()
+        try:
+            run_ensemble(**self.small_args(n_traj=8192, grid=TimeGrid(0.004, 610)),
+                         decimate=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+
+    def test_threads_share_idle_generators_safely(self):
+        """Batches on more threads than cores take tile generators from one
+        shared list and give them back while others run; a generator held by
+        two batches at once would change bits."""
+        args = self.small_args(n_traj=2000, grid=TimeGrid(0.004, 10))
+        want = run_ensemble(**args, batch_size=50).digest()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [run_ensemble(**args, threads=8, batch_size=50).digest() for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 3
 
     def test_decimate_must_divide(self):
         with pytest.raises(ConfigError):
