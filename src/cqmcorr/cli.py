@@ -603,7 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         if threads:
             p.add_argument("--threads", type=int, default=1,
-                           help="worker threads for the trajectories (default 1)")
+                           help="batch workers for the trajectories, each with one noise "
+                                "helper thread (default 1)")
         if needs_out:
             p.add_argument("--out", required=True, help="output path")
         else:

@@ -29,6 +29,7 @@ results never depend on thread count, batch size, or evaluation order.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -94,7 +95,11 @@ class NoisePlan:
 
 # steps per block of streamed noise: a tile drawn in pieces equals the tile
 # drawn at once, so this sets only the memory of a batch's noise, never a bit
-NOISE_CHUNK = 32
+NOISE_CHUNK = 20
+# tiles drawn into a block between two copies: one numpy call moves all of
+# their lanes, so the drawing thread takes the GIL less often; like
+# NOISE_CHUNK it shapes no bit
+TILES_PER_COPY = 16
 
 # idle tile generators, taken and given back by ``_noise_chunks``: building a
 # Philox costs about ten times as much as re-keying one. Each is re-keyed when
@@ -106,24 +111,41 @@ _IDLE_GENERATORS: list[np.random.Generator] = []
 def _noise_chunks(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int):
     """Normals for trajectories lo..hi-1, in step order: C-contiguous
     (m, n_det, hi-lo) blocks of m <= NOISE_CHUNK steps, each the next m
-    steps' draws for the whole batch. The yielded block is one buffer,
-    overwritten by the next block.
+    steps' draws for the whole batch. A yielded block stays valid until the
+    next block is asked for.
 
     Each tile that meets [lo, hi) keeps its own Philox, re-keyed to
     [seed, tile] at counter 0, and draws NOISE_CHUNK steps of its
-    (n_steps, n_det, NOISE_TILE) array per block into a reused tile buffer;
-    its lanes inside [lo, hi) are copied into the block in runs of at most 64
-    values. The ziggurat keeps no state outside the bit generator, so the
-    pieces are the tile drawn at once."""
+    (n_steps, n_det, NOISE_TILE) array per block. Runs of tiles are drawn into
+    a reused buffer and their lanes inside [lo, hi) copied into the block in
+    one call: a tile that lo or hi cuts on its own, whole tiles
+    TILES_PER_COPY at a time. The ziggurat keeps no state outside the bit
+    generator, so the pieces are the tile drawn at once.
+
+    A record of more than one block is drawn by one helper thread, which
+    fills block i+1 while the caller uses block i; two buffers alternate, and
+    numpy's draws, like the stepper's matmul and ufuncs, release the GIL.
+    The helper is the only thread that draws while it lives, in the order of
+    one thread, so it shapes no bit. Closing the iterator joins the helper
+    before the tile generators go back to ``_IDLE_GENERATORS``; an error on
+    the helper reaches the caller at the next block. A record of one block
+    starts no thread."""
     first_tile = lo // NOISE_TILE
     tiles = range(first_tile, (hi - 1) // NOISE_TILE + 1)
+    # runs [t0, t1) of tiles that reach a block in one copy
+    whole = range(-(-lo // NOISE_TILE), hi // NOISE_TILE)
+    edges = sorted({tiles.start, tiles.stop, whole.start, whole.stop,
+                    *range(whole.start, whole.stop, TILES_PER_COPY)})
+    runs = list(zip(edges, edges[1:]))
     key = np.array([plan.seed, first_tile], dtype=np.uint64)
     # the setter copies the arrays, so this dict stays at counter 0
     state = {"bit_generator": "Philox",
              "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    gens = []
+    chunk = min(NOISE_CHUNK, n_steps)
+    starts = range(0, n_steps, chunk)
+    gens, helper = [], None
     try:
         for tile in tiles:
             try:
@@ -132,17 +154,39 @@ def _noise_chunks(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int):
                 gens.append(np.random.Generator(np.random.Philox(key=key)))
             key[1] = tile
             gens[-1].bit_generator.state = state
-        buf = np.empty((NOISE_CHUNK, n_det, NOISE_TILE))
-        block = np.empty((NOISE_CHUNK, n_det, hi - lo))
-        for start in range(0, n_steps, NOISE_CHUNK):
-            m = min(NOISE_CHUNK, n_steps - start)
-            for tile, gen in zip(tiles, gens):
-                gen.standard_normal(out=buf[:m])
-                first = tile * NOISE_TILE
-                a, b = max(lo, first), min(hi, first + NOISE_TILE)
-                block[:m, :, a - lo:b - lo] = buf[:m, :, a - first:b - first]
-            yield block[:m]
+        buf = np.empty((min(TILES_PER_COPY, len(tiles)), chunk, n_det, NOISE_TILE))
+        # both blocks in one allocation: allocated apart, they coincided with
+        # a 7.5 MB higher peak RSS in some benchmark runs of calibrate
+        blocks = np.empty((min(2, len(starts)), chunk, n_det, hi - lo))
+
+        def draw(i):
+            m, block = min(chunk, n_steps - starts[i]), blocks[i % 2]
+            for t0, t1 in runs:
+                drawn = buf[:t1 - t0, :m]
+                for gen, out in zip(gens[t0 - first_tile:t1 - first_tile], drawn):
+                    gen.standard_normal(out=out)
+                a, b = max(lo, t0 * NOISE_TILE), min(hi, t1 * NOISE_TILE)
+                lane = a - t0 * NOISE_TILE
+                lanes = drawn[..., lane:lane + (b - a) // (t1 - t0)]
+                # the block's lane axis is contiguous, so the reshape is a view
+                block[:m, :, a - lo:b - lo].reshape(m, n_det, t1 - t0, -1)[...] = \
+                    lanes.transpose(1, 2, 0, 3)
+            return block[:m]
+
+        if len(starts) == 1:
+            yield draw(0)
+            return
+        helper = concurrent.futures.ThreadPoolExecutor(max_workers=1)
+        pending = helper.submit(draw, 0)
+        for i in range(1, len(starts)):
+            block = pending.result()
+            # block i overwrites block i-2, which the caller is done with
+            pending = helper.submit(draw, i)
+            yield block
+        yield pending.result()
     finally:
+        if helper is not None:
+            helper.shutdown(wait=True, cancel_futures=True)
         _IDLE_GENERATORS.extend(gens)
 
 
@@ -180,9 +224,11 @@ def _prepare(initial_state, grid: TimeGrid, detectors, segments):
 def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
                     record_states: bool, traj_lo: int, traj_hi: int, decimate: int = 1):
     """Euler-Maruyama on trajectories traj_lo..traj_hi-1, for the noise
-    blocks ``noise`` of ``_noise_chunks``, each used as it arrives. Returns
-    step-major (signals (n_steps // decimate, n_det, B) normalized, states
-    (n_steps+1, 3, B) or None).
+    blocks ``noise`` of ``_noise_chunks``, each used as it arrives while its
+    helper draws the next. ``noise`` is closed on every exit, so an error
+    joins the helper before it propagates. Returns step-major (signals
+    (n_steps // decimate, n_det, B) normalized, states (n_steps+1, 3, B) or
+    None).
 
     The batch state is the C-contiguous (4, B) block of columns (r, 1), and
     one matmul per step applies every affine map of it. For the step's
@@ -230,29 +276,31 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
     gain = np.empty((n_det, width))
     norm2 = np.empty(width)
 
-    for k, w in enumerate(itertools.chain.from_iterable(noise)):
-        cur, nxt = blocks[k % 2], blocks[(k + 1) % 2]
-        r, r_new, nr = cur[:3], nxt[:3], nxt[4:4 + n_det]
-        np.matmul(linear[seg_idx[k]], cur[:4], out=nxt)
-        np.multiply(scale, w, out=sig)
-        sig += nr
-        signals[k // decimate] += sig
-        np.multiply(kick, w, out=gain)
-        for ell in range(n_det):
-            term = nxt[4 + n_det + 3 * ell:7 + n_det + 3 * ell]
-            np.multiply(nr[ell], r, out=quad)
-            term -= quad
-            term *= gain[ell]
-            r_new += term
-        np.einsum("ib,ib->b", r_new, r_new, out=norm2)
-        if norm2.max() > max_norm2:
-            worst = int(np.argmax(norm2))
-            raise DiagnosticError(
-                f"trajectory {traj_lo + worst} norm {math.sqrt(float(norm2[worst])):.6g} "
-                f"at t = {(k + 1) * dt:.6g} overshoots the Bloch sphere "
-                f"by more than {NORM_OVERSHOOT_TOL}; reduce dt")
-        if record_states:
-            states[k + 1] = r_new
+    # closed now, not when a traceback is freed
+    with contextlib.closing(noise):
+        for k, w in enumerate(itertools.chain.from_iterable(noise)):
+            cur, nxt = blocks[k % 2], blocks[(k + 1) % 2]
+            r, r_new, nr = cur[:3], nxt[:3], nxt[4:4 + n_det]
+            np.matmul(linear[seg_idx[k]], cur[:4], out=nxt)
+            np.multiply(scale, w, out=sig)
+            sig += nr
+            signals[k // decimate] += sig
+            np.multiply(kick, w, out=gain)
+            for ell in range(n_det):
+                term = nxt[4 + n_det + 3 * ell:7 + n_det + 3 * ell]
+                np.multiply(nr[ell], r, out=quad)
+                term -= quad
+                term *= gain[ell]
+                r_new += term
+            np.einsum("ib,ib->b", r_new, r_new, out=norm2)
+            if norm2.max() > max_norm2:
+                worst = int(np.argmax(norm2))
+                raise DiagnosticError(
+                    f"trajectory {traj_lo + worst} norm {math.sqrt(float(norm2[worst])):.6g} "
+                    f"at t = {(k + 1) * dt:.6g} overshoots the Bloch sphere "
+                    f"by more than {NORM_OVERSHOOT_TOL}; reduce dt")
+            if record_states:
+                states[k + 1] = r_new
     signals /= decimate
     return (signals[:, :, :batch],
             states[:, :, :batch] if record_states else None)
@@ -352,7 +400,8 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     how a fine integration grid turns into a coarse acquisition grid.
     ``threads`` distributes whole batches (fixed size ``batch_size``) over a
     thread pool; each batch writes its own slice of the records, so every
-    output bit is independent of ``threads``. States are not kept; use
+    output bit is independent of ``threads``. Each batch also draws its noise
+    on a helper thread of its own, so up to 2 * ``threads`` threads run. States are not kept; use
     ``simulate_states`` for a state history.
     """
     if n_traj < 1:

@@ -5,6 +5,7 @@ import json
 import math
 import struct
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -178,6 +179,112 @@ class TestNoiseChunks:
         assert all(b.flags.c_contiguous and b.shape[1:] == (2, hi - lo) for b in blocks)
         want = np.stack([stream_v2_oracle(5, j, 70, 2) for j in range(lo, hi)], axis=2)
         np.testing.assert_array_equal(np.concatenate(blocks), want)
+
+    @pytest.mark.parametrize("tiles", [1, 2, 5])
+    def test_tiles_per_copy_shapes_no_bit(self, monkeypatch, tiles):
+        want = self.outputs()
+        monkeypatch.setattr(trajectory, "TILES_PER_COPY", tiles)
+        assert self.outputs() == want
+        # seven tiles, cut at both ends
+        got = _batch_normals(NoisePlan(5), 3, 400, 30, 2)
+        np.testing.assert_array_equal(
+            got, np.stack([stream_v2_oracle(5, j, 30, 2) for j in range(3, 400)]))
+
+
+class TestNoiseHelper:
+    """A record of more than one block is drawn on one helper thread. Every
+    exit joins it, and only then do the tile generators go back."""
+
+    # run_ensemble(**args()).digest(), taken before noise had a helper thread
+    FROZEN = "67e78c5bb473617ade484edf2d019d5c7c937a0e2c9c542d74e5bdf5d5e129c8"
+
+    @staticmethod
+    def args(**over):
+        args = dict(n_traj=64, plan=NoisePlan(seed=11), initial_state=[1, 0, 0],
+                    grid=TimeGrid(0.004, 70), detectors=(reference_detector(40.0),),
+                    segments=drive_segments())
+        args.update(over)
+        return args
+
+    def assert_clean(self, threads_before):
+        assert threading.active_count() == threads_before
+        ids = [id(gen) for gen in trajectory._IDLE_GENERATORS]
+        assert len(set(ids)) == len(ids)
+        assert run_ensemble(**self.args()).digest() == self.FROZEN
+
+    def test_tripped_guard_joins_the_helper(self):
+        """The setup of ``TestTrajectory.test_norm_guard_trips_on_coarse_step``;
+        the helper is joined while the traceback still holds the batch's frame."""
+        before = threading.active_count()
+        with pytest.raises(DiagnosticError) as caught:
+            simulate_states([0, 0, 1], TimeGrid(0.02, 400), [reference_detector(70.0)],
+                            drive_segments(), NoisePlan(2), 3, 9)
+        self.assert_clean(before)
+        assert caught.traceback
+
+    def test_failed_draw_on_the_helper_reaches_the_caller(self, monkeypatch):
+        assert 2 * trajectory.NOISE_CHUNK < 70  # the second block is drawn ahead
+
+        class FailsOnce:
+            """A tile generator whose second draw fails."""
+
+            def __init__(self):
+                self.gen = np.random.Generator(np.random.Philox())
+                self.bit_generator = self.gen.bit_generator
+                self.calls, self.thread = 0, None
+
+            def standard_normal(self, out):
+                self.calls += 1
+                if self.calls == 2:
+                    self.thread = threading.current_thread()
+                    raise RuntimeError("draw failed")
+                return self.gen.standard_normal(out=out)
+
+        failing = FailsOnce()
+        monkeypatch.setattr(trajectory, "_IDLE_GENERATORS", [failing])
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            run_ensemble(**self.args())
+        assert failing.thread not in (None, threading.current_thread())
+        assert trajectory._IDLE_GENERATORS == [failing]
+        # the run reuses the generator that failed, re-keyed
+        self.assert_clean(before)
+
+    def test_one_block_draw_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise RuntimeError("thread started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        plan, chunk = NoisePlan(7), trajectory.NOISE_CHUNK
+        np.testing.assert_array_equal(plan.normals(5, 1), stream_v2_oracle(7, 5, 1, 1))
+        np.testing.assert_array_equal(
+            _batch_normals(plan, 3, 70, chunk, 2),
+            np.stack([stream_v2_oracle(7, j, chunk, 2) for j in range(3, 70)]))
+        with pytest.raises(RuntimeError, match="thread started"):
+            _batch_normals(plan, 3, 70, chunk + 1, 2)
+
+    @pytest.mark.parametrize("run", ["run_ensemble threads 1", "run_ensemble threads 2",
+                                     "simulate_states"])
+    def test_no_thread_outlives_a_run(self, monkeypatch, run):
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        before = threading.active_count()
+        if run == "simulate_states":
+            simulate_states([1, 0, 0], TimeGrid(0.004, 70), [reference_detector(40.0)],
+                            drive_segments(), NoisePlan(3), 3, 70)
+            helpers = 1
+        else:
+            run_ensemble(**self.args(n_traj=150), threads=int(run[-1]), batch_size=50)
+            helpers = 3
+        assert len(started) >= helpers
+        assert threading.active_count() == before
+        assert not any(thread.is_alive() for thread in started)
 
 
 def one_step(r, detectors, generator, dt):
@@ -411,9 +518,10 @@ class TestRunEnsemble:
         assert peak < 1.5 * noise_bytes
 
     def test_full_batch_peak_memory(self):
-        """One full 8192 x 610 batch, decimated by 10, peaks at 12 MB traced:
-        4 MB of records, 4 MB of step-major signals and a 2 MB noise block.
-        Its whole noise, 40 MB, is never held at once."""
+        """One full 8192 x 610 batch, decimated by 10, peaks at 13 MB traced:
+        4 MB of records, 4 MB of step-major signals, two 1.3 MB noise
+        blocks, one stepped while the other is drawn, and a 0.16 MB tile
+        buffer. Its whole noise, 40 MB, is never held at once."""
         tracemalloc.start()
         try:
             run_ensemble(**self.small_args(n_traj=8192, grid=TimeGrid(0.004, 610)),
