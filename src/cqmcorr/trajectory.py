@@ -21,7 +21,7 @@ the state. That correlation is the entire mechanism behind the correlator
 physics; drawing the signal noise separately would be a different (wrong)
 model, so the draw is made once and reused.
 
-Reproducibility: noise is counter-based. The normal for (trajectory, step,
+Reproducibility: noise is keyed per tile. The normal for (trajectory, step,
 detector) is a pure function of (seed, trajectory, step, detector), so
 results never depend on thread count, batch size, or evaluation order.
 """
@@ -49,30 +49,37 @@ from .core import (
 from .ensemble import _augmented_generator, _collapse_matrix
 
 DEFAULT_BATCH_SIZE = 8192
-# trajectories per Philox key in noise stream v2; part of the stream's
+# trajectories per generator in noise stream v3; part of the stream's
 # definition, not a tuning knob
-NOISE_TILE = 64
+NOISE_TILE = 256
 
 # trajectories may overshoot the unit sphere by Euler error; beyond this the
 # step size is unusable and the run aborts
 NORM_OVERSHOOT_TOL = 0.05
 
 ARCHIVE_MAGIC = b"CQMARCH1"
-ARCHIVE_VERSION = 2
+ARCHIVE_VERSION = 3
+
+
+def _tile_generator(seed: int, tile: int) -> np.random.Generator:
+    """The generator of noise tile ``tile``, trajectories
+    tile * NOISE_TILE .. (tile + 1) * NOISE_TILE - 1: the one place noise
+    stream v3 is defined."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, tile])))
 
 
 @dataclasses.dataclass(frozen=True)
 class NoisePlan:
-    """Counter-based standard normals keyed on (seed, trajectory).
+    """Standard normals keyed per tile on (seed, trajectory).
 
-    Noise stream v2: trajectories are grouped in tiles of NOISE_TILE = 64,
-    and the normals of trajectory j are lane j % 64 of
-    ``np.random.Generator(np.random.Philox(key=[seed, j // 64]))
-    .standard_normal((n_steps, n_detectors, 64))``, drawn from counter 0 by
+    Noise stream v3: trajectories are grouped in tiles of NOISE_TILE = 256,
+    and the normals of trajectory j are lane j % 256 of
+    ``np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed,
+    j // 256]))).standard_normal((n_steps, n_detectors, 256))``, drawn by
     numpy's ziggurat. The draws of a tile run step-major, so a longer record
     extends the stream without changing its start. No state is carried
     between calls, so any trajectory's noise can be regenerated in
-    isolation, by drawing its whole tile.
+    isolation, by drawing its whole 256-lane tile on the calling thread.
     """
 
     seed: int
@@ -99,37 +106,23 @@ NOISE_CHUNK = 20
 # tiles drawn into a block between two copies: one numpy call moves all of
 # their lanes, so the drawing thread takes the GIL less often; like
 # NOISE_CHUNK it shapes no bit
-TILES_PER_COPY = 16
-
-# idle tile generators, taken and given back by ``_noise_chunks``: building a
-# Philox costs about ten times as much as re-keying one. Each is re-keyed when
-# taken, so no state passes between callers; list.pop and list.extend are
-# atomic, so worker threads share the list safely.
-_IDLE_GENERATORS: list[np.random.Generator] = []
+TILES_PER_COPY = 4
 
 
 def _noise_chunks(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int):
     """Normals for trajectories lo..hi-1, in step order: C-contiguous
     (m, n_det, hi-lo) blocks of m <= NOISE_CHUNK steps, each the next m
-    steps' draws for the whole batch. A yielded block stays valid until the
-    next block is asked for.
+    steps' draws for the whole batch, drawn on the thread that asks for
+    them. Blocks alternate between two buffers, so a yielded block stays
+    valid until the block after the next is drawn.
 
-    Each tile that meets [lo, hi) keeps its own Philox, re-keyed to
-    [seed, tile] at counter 0, and draws NOISE_CHUNK steps of its
-    (n_steps, n_det, NOISE_TILE) array per block. Runs of tiles are drawn into
-    a reused buffer and their lanes inside [lo, hi) copied into the block in
-    one call: a tile that lo or hi cuts on its own, whole tiles
-    TILES_PER_COPY at a time. The ziggurat keeps no state outside the bit
-    generator, so the pieces are the tile drawn at once.
-
-    A record of more than one block is drawn by one helper thread, which
-    fills block i+1 while the caller uses block i; two buffers alternate, and
-    numpy's draws, like the stepper's matmul and ufuncs, release the GIL.
-    The helper is the only thread that draws while it lives, in the order of
-    one thread, so it shapes no bit. Closing the iterator joins the helper
-    before the tile generators go back to ``_IDLE_GENERATORS``; an error on
-    the helper reaches the caller at the next block. A record of one block
-    starts no thread."""
+    Each tile that meets [lo, hi) gets its own ``_tile_generator`` and draws
+    NOISE_CHUNK steps of its (n_steps, n_det, NOISE_TILE) array per block.
+    Runs of tiles are drawn into a reused buffer and their lanes inside
+    [lo, hi) copied into the block in one call: a tile that lo or hi cuts on
+    its own, whole tiles TILES_PER_COPY at a time. The ziggurat keeps no
+    state outside the bit generator, so the pieces are the tile drawn at
+    once."""
     first_tile = lo // NOISE_TILE
     tiles = range(first_tile, (hi - 1) // NOISE_TILE + 1)
     # runs [t0, t1) of tiles that reach a block in one copy
@@ -137,57 +130,51 @@ def _noise_chunks(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int):
     edges = sorted({tiles.start, tiles.stop, whole.start, whole.stop,
                     *range(whole.start, whole.stop, TILES_PER_COPY)})
     runs = list(zip(edges, edges[1:]))
-    key = np.array([plan.seed, first_tile], dtype=np.uint64)
-    # the setter copies the arrays, so this dict stays at counter 0
-    state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
+    gens = [_tile_generator(plan.seed, tile) for tile in tiles]
     chunk = min(NOISE_CHUNK, n_steps)
     starts = range(0, n_steps, chunk)
-    gens, helper = [], None
+    buf = np.empty((min(TILES_PER_COPY, len(tiles)), chunk, n_det, NOISE_TILE))
+    # both blocks in one allocation: allocated apart, they coincided with
+    # a 7.5 MB higher peak RSS in some benchmark runs of calibrate
+    blocks = np.empty((min(2, len(starts)), chunk, n_det, hi - lo))
+    for i, start in enumerate(starts):
+        m, block = min(chunk, n_steps - start), blocks[i % 2]
+        for t0, t1 in runs:
+            drawn = buf[:t1 - t0, :m]
+            for gen, out in zip(gens[t0 - first_tile:t1 - first_tile], drawn):
+                gen.standard_normal(out=out)
+            a, b = max(lo, t0 * NOISE_TILE), min(hi, t1 * NOISE_TILE)
+            lane = a - t0 * NOISE_TILE
+            lanes = drawn[..., lane:lane + (b - a) // (t1 - t0)]
+            # the block's lane axis is contiguous, so the reshape is a view
+            block[:m, :, a - lo:b - lo].reshape(m, n_det, t1 - t0, -1)[...] = \
+                lanes.transpose(1, 2, 0, 3)
+        yield block[:m]
+
+
+def _drawn_ahead(blocks):
+    """The blocks of a ``_noise_chunks`` iterator, each after the first
+    drawn on one helper thread while the caller uses the one before. numpy's
+    draws, like the stepper's matmul and ufuncs, release the GIL, so the two
+    share the host's cores. One draw runs at a time, in block order, so the
+    helper shapes no bit. Closing the iterator joins the helper; an error on
+    the helper reaches the caller at the next block.
+
+    The first block is drawn on the caller, so the caller's thread allocates
+    the buffers: allocated on the helper, most likely in a malloc arena of
+    its own, they raised ``calibrate``'s peak RSS by about 3 MB."""
+    helper = concurrent.futures.ThreadPoolExecutor(max_workers=1)
     try:
-        for tile in tiles:
-            try:
-                gens.append(_IDLE_GENERATORS.pop())
-            except IndexError:
-                gens.append(np.random.Generator(np.random.Philox(key=key)))
-            key[1] = tile
-            gens[-1].bit_generator.state = state
-        buf = np.empty((min(TILES_PER_COPY, len(tiles)), chunk, n_det, NOISE_TILE))
-        # both blocks in one allocation: allocated apart, they coincided with
-        # a 7.5 MB higher peak RSS in some benchmark runs of calibrate
-        blocks = np.empty((min(2, len(starts)), chunk, n_det, hi - lo))
-
-        def draw(i):
-            m, block = min(chunk, n_steps - starts[i]), blocks[i % 2]
-            for t0, t1 in runs:
-                drawn = buf[:t1 - t0, :m]
-                for gen, out in zip(gens[t0 - first_tile:t1 - first_tile], drawn):
-                    gen.standard_normal(out=out)
-                a, b = max(lo, t0 * NOISE_TILE), min(hi, t1 * NOISE_TILE)
-                lane = a - t0 * NOISE_TILE
-                lanes = drawn[..., lane:lane + (b - a) // (t1 - t0)]
-                # the block's lane axis is contiguous, so the reshape is a view
-                block[:m, :, a - lo:b - lo].reshape(m, n_det, t1 - t0, -1)[...] = \
-                    lanes.transpose(1, 2, 0, 3)
-            return block[:m]
-
-        if len(starts) == 1:
-            yield draw(0)
-            return
-        helper = concurrent.futures.ThreadPoolExecutor(max_workers=1)
-        pending = helper.submit(draw, 0)
-        for i in range(1, len(starts)):
-            block = pending.result()
-            # block i overwrites block i-2, which the caller is done with
-            pending = helper.submit(draw, i)
+        block = next(blocks, None)
+        while block is not None:
+            # this draw overwrites the block before ``block``, which the
+            # caller is done with
+            pending = helper.submit(next, blocks, None)
             yield block
-        yield pending.result()
+            block = pending.result()
     finally:
-        if helper is not None:
-            helper.shutdown(wait=True, cancel_futures=True)
-        _IDLE_GENERATORS.extend(gens)
+        helper.shutdown(wait=True, cancel_futures=True)
+        blocks.close()
 
 
 def _batch_normals(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int) -> np.ndarray:
@@ -221,14 +208,14 @@ def _prepare(initial_state, grid: TimeGrid, detectors, segments):
     return r0, detectors, segments, seg_idx
 
 
-def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
+def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, plan: NoisePlan,
                     record_states: bool, traj_lo: int, traj_hi: int, decimate: int = 1):
     """Euler-Maruyama on trajectories traj_lo..traj_hi-1, for the noise
-    blocks ``noise`` of ``_noise_chunks``, each used as it arrives while its
-    helper draws the next. ``noise`` is closed on every exit, so an error
-    joins the helper before it propagates. Returns step-major (signals
-    (n_steps // decimate, n_det, B) normalized, states (n_steps+1, 3, B) or
-    None).
+    blocks of ``_noise_chunks``, each used as it arrives while a helper
+    thread draws the next (``_drawn_ahead``). The blocks are closed on every
+    exit, so an error joins the helper before it propagates. Returns
+    step-major (signals (n_steps // decimate, n_det, B) normalized, states
+    (n_steps+1, 3, B) or None).
 
     The batch state is the C-contiguous (4, B) block of columns (r, 1), and
     one matmul per step applies every affine map of it. For the step's
@@ -276,6 +263,7 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise,
     gain = np.empty((n_det, width))
     norm2 = np.empty(width)
 
+    noise = _drawn_ahead(_noise_chunks(plan, traj_lo, traj_hi, n_steps, n_det))
     # closed now, not when a traceback is freed
     with contextlib.closing(noise):
         for k, w in enumerate(itertools.chain.from_iterable(noise)):
@@ -317,8 +305,7 @@ def simulate_states(initial_state, grid: TimeGrid, detectors, segments, plan: No
     if not 0 <= traj_lo < traj_hi:
         raise ConfigError(f"need 0 <= traj_lo < traj_hi, got {traj_lo!r}, {traj_hi!r}")
     r0, detectors, segments, seg_idx = _prepare(initial_state, grid, detectors, segments)
-    noise = _noise_chunks(plan, traj_lo, traj_hi, grid.n_steps, len(detectors))
-    signals, states = _simulate_batch(r0, grid, detectors, segments, seg_idx, noise,
+    signals, states = _simulate_batch(r0, grid, detectors, segments, seg_idx, plan,
                                       record_states=True, traj_lo=traj_lo, traj_hi=traj_hi)
     return (np.ascontiguousarray(states.transpose(2, 0, 1)),
             np.ascontiguousarray(signals.transpose(2, 1, 0)))
@@ -420,8 +407,7 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     def run_batch(b: int) -> None:
         lo = b * batch_size
         hi = min(lo + batch_size, n_traj)
-        noise = _noise_chunks(plan, lo, hi, grid.n_steps, n_det)
-        signals, _ = _simulate_batch(r0, grid, detectors, segments, seg_idx, noise,
+        signals, _ = _simulate_batch(r0, grid, detectors, segments, seg_idx, plan,
                                      record_states=False, traj_lo=lo, traj_hi=hi,
                                      decimate=decimate)
         records = out[lo:hi]

@@ -342,16 +342,16 @@ class TestFitPhaseCommand:
 
 
 # sha256 of each Monte Carlo command's output on the sample configs; the
-# sample outputs listed in CHANGES.md since noise stream v2
+# sample outputs listed in CHANGES.md since noise stream v3
 MC_OUTPUT_DIGESTS = {
     ("correlate", "rabi_70deg_mc.json"):
-        "d6fdb267ff80cd3863026ee88032b62f86e573800a973db3e57ae0924231dbd7",
+        "522d8c8f95c55a84d729693a0c05f03d6bb31dce3c4bd4fe042bae21baf475fb",
     ("calibrate", "calibrate_0deg.json"):
-        "a3d4be63ae2995f6fb234c576e6cba81a1fdd296b35bc53b9cfa5d8eadf30e5b",
+        "0891bc62a57d3637d926938428f8886d28d1838bd20f271d180f31d03b1754d4",
     ("simulate", "rabi_70deg_mc.json"):
-        "d511f9edd9b3d0a8f88425fb2cc5ccf176862640e7fb2c55fcd38129e5a6aa3f",
+        "b892e67e30136188d9d73797ecbc5732b59f69af8a7933611924870f9e6ef265",
     ("simulate", "calibrate_0deg.json"):
-        "d810a1f0ae3c6773d785611ea4f221344f542294e9ee4005d64bdb50dfc15b21",
+        "3dfe894933be21af4d01d80fb0a5ee2798a857d667971a95b5bef5627cde5900",
 }
 
 

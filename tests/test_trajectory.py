@@ -1,5 +1,6 @@
 """Stochastic trajectory engine: noise plan, stepper, ensembles, archives."""
 
+import functools
 import hashlib
 import json
 import math
@@ -75,13 +76,20 @@ class TestNoisePlan:
             NoisePlan(7).normals(*args)
 
 
-def stream_v2_oracle(seed, j, n_steps, n_det):
-    """Noise stream v2 from its definition: a fresh Philox keyed
-    [seed, j // 64] drives a Generator whose standard normals of shape
-    (n_steps, n_det, 64) hold trajectory j in lane j % 64."""
-    key = np.array([seed, j // 64], dtype=np.uint64)
-    tile = np.random.Generator(np.random.Philox(key=key)).standard_normal((n_steps, n_det, 64))
-    return tile[:, :, j % 64]
+@functools.lru_cache(maxsize=64)
+def stream_v3_tile(seed, tile, n_steps, n_det):
+    """Noise tile ``tile`` of stream v3 from its definition: an SFC64 seeded
+    by SeedSequence([seed, tile]) drives a Generator whose standard normals
+    of shape (n_steps, n_det, 256) hold trajectory 256 * tile + i in lane i."""
+    gen = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, tile])))
+    draws = gen.standard_normal((n_steps, n_det, 256))
+    draws.flags.writeable = False
+    return draws
+
+
+def stream_v3_oracle(seed, j, n_steps, n_det):
+    """The normals of trajectory j, shape (n_steps, n_det)."""
+    return stream_v3_tile(seed, j // 256, n_steps, n_det)[:, :, j % 256]
 
 
 class TestNoiseStreamV1:
@@ -100,33 +108,38 @@ class TestNoiseStreamV1:
 
 
 class TestNoiseStreamV2:
+    """The tiled keying that noise stream v2 set and v3 keeps with SFC64 on
+    tiles of 256: one generator per tile, trajectory j in lane j % 256,
+    checked against stream v3's definition."""
+
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
-    @pytest.mark.parametrize("j", [0, 3, 63, 64, 2**40])
+    @pytest.mark.parametrize("j", [0, 3, 63, 64, 255, 256, 2**40])
     @pytest.mark.parametrize("n_det", [1, 3])
     def test_normals_match_definition(self, seed, j, n_det):
         # 61 steps: an odd draw count per lane
         got = NoisePlan(seed).normals(j, 61, n_det)
-        want = stream_v2_oracle(seed, j, 61, n_det)
+        want = stream_v3_oracle(seed, j, 61, n_det)
         assert got.shape == (61, n_det)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("lo, width", [(3, 1), (3, 63), (3, 64), (3, 65), (3, 130),
-                                           (2**40 - 1, 66)])
+                                           (0, 255), (0, 256), (0, 257), (255, 2),
+                                           (3, 1290), (2**40 - 1, 66), (2**40 - 1, 258)])
     def test_batch_across_tiles_matches_fresh_streams(self, lo, width):
         """Batches that start inside a tile and end inside, at and past
-        later ones."""
+        later ones; 2**40 - 1 is the last lane of a tile."""
         got = _batch_normals(NoisePlan(7), lo, lo + width, 61, 2)
-        want = np.stack([stream_v2_oracle(7, j, 61, 2) for j in range(lo, lo + width)])
+        want = np.stack([stream_v3_oracle(7, j, 61, 2) for j in range(lo, lo + width)])
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_pinned_digest(self):
-        """Fails if numpy changes Philox, its state dict, or the ziggurat of
+        """Fails if numpy changes SeedSequence, SFC64 or the ziggurat of
         ``Generator.standard_normal``: NEP 19 keeps a bit generator's raw
         stream across numpy releases but not the streams of Generator
         methods, so this pin is the alarm for the latter."""
         draws = NoisePlan(7).normals(5, 61, 3)
         assert hashlib.sha256(draws.tobytes()).hexdigest() == (
-            "6efabd162fd0cd0b1b173abfc82eae9735df3fac5e57fdad98a042a78f873094")
+            "aa7e8886dd76a580a03d2f5a9c98d3f82e8288621356553f9461ccc57dd9bf07")
 
 
 def _sha256(*arrays):
@@ -149,7 +162,8 @@ class TestNoiseChunks:
 
     def outputs(self):
         """Two-detector outputs that cover a batch of one, a batch that starts
-        mid-tile, batches that cut tiles and two threads."""
+        mid-tile, batches that cut tiles, normals over six tiles and two
+        threads."""
         plan, grid = NoisePlan(31), TimeGrid(0.004, self.N_STEPS)
         ensemble = dict(plan=plan, initial_state=[0.3, -0.2, 0.4], grid=grid,
                         detectors=self.DETECTORS, segments=self.SEGMENTS)
@@ -161,7 +175,7 @@ class TestNoiseChunks:
                                                     self.SEGMENTS, plan, 3, 4)),
             "states 3..70": _sha256(*simulate_states([0.3, -0.2, 0.4], grid, self.DETECTORS,
                                                      self.SEGMENTS, plan, 3, 70)),
-            "normals 3..70": _sha256(_batch_normals(plan, 3, 70, self.N_STEPS, 2)),
+            "normals 3..1290": _sha256(_batch_normals(plan, 3, 1290, self.N_STEPS, 2)),
         }
 
     @pytest.mark.parametrize("chunk", [1, 7, N_STEPS, N_STEPS + 5])
@@ -171,13 +185,13 @@ class TestNoiseChunks:
         monkeypatch.setattr(trajectory, "NOISE_CHUNK", chunk)
         assert self.outputs() == want
 
-    @pytest.mark.parametrize("lo, hi", [(0, 1), (3, 70), (64, 200)])
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (3, 70), (64, 200), (250, 1100)])
     def test_blocks_are_c_contiguous_and_step_ordered(self, lo, hi):
         chunk = trajectory.NOISE_CHUNK
         blocks = [b.copy() for b in _noise_chunks(NoisePlan(5), lo, hi, 70, 2)]
         assert [len(b) for b in blocks] == [min(chunk, 70 - s) for s in range(0, 70, chunk)]
         assert all(b.flags.c_contiguous and b.shape[1:] == (2, hi - lo) for b in blocks)
-        want = np.stack([stream_v2_oracle(5, j, 70, 2) for j in range(lo, hi)], axis=2)
+        want = np.stack([stream_v3_oracle(5, j, 70, 2) for j in range(lo, hi)], axis=2)
         np.testing.assert_array_equal(np.concatenate(blocks), want)
 
     @pytest.mark.parametrize("tiles", [1, 2, 5])
@@ -185,18 +199,19 @@ class TestNoiseChunks:
         want = self.outputs()
         monkeypatch.setattr(trajectory, "TILES_PER_COPY", tiles)
         assert self.outputs() == want
-        # seven tiles, cut at both ends
-        got = _batch_normals(NoisePlan(5), 3, 400, 30, 2)
+        # six tiles, cut at both ends
+        got = _batch_normals(NoisePlan(5), 3, 1290, 30, 2)
         np.testing.assert_array_equal(
-            got, np.stack([stream_v2_oracle(5, j, 30, 2) for j in range(3, 400)]))
+            got, np.stack([stream_v3_oracle(5, j, 30, 2) for j in range(3, 1290)]))
 
 
 class TestNoiseHelper:
-    """A record of more than one block is drawn on one helper thread. Every
-    exit joins it, and only then do the tile generators go back."""
+    """Each batch of the stepper draws its noise on one helper thread, and
+    every exit joins it."""
 
-    # run_ensemble(**args()).digest(), taken before noise had a helper thread
-    FROZEN = "67e78c5bb473617ade484edf2d019d5c7c937a0e2c9c542d74e5bdf5d5e129c8"
+    # run_ensemble(**args()).digest() under noise stream v3, taken with
+    # NOISE_CHUNK = 70, so that the helper draws the whole record as one block
+    FROZEN = "11a09c2436ebce0447c567345648fb5d13827468adf639040489aab0b300b1cf"
 
     @staticmethod
     def args(**over):
@@ -208,8 +223,6 @@ class TestNoiseHelper:
 
     def assert_clean(self, threads_before):
         assert threading.active_count() == threads_before
-        ids = [id(gen) for gen in trajectory._IDLE_GENERATORS]
-        assert len(set(ids)) == len(ids)
         assert run_ensemble(**self.args()).digest() == self.FROZEN
 
     def test_tripped_guard_joins_the_helper(self):
@@ -224,44 +237,45 @@ class TestNoiseHelper:
 
     def test_failed_draw_on_the_helper_reaches_the_caller(self, monkeypatch):
         assert 2 * trajectory.NOISE_CHUNK < 70  # the second block is drawn ahead
+        tile_generator, drawers = trajectory._tile_generator, []
 
         class FailsOnce:
-            """A tile generator whose second draw fails."""
+            """A tile generator whose draw fails if it is the second draw
+            since the test began."""
 
-            def __init__(self):
-                self.gen = np.random.Generator(np.random.Philox())
-                self.bit_generator = self.gen.bit_generator
-                self.calls, self.thread = 0, None
+            def __init__(self, seed, tile):
+                self.gen = tile_generator(seed, tile)
 
             def standard_normal(self, out):
-                self.calls += 1
-                if self.calls == 2:
-                    self.thread = threading.current_thread()
+                drawers.append(threading.current_thread())
+                if len(drawers) == 2:
                     raise RuntimeError("draw failed")
                 return self.gen.standard_normal(out=out)
 
-        failing = FailsOnce()
-        monkeypatch.setattr(trajectory, "_IDLE_GENERATORS", [failing])
+        monkeypatch.setattr(trajectory, "_tile_generator", FailsOnce)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="draw failed"):
             run_ensemble(**self.args())
-        assert failing.thread not in (None, threading.current_thread())
-        assert trajectory._IDLE_GENERATORS == [failing]
-        # the run reuses the generator that failed, re-keyed
+        assert drawers[1] is not threading.current_thread()
+        # every later draw succeeds, so the next run gives the frozen bits
         self.assert_clean(before)
 
     def test_one_block_draw_starts_no_thread(self, monkeypatch):
+        """``_batch_normals`` draws on its caller at any length; a batch of
+        ``run_ensemble`` draws on a helper."""
         def refuse(thread):
             raise RuntimeError("thread started")
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         plan, chunk = NoisePlan(7), trajectory.NOISE_CHUNK
-        np.testing.assert_array_equal(plan.normals(5, 1), stream_v2_oracle(7, 5, 1, 1))
-        np.testing.assert_array_equal(
-            _batch_normals(plan, 3, 70, chunk, 2),
-            np.stack([stream_v2_oracle(7, j, chunk, 2) for j in range(3, 70)]))
+        np.testing.assert_array_equal(plan.normals(5, 1), stream_v3_oracle(7, 5, 1, 1))
+        np.testing.assert_array_equal(plan.normals(5, 610), stream_v3_oracle(7, 5, 610, 1))
+        for n_steps in (chunk, chunk + 1, 3 * chunk + 1):
+            np.testing.assert_array_equal(
+                _batch_normals(plan, 3, 70, n_steps, 2),
+                np.stack([stream_v3_oracle(7, j, n_steps, 2) for j in range(3, 70)]))
         with pytest.raises(RuntimeError, match="thread started"):
-            _batch_normals(plan, 3, 70, chunk + 1, 2)
+            run_ensemble(**self.args(grid=TimeGrid(0.004, 3 * chunk + 1)))
 
     @pytest.mark.parametrize("run", ["run_ensemble threads 1", "run_ensemble threads 2",
                                      "simulate_states"])
@@ -463,11 +477,11 @@ class TestRunEnsemble:
         np.testing.assert_array_equal(a.signals, b.signals)
 
     def test_batch_size_invariance_across_tiles(self):
-        """Batches that cut the 64-trajectory noise tiles anywhere give the
+        """Batches that cut the 256-trajectory noise tiles anywhere give the
         records of one batch."""
-        args = self.small_args(n_traj=150)
+        args = self.small_args(n_traj=600)
         whole = run_ensemble(**args)
-        for batch_size in (1, 7, 63, 100):
+        for batch_size in (1, 7, 255, 257):
             np.testing.assert_array_equal(run_ensemble(**args, batch_size=batch_size).signals,
                                           whole.signals)
 
@@ -531,10 +545,10 @@ class TestRunEnsemble:
             tracemalloc.stop()
         assert peak <= 16e6
 
-    def test_threads_share_idle_generators_safely(self):
-        """Batches on more threads than cores take tile generators from one
-        shared list and give them back while others run; a generator held by
-        two batches at once would change bits."""
+    def test_many_threads_match_one(self):
+        """Batches on more threads than cores, each with its own noise
+        helper and the interpreter switching threads every microsecond, give
+        the bits of one thread."""
         args = self.small_args(n_traj=2000, grid=TimeGrid(0.004, 10))
         want = run_ensemble(**args, batch_size=50).digest()
         interval = sys.getswitchinterval()
@@ -585,7 +599,7 @@ class TestArchiveSerialization:
         assert text == json.dumps(header, sort_keys=True)
         assert header == {"config_digest": "abc123", "dt": pytest.approx(0.03), "kind": "raw",
                           "n_detectors": 1, "n_samples": 4, "n_traj": 9, "seed": 5,
-                          "t0": 0.0, "version": 2}
+                          "t0": 0.0, "version": 3}
         assert len(blob) == 12 + hlen + 8 * 9 * 1 * 4
         signals = np.frombuffer(blob, dtype="<f8", offset=12 + hlen).reshape(9, 1, 4)
         np.testing.assert_array_equal(signals, arch.signals)
