@@ -44,10 +44,11 @@ VARIANCE_MATCH_TOL = 0.25
 # and W the least-squares slope weights; shorter records have more). So the
 # ratio of two correct slopes is near F(nu_p, nu_m), whose log is near normal
 # with standard deviation sqrt(2 / nu_p + 2 / nu_m), 0.155 at n = 200 (0.153
-# measured over 3000 seeds). A mismatch beyond expm1 of Z such deviations
-# has probability 2 Phi(-Z) = 5.7e-7 at Z = 5; the exact F tail stays below
-# 1e-6 from about 55 records up. From about 2400 records up the fixed
-# tolerance is the wider one.
+# measured over 3000 seeds). A |log ratio| beyond Z such deviations, in
+# either direction, has probability 2 Phi(-Z) = 5.7e-7 at Z = 5; the exact
+# two-tailed F probability is 8.1e-7 at n = 200 and stays below 1e-6 from
+# about 125 records up. A mismatch trips only past both bounds, so from about
+# 2400 records up the fixed tolerance alone decides.
 VARIANCE_MATCH_Z = 5.0
 
 
@@ -124,7 +125,8 @@ def estimate_tau_m(run: CalibrationRun, delta_i: float,
     if not (sp > 0 and sm > 0 and vp[-1] > floor and vm[-1] > floor):
         raise DiagnosticError("integrated-record variance does not grow; record too short?")
     spread = math.sqrt(sum(12.0 / (5.0 * (arch.n_traj - 1)) for arch in (run.plus, run.minus)))
-    if abs(sp / sm - 1.0) > max(VARIANCE_MATCH_TOL, math.expm1(VARIANCE_MATCH_Z * spread)):
+    if abs(sp / sm - 1.0) > VARIANCE_MATCH_TOL \
+            and abs(math.log(sp / sm)) > VARIANCE_MATCH_Z * spread:
         raise DiagnosticError(
             f"variance slopes of the two preparations disagree ({sp:.4g} vs {sm:.4g}); "
             "the ensembles do not share a noise floor")

@@ -104,8 +104,8 @@ class NoisePlan:
 # drawn at once, so this sets only the memory of a batch's noise, never a bit
 NOISE_CHUNK = 20
 # tiles drawn into a block between two copies: one numpy call moves all of
-# their lanes, so the drawing thread takes the GIL less often; like
-# NOISE_CHUNK it shapes no bit
+# their lanes, so the drawing thread takes the GIL less often (a copy per
+# tile made mc_correlate 4% slower); like NOISE_CHUNK it shapes no bit
 TILES_PER_COPY = 4
 
 

@@ -124,6 +124,21 @@ class TestEstimateTauM:
         with pytest.raises(DiagnosticError, match="noise floor"):
             estimate_tau_m(run, delta_i=2.0)
 
+    @pytest.mark.parametrize("plus_var, minus_var", [(1.0, 3.0), (3.0, 1.0), (1.0, 10.0)])
+    def test_small_mismatched_noise_floors_flagged(self, plus_var, minus_var):
+        """At 200 records the widened tolerance bounds the log of the slope
+        ratio, so a threefold noise variance trips it on either preparation;
+        a bound on |ratio - 1| above one could never trip on a noisier minus
+        ensemble."""
+        gen = np.random.default_rng(5)
+        sigma = math.sqrt(1.0 / 0.04)
+        plus = 1.0 + math.sqrt(plus_var) * sigma * gen.normal(size=(200, 1, 60))
+        minus = -1.0 + math.sqrt(minus_var) * sigma * gen.normal(size=(200, 1, 60))
+        run = CalibrationRun(plus=archive_from_signals(plus),
+                             minus=archive_from_signals(minus))
+        with pytest.raises(DiagnosticError, match="noise floor"):
+            estimate_tau_m(run, delta_i=2.0)
+
     def test_small_correct_ensembles_share_a_noise_floor(self):
         """At 200 records the slope ratio of two correct ensembles scatters
         by about 0.15, so the fixed tolerance alone refused about one seed in
