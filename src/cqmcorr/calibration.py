@@ -18,6 +18,12 @@ The correlator estimator works on the raw records of one prepared state
 directly: it removes a per-block offset, normalizes by Delta_I/2 so pole
 means sit at +-1, averages the two-sample product over a window of first
 times, and quotes delete-one-block jackknife standard errors.
+
+Both estimators are block reducers: they take an ``EnsembleArchive`` or a
+``RecordStream`` and fold its records as they are fed, in fixed groups of
+trajectories (jackknife blocks, or MOMENT_UNIT records for the calibration
+moments), so a stream is never held and no batch size or thread count moves
+a bit.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import math
 import numpy as np
 
 from .core import ConfigError, CorrelatorResult, DiagnosticError, TimeGrid
-from .trajectory import EnsembleArchive
+from .trajectory import EnsembleArchive, RecordStream
 
 DEFAULT_RESPONSE_FIT_WINDOW = 0.6
 DEFAULT_BLOCK_SIZE = 3000
@@ -51,33 +57,139 @@ VARIANCE_MATCH_TOL = 0.25
 # 2400 records up the fixed tolerance alone decides.
 VARIANCE_MATCH_Z = 5.0
 
+# records per unit of the integrated-record moments: each unit's moments are
+# taken on their own and merged in unit order, so, like the noise tile, this
+# is part of the estimators' definition, and batches and threads shape no bit
+MOMENT_UNIT = 1024
+
+
+def _fold(records, bounds, reduce, column=slice(None)) -> None:
+    """Feed ``records`` (an EnsembleArchive or RecordStream) and call
+    ``reduce(g, group)`` for group g = [lo, hi) of ``bounds``, in order, as
+    soon as its last record arrives; ``column`` picks from each record. A
+    group inside one batch is a view of the batch, one that straddles batches
+    is gathered into an array of its own: either way the same values in the
+    same layout, so what a reducer computes depends on ``bounds`` alone."""
+    seen, g, gathered = 0, 0, None
+
+    def take(batch) -> None:
+        nonlocal seen, g, gathered
+        batch = batch[:, column]
+        start = 0
+        while start < len(batch):
+            if g == len(bounds):
+                raise ConfigError(f"records: more than the {seen} trajectories declared")
+            lo, hi = bounds[g]
+            n = min(hi - seen, len(batch) - start)
+            piece = batch[start:start + n]
+            if gathered is None and n == hi - lo:
+                reduce(g, piece)
+            else:
+                if gathered is None:
+                    gathered = np.empty((hi - lo,) + piece.shape[1:])
+                gathered[seen - lo:seen - lo + n] = piece
+                if seen + n == hi:
+                    reduce(g, gathered)
+                    gathered = None
+            seen, start = seen + n, start + n
+            if seen == hi:
+                g += 1
+
+    records.feed(take)
+    if g != len(bounds):
+        raise ConfigError(f"records: fed {seen} of the {bounds[-1][1]} trajectories declared")
+
+
+@dataclasses.dataclass(frozen=True)
+class TraceMoments:
+    """Moments over one ensemble of its records' time integrals
+    (``integrate_traces``): the count, the per-time mean and centred sum of
+    squares, and the largest |integral|."""
+
+    grid: TimeGrid
+    n_traj: int
+    mean: np.ndarray
+    m2: np.ndarray
+    peak: float
+
+    @property
+    def var(self) -> np.ndarray:
+        """Per-time sample variance, ddof = 1."""
+        return self.m2 / (self.n_traj - 1)
+
+
+def trace_moments(records: EnsembleArchive | RecordStream) -> TraceMoments:
+    """The ``TraceMoments`` of a one-detector ensemble, reduced as it is fed.
+
+    The records are cut into units of MOMENT_UNIT trajectories, the last one
+    shorter, and each unit's integrals are folded in, in unit order. The
+    running total adds them row by row, the order in which numpy sums a
+    column of the whole ensemble, so the mean has the bits of the record
+    path's ``mean(axis=0)``. The centred sums of squares merge by Chan's
+    formula: a unit of k records with mean u and centred sum of squares q
+    adds q + d^2 n k / (n + k), d = u - (the mean of the n records before
+    it). Both are taken on the integrals less the first unit's mean, so d
+    keeps its digits however large the detector offset. Memory is one
+    unit's integrals, whatever n_traj."""
+    if records.n_detectors != 1:
+        raise ConfigError(f"calibration needs one-detector archives, got {records.n_detectors}")
+    n_traj, dt = records.n_traj, records.grid.dt
+    n, peak = 0, 0.0
+    total = shift = shifted_total = m2 = None
+
+    def reduce(g: int, unit) -> None:
+        nonlocal n, peak, total, shift, shifted_total, m2
+        x = integrate_traces(unit, dt)
+        k = len(x)
+        peak = max(peak, float(np.abs(x).max()))
+        if n == 0:
+            shift = x.mean(axis=0)
+        y = x - shift
+        unit_total = y.sum(axis=0)
+        unit_m2 = ((y - unit_total / k) ** 2).sum(axis=0)
+        if n == 0:
+            total, shifted_total, m2 = x.sum(axis=0), unit_total, unit_m2
+        else:
+            d = unit_total / k - shifted_total / n
+            m2 = m2 + unit_m2 + d * d * (n * k / (n + k))
+            total = np.concatenate([total[None], x]).sum(axis=0)
+            shifted_total = shifted_total + unit_total
+        n += k
+
+    _fold(records, [(lo, min(lo + MOMENT_UNIT, n_traj)) for lo in range(0, n_traj, MOMENT_UNIT)],
+          reduce)
+    return TraceMoments(grid=records.grid, n_traj=n, mean=total / n, m2=m2, peak=peak)
+
 
 @dataclasses.dataclass
 class CalibrationRun:
     """Paired one-detector raw-record ensembles, +axis and -axis preparations,
-    and their records' time integrals (``integrate_traces``), made once for
-    both estimators."""
+    each an ``EnsembleArchive`` or a ``RecordStream``, and the moments of
+    their records' time integrals (``trace_moments``), reduced once for both
+    estimators. A stream is fed once, one preparation after the other, and
+    neither ensemble is held."""
 
-    plus: EnsembleArchive
-    minus: EnsembleArchive
-    plus_integrals: np.ndarray = dataclasses.field(init=False, repr=False)
-    minus_integrals: np.ndarray = dataclasses.field(init=False, repr=False)
+    plus: EnsembleArchive | RecordStream
+    minus: EnsembleArchive | RecordStream
+    plus_moments: TraceMoments = dataclasses.field(init=False, repr=False)
+    minus_moments: TraceMoments = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         if self.plus.grid != self.minus.grid:
             raise ConfigError("calibration ensembles must share one grid")
-        self.plus_integrals = integrate_traces(self.plus)
-        self.minus_integrals = integrate_traces(self.minus)
+        self.plus_moments = trace_moments(self.plus)
+        self.minus_moments = trace_moments(self.minus)
 
 
-def integrate_traces(archive: EnsembleArchive) -> np.ndarray:
-    """Cumulative time integral of each raw record of a one-detector archive
+def integrate_traces(records: np.ndarray, dt: float) -> np.ndarray:
+    """Cumulative time integral of each raw record of a one-detector
+    ensemble, (n_traj, 1, n_samples) records on samples ``dt`` apart
     (trapezoid rule, zero at the first sample). Shape (n_traj, n_samples)."""
-    if archive.n_detectors != 1:
-        raise ConfigError(f"calibration needs one-detector archives, got {archive.n_detectors}")
-    x = archive.signals[:, 0, :]
+    if records.shape[1] != 1:
+        raise ConfigError(f"calibration needs one-detector archives, got {records.shape[1]}")
+    x = records[:, 0, :]
     out = np.zeros(x.shape)
-    out[:, 1:] = np.cumsum(archive.grid.dt * (x[:, 1:] + x[:, :-1]) / 2.0, axis=1)
+    out[:, 1:] = np.cumsum(dt * (x[:, 1:] + x[:, :-1]) / 2.0, axis=1)
     return out
 
 
@@ -91,8 +203,7 @@ def estimate_response(run: CalibrationRun,
     """Pole separation Delta_I in raw units per unit normalized signal: the
     fitted slope of <integral_plus>(t) - <integral_minus>(t) over the first
     ``fit_window`` of the trace. The per-pole response is Delta_I / 2."""
-    ip = run.plus_integrals.mean(axis=0)
-    im = run.minus_integrals.mean(axis=0)
+    ip, im = run.plus_moments.mean, run.minus_moments.mean
     t = run.plus.grid.times()
     mask = t <= fit_window + 1e-9
     if mask.sum() < 3:
@@ -113,18 +224,16 @@ def estimate_tau_m(run: CalibrationRun, delta_i: float,
     if delta_i == 0:
         raise ConfigError("delta_i must be nonzero")
     t = run.plus.grid.times()
-    ip = run.plus_integrals
-    im = run.minus_integrals
-    vp = ip.var(axis=0, ddof=1)
-    vm = im.var(axis=0, ddof=1)
+    plus, minus = run.plus_moments, run.minus_moments
+    vp, vm = plus.var, minus.var
     sp = _line_slope(t, vp)
     sm = _line_slope(t, vm)
     # identical records leave only mean-rounding dust in the variance, so the
     # growth check is relative to the integrated-signal scale
-    floor = 1e-16 * (1.0 + max(np.abs(ip).max(), np.abs(im).max()) ** 2)
+    floor = 1e-16 * (1.0 + max(plus.peak, minus.peak) ** 2)
     if not (sp > 0 and sm > 0 and vp[-1] > floor and vm[-1] > floor):
         raise DiagnosticError("integrated-record variance does not grow; record too short?")
-    spread = math.sqrt(sum(12.0 / (5.0 * (arch.n_traj - 1)) for arch in (run.plus, run.minus)))
+    spread = math.sqrt(sum(12.0 / (5.0 * (m.n_traj - 1)) for m in (plus, minus)))
     if abs(sp / sm - 1.0) > VARIANCE_MATCH_TOL \
             and abs(math.log(sp / sm)) > VARIANCE_MATCH_Z * spread:
         raise DiagnosticError(
@@ -172,7 +281,7 @@ def _block_bounds(n_traj: int, block_size: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def estimate_correlator(archive: EnsembleArchive, delta_i: float,
+def estimate_correlator(records: EnsembleArchive | RecordStream, delta_i: float,
                         t_avg: float, t_skip: float,
                         block_size: int = DEFAULT_BLOCK_SIZE,
                         detector_index: int = 0,
@@ -185,31 +294,36 @@ def estimate_correlator(archive: EnsembleArchive, delta_i: float,
     product is noise-variance dominated and excluded). The block offset is the
     record mean over each block of trajectories at t >= t_skip. Standard
     errors are delete-one-block jackknife over the same blocks.
+
+    ``records`` is an ``EnsembleArchive`` or a ``RecordStream``, fed through
+    one jackknife-block reducer: each block's records are gathered across
+    batches until the block is complete and then reduced to its row of lag
+    sums, so memory is one block and one batch, whatever n_traj.
     """
     if delta_i == 0:
         raise ConfigError("delta_i must be nonzero")
     if not t_avg > 0:
         raise ConfigError(f"t_avg must be positive, got {t_avg!r}")
-    if not 0 <= detector_index < archive.n_detectors:
+    if not 0 <= detector_index < records.n_detectors:
         raise ConfigError(f"detector index {detector_index} out of range")
-    sig = archive.signals[:, detector_index, :]
-    times = archive.grid.times()
-    i1, n_lags = first_time_window(archive.grid, t_skip, t_avg, max_lag)
+    times = records.grid.times()
+    i1, n_lags = first_time_window(records.grid, t_skip, t_avg, max_lag)
 
     offset_mask = times >= t_skip - 1e-9
-    bounds = _block_bounds(sig.shape[0], block_size)
+    bounds = _block_bounds(records.n_traj, block_size)
     scale = 2.0 / delta_i
     block_sums = np.empty((len(bounds), n_lags))
-    block_sizes = np.empty(len(bounds))
-    for b, (lo, hi) in enumerate(bounds):
-        block = sig[lo:hi]
+    block_sizes = np.array([hi - lo for lo, hi in bounds], dtype=np.float64)
+
+    def reduce(b: int, block) -> None:
         j = (block - block[:, offset_mask].mean()) * scale
-        acc = np.zeros((hi - lo, n_lags))
+        acc = np.zeros((len(block), n_lags))
         for i in i1:
             acc += j[:, i, None] * j[:, i + 1:i + 1 + n_lags]
         acc /= i1.size
         block_sums[b] = acc.sum(axis=0)
-        block_sizes[b] = hi - lo
+
+    _fold(records, bounds, reduce, column=detector_index)
 
     n = block_sizes.sum()
     total = block_sums.sum(axis=0)
@@ -220,5 +334,5 @@ def estimate_correlator(archive: EnsembleArchive, delta_i: float,
         errors = np.sqrt((g - 1) / g * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
     else:
         errors = None
-    return CorrelatorResult(lags=archive.grid.dt * np.arange(1, n_lags + 1), values=values,
+    return CorrelatorResult(lags=records.grid.dt * np.arange(1, n_lags + 1), values=values,
                             errors=errors, t1_values=times[i1])

@@ -27,6 +27,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -54,7 +55,7 @@ from .core import (
 )
 from .ensemble import dephasing_matrix, rabi_dephasing_generator
 from .gcr import correlator_time_averaged
-from .trajectory import EnsembleArchive, NoisePlan, run_ensemble
+from .trajectory import NoisePlan, RecordStream, run_ensemble, write_archive
 
 CSV_HEADER = "tau_us,K_plus,err_plus,K_minus,err_minus,dK,err_dK"
 
@@ -381,22 +382,33 @@ def _threads(args) -> int:
 
 
 def _run(config: ExperimentConfig, detectors, segments, grid, seed: int, threads: int,
-         r0) -> EnsembleArchive:
+         r0) -> RecordStream:
     """The configured ensemble from initial state ``r0`` on noise stream
-    ``seed``. Raw records that overflow the raw-units map, or pass
-    sqrt(float max / record count) so that a sum of their squares can
-    overflow, end the run before any estimator sees them."""
-    archive = run_ensemble(config.ensemble.n_traj, NoisePlan(seed), r0, grid, detectors,
-                           segments, threads=threads, decimate=config.grid.decimate,
-                           config_digest=config.digest)
-    signals = archive.signals
-    peak = max(float(signals.max()), -float(signals.min()))
-    if not math.isfinite(peak):
-        raise DiagnosticError("non-finite value in the records; check detectors[].response and offset")
-    if peak > math.sqrt(sys.float_info.max / signals.size):
-        raise DiagnosticError(f"raw record value {peak:.3g} is so large that a sum of the "
-                              "records' squares can overflow; check detectors[].response and offset")
-    return archive
+    ``seed``, as a stream that runs when fed. Each batch is checked as it
+    arrives: raw records that overflow the raw-units map, or pass
+    sqrt(float max / record count of the whole run) so that a sum of their
+    squares can overflow, end the run before any estimator sees them."""
+    n_traj, decimate = config.ensemble.n_traj, config.grid.decimate
+    acquisition = grid.decimated(decimate)
+    bound = math.sqrt(sys.float_info.max / (n_traj * len(detectors) * acquisition.n_steps))
+
+    def feed(consumer) -> None:
+        def checked(records) -> None:
+            peak = max(float(records.max()), -float(records.min()))
+            if not math.isfinite(peak):
+                raise DiagnosticError(
+                    "non-finite value in the records; check detectors[].response and offset")
+            if peak > bound:
+                raise DiagnosticError(
+                    f"raw record value {peak:.3g} is so large that a sum of the records' "
+                    "squares can overflow; check detectors[].response and offset")
+            consumer(records)
+
+        run_ensemble(n_traj, NoisePlan(seed), r0, grid, detectors, segments, threads=threads,
+                     decimate=decimate, consumer=checked)
+
+    return RecordStream(grid=acquisition, seed=seed, n_traj=n_traj, n_detectors=len(detectors),
+                        feed=feed, config_digest=config.digest)
 
 
 def _check_pair_seed(seed: int) -> None:
@@ -455,11 +467,20 @@ def cmd_simulate(args) -> int:
     detectors = tuple(build_detector(d) for d in config.detectors)
     segments = build_segments(config)
     grid = build_grid(config, detectors)
-    archive = _run(config, detectors, segments, grid, config.ensemble.seed, _threads(args),
+    records = _run(config, detectors, segments, grid, config.ensemble.seed, _threads(args),
                    np.asarray(config.initial_state, dtype=np.float64))
-    archive.save(args.out)
-    print(f"wrote {args.out}: {archive.n_traj} trajectories x {archive.n_detectors} "
-          f"detectors x {archive.n_samples} samples, sha256 {archive.digest()}")
+    # written batch by batch to a side file that replaces the output only
+    # once every record is in, so a failed run leaves no partial archive
+    partial = f"{args.out}.partial"
+    try:
+        with open(partial, "wb") as fh:
+            digest = write_archive(records, fh)
+        os.replace(partial, args.out)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+    print(f"wrote {args.out}: {records.n_traj} trajectories x {records.n_detectors} "
+          f"detectors x {records.n_samples} samples, sha256 {digest}")
     return 0
 
 
@@ -486,8 +507,8 @@ def cmd_correlate(args) -> int:
         _check_pair_seed(seed)
 
         def curve(r, seed):
-            archive = _run(config, detectors, segments, grid, seed, threads, r)
-            result = estimate_correlator(archive, 2.0 * det.response, corr.t_avg_us,
+            records = _run(config, detectors, segments, grid, seed, threads, r)
+            result = estimate_correlator(records, 2.0 * det.response, corr.t_avg_us,
                                          corr.t_skip_us, block_size=corr.block_size,
                                          detector_index=corr.detector_index,
                                          max_lag=corr.max_lag_us)

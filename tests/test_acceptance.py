@@ -43,6 +43,7 @@ from cqmcorr import (
     rotation_matrix,
     run_ensemble,
     simulate_states,
+    stream_ensemble,
 )
 
 GAMMA = 1.0 / 1.8            # ensemble dephasing rate, 1/us
@@ -91,10 +92,11 @@ def recipe_reference(lags, centroids, detector, segments, x0):
 
 def preparation_pair(det, n_steps, seed, max_lag):
     """Correlator estimates of the +x and -x preparations, 2e5 trajectories
-    each on noise seeds ``seed`` and ``seed + 1``, one ensemble at a time."""
+    each on noise seeds ``seed`` and ``seed + 1``, each streamed through the
+    estimator batch by batch."""
     return tuple(
-        estimate_correlator(run_ensemble(200_000, NoisePlan(s), r0, TimeGrid(DT, n_steps),
-                                         (det,), production_segments(), decimate=DECIMATE),
+        estimate_correlator(stream_ensemble(200_000, NoisePlan(s), r0, TimeGrid(DT, n_steps),
+                                            (det,), production_segments(), decimate=DECIMATE),
                             2.0, T_AVG, T_SKIP, block_size=10_000, max_lag=max_lag)
         for r0, s in ((X_PLUS, seed), (X_MINUS, seed + 1)))
 
@@ -228,10 +230,10 @@ def test_criterion_3a_averaged_maximum_band(criteria):
 def test_criterion_3b_peak_significance(criteria):
     """The Monte Carlo peak at 70 degrees exceeds 1.5 with >= 5 sigma."""
     det = production_detector(70.0)
-    arch = run_ensemble(4_000_000, NoisePlan(303), X_PLUS,
-                        TimeGrid(DT, 300), (det,), production_segments(),
-                        decimate=DECIMATE)
-    res = estimate_correlator(arch, 2.0, T_AVG, T_SKIP, block_size=200_000,
+    records = stream_ensemble(4_000_000, NoisePlan(303), X_PLUS,
+                              TimeGrid(DT, 300), (det,), production_segments(),
+                              decimate=DECIMATE)
+    res = estimate_correlator(records, 2.0, T_AVG, T_SKIP, block_size=200_000,
                               max_lag=0.4)
     ipk = int(np.argmax(res.values))
     z = (res.values[ipk] - 1.5) / res.errors[ipk]
@@ -452,10 +454,10 @@ def test_criterion_7_calibration_round_trip(criteria):
         segments = (EnsembleGenerator(matrix=dephasing_matrix(det.axis, gamma),
                                       r_st=np.zeros(3)),)
         grid = TimeGrid(0.04, n_steps)
-        plus = run_ensemble(17_000, NoisePlan(seed), det.axis, grid, (det,),
-                            segments)
-        minus = run_ensemble(17_000, NoisePlan(seed + 1), -det.axis, grid,
-                             (det,), segments)
+        plus = stream_ensemble(17_000, NoisePlan(seed), det.axis, grid, (det,),
+                               segments)
+        minus = stream_ensemble(17_000, NoisePlan(seed + 1), -det.axis, grid,
+                                (det,), segments)
         run = CalibrationRun(plus=plus, minus=minus)
         di_hat = estimate_response(run, fit_window=0.04 * n_steps)
         tau_hat, eta_raw = estimate_tau_m(run, di_hat, gamma=gamma)

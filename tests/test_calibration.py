@@ -12,9 +12,12 @@ from cqmcorr import (
     DetectorModel,
     DiagnosticError,
     EnsembleArchive,
+    EnsembleGenerator,
     NoisePlan,
     RabiCaseParams,
+    RecordStream,
     TimeGrid,
+    dephasing_matrix,
     estimate_correlator,
     estimate_response,
     estimate_tau_m,
@@ -22,8 +25,10 @@ from cqmcorr import (
     k_qrf_baseline,
     rabi_dephasing_generator,
     run_ensemble,
+    stream_ensemble,
+    trace_moments,
 )
-from cqmcorr.calibration import VARIANCE_MATCH_TOL
+from cqmcorr.calibration import MOMENT_UNIT, VARIANCE_MATCH_TOL
 
 GAMMA = 1.0 / 1.8
 OMEGA = 2.0 * math.pi
@@ -50,7 +55,7 @@ def test_integrate_traces_matches_cumulative_trapezoid():
     gen = np.random.default_rng(2)
     sig = gen.normal(size=(5, 1, 30))
     arch = archive_from_signals(sig, dt=0.05)
-    got = integrate_traces(arch)
+    got = integrate_traces(arch.signals, arch.grid.dt)
     want = cumulative_trapezoid(sig[:, 0, :], dx=0.05, axis=1, initial=0.0)
     np.testing.assert_array_equal(got, want)
     assert got.shape == (5, 30)
@@ -70,7 +75,7 @@ class TestCalibrationRun:
             with pytest.raises(ConfigError, match="one-detector archives, got 2"):
                 CalibrationRun(plus=plus, minus=minus)
         with pytest.raises(ConfigError, match="one-detector archives"):
-            integrate_traces(two)
+            integrate_traces(two.signals, two.grid.dt)
 
 
 class TestEstimateResponse:
@@ -149,8 +154,7 @@ class TestEstimateTauM:
                                  dt=0.04, seed=seed)
             estimate_tau_m(run, delta_i=2.01)
             t = run.plus.grid.times()
-            sp, sm = (np.polyfit(t, x.var(axis=0, ddof=1), 1)[0]
-                      for x in (run.plus_integrals, run.minus_integrals))
+            sp, sm = (np.polyfit(t, m.var, 1)[0] for m in (run.plus_moments, run.minus_moments))
             refused_by_fixed += abs(sp / sm - 1.0) > VARIANCE_MATCH_TOL
         assert refused_by_fixed >= 5
 
@@ -227,3 +231,98 @@ class TestEstimateCorrelator:
         p = RabiCaseParams(gamma=GAMMA, omega_r=OMEGA)
         want = k_qrf_baseline(p, res.lags)
         assert np.all(np.abs(res.values - want) <= 4.0 * res.errors)
+
+
+# (batch_size, threads) of the streamed runs: batches of one record, batches
+# that cut the groups anywhere, and one batch per preparation
+BATCHES = [(1, 1), (7, 1), (255, 1), (257, 1), (8192, 1), (7, 2), (257, 2), (8192, 2)]
+
+
+class TestBlockReducers:
+    """Both estimators fold fed records in groups fixed by the estimator
+    (jackknife blocks, units of MOMENT_UNIT records), so a ``RecordStream``
+    gives the bits of an ``EnsembleArchive`` at any batch size and thread
+    count."""
+
+    @staticmethod
+    def correlate_args():
+        det = DetectorModel.from_quadrature_angle((0, 0, 1), tau_min=2.0454545454545454,
+                                                  phi_a_deg=70.0, eta=0.44)
+        return det, (rabi_dephasing_generator(GAMMA, OMEGA),)
+
+    @staticmethod
+    def assert_same_curve(got, want):
+        for field in ("lags", "values", "errors", "t1_values"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+    @pytest.mark.parametrize("batch_size, threads", BATCHES)
+    def test_streamed_correlator_equals_the_archive(self, batch_size, threads):
+        """Blocks of 200 over 450 records: batches cut them anywhere, and the
+        last block takes the 50-record remainder."""
+        det, segments = self.correlate_args()
+        args = (450, NoisePlan(7), [1, 0, 0], TimeGrid(0.004, 300), (det,), segments)
+        estimate = dict(delta_i=2.0, t_avg=0.28, t_skip=0.28, block_size=200, max_lag=0.6)
+        want = estimate_correlator(run_ensemble(*args, decimate=10), **estimate)
+        got = estimate_correlator(stream_ensemble(*args, decimate=10, batch_size=batch_size,
+                                                  threads=threads), **estimate)
+        self.assert_same_curve(got, want)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sample_blocks_straddle_batches(self, threads):
+        """The sample correlate config: blocks of 2000 records against
+        batches of 8192, so the blocks from 8000 and from 16000 records on
+        are gathered across two batches."""
+        det, segments = self.correlate_args()
+        args = (20_000, NoisePlan(7), [1, 0, 0], TimeGrid(0.004, 610), (det,), segments)
+        estimate = dict(delta_i=2.0, t_avg=0.28, t_skip=0.28, block_size=2000, max_lag=1.0)
+        want = estimate_correlator(run_ensemble(*args, decimate=10), **estimate)
+        got = estimate_correlator(stream_ensemble(*args, decimate=10, threads=threads),
+                                  **estimate)
+        self.assert_same_curve(got, want)
+
+    @pytest.mark.parametrize("batch_size, threads", BATCHES)
+    def test_streamed_calibration_equals_the_archive(self, batch_size, threads):
+        """1100 records per preparation: one full unit and a remainder."""
+        assert MOMENT_UNIT < 1100 < 2 * MOMENT_UNIT
+        det = DetectorModel.from_quadrature_angle((0, 0, 1), 2.04, 0.0, eta=0.44,
+                                                  response=1.005, offset=-0.4)
+        segments = (EnsembleGenerator(matrix=dephasing_matrix(det.axis, 1.0 / (2 * 0.44 * 2.04)),
+                                      r_st=np.zeros(3)),)
+
+        def run(make, **options):
+            return CalibrationRun(*(make(1100, NoisePlan(seed), r0, TimeGrid(0.04, 60), (det,),
+                                         segments, **options)
+                                    for seed, r0 in ((11, det.axis), (12, -det.axis))))
+
+        want = run(run_ensemble)
+        got = run(stream_ensemble, batch_size=batch_size, threads=threads)
+        for side in ("plus_moments", "minus_moments"):
+            a, b = getattr(got, side), getattr(want, side)
+            assert (a.n_traj, a.peak) == (b.n_traj, b.peak) == (1100, b.peak)
+            np.testing.assert_array_equal(a.mean, b.mean)
+            np.testing.assert_array_equal(a.m2, b.m2)
+        delta_i = estimate_response(want)
+        assert estimate_response(got) == delta_i
+        assert estimate_tau_m(got, delta_i, GAMMA) == estimate_tau_m(want, delta_i, GAMMA)
+
+    def test_moments_match_two_pass_statistics(self):
+        """Chan's merge of units against numpy on the whole ensemble: the
+        mean bit for bit, the variance at round-off, over records whose
+        offset of 1e4 dwarfs the white noise of a 2 us measurement time."""
+        gen = np.random.default_rng(3)
+        signals = 1e4 + math.sqrt(2.0 / 0.04) * gen.normal(size=(2 * MOMENT_UNIT + 37, 1, 50))
+        arch = archive_from_signals(signals)
+        x = integrate_traces(signals, arch.grid.dt)
+        run = CalibrationRun(plus=arch, minus=arch)
+        np.testing.assert_array_equal(run.plus_moments.mean, x.mean(axis=0))
+        np.testing.assert_allclose(run.plus_moments.var[1:], x.var(axis=0, ddof=1)[1:],
+                                   rtol=1e-12, atol=0)
+        assert run.plus_moments.peak == np.abs(x).max()
+
+    @pytest.mark.parametrize("fed, message", [(9, "fed 9 of the 10"), (11, "more than the 10")])
+    def test_feed_must_match_the_declared_count(self, fed, message):
+        signals = np.zeros((fed, 1, 50))
+        stream = RecordStream(grid=TimeGrid(0.04, 50), seed=0, n_traj=10, n_detectors=1,
+                              feed=lambda consumer: consumer(signals))
+        with pytest.raises(ConfigError, match=message):
+            trace_moments(stream)

@@ -23,6 +23,8 @@ from cqmcorr import (
     rabi_dephasing_generator,
     run_ensemble,
     simulate_states,
+    stream_ensemble,
+    write_archive,
 )
 from cqmcorr import trajectory
 from cqmcorr.trajectory import _batch_normals, _noise_chunks
@@ -548,16 +550,75 @@ class TestRunEnsemble:
     def test_many_threads_match_one(self):
         """Batches on more threads than cores, each with its own noise
         helper and the interpreter switching threads every microsecond, give
-        the bits of one thread."""
+        the bits of one thread, also when their reused record buffers go to
+        a consumer."""
         args = self.small_args(n_traj=2000, grid=TimeGrid(0.004, 10))
         want = run_ensemble(**args, batch_size=50).digest()
+        stream = stream_ensemble(**args, threads=8, batch_size=50)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             got = [run_ensemble(**args, threads=8, batch_size=50).digest() for _ in range(3)]
+            streamed = [write_archive(stream) for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
         assert got == [want] * 3
+        assert streamed == [want] * 3
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_consumer_gets_batches_in_order_on_the_caller(self, threads):
+        args = self.small_args(n_traj=150)
+        got, callers = [], []
+
+        def consumer(records):
+            got.append(records.copy())
+            callers.append(threading.current_thread())
+
+        assert run_ensemble(**args, threads=threads, batch_size=20, consumer=consumer) is None
+        assert [len(records) for records in got] == [20] * 7 + [10]
+        np.testing.assert_array_equal(np.concatenate(got), run_ensemble(**args).signals)
+        assert set(callers) == {threading.current_thread()}
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_buffers_are_reused_and_batches_in_flight_bounded(self, monkeypatch, threads):
+        """At most ``threads`` + 1 batches are in flight, and each in-flight
+        slot reuses its signal and record buffers for the batches of one
+        call."""
+        signal_buffers, handed, in_flight = [], [], []
+        simulate = trajectory._simulate_batch
+
+        def counted(*args, **kwargs):
+            signal_buffers.append(kwargs["out"])
+            return simulate(*args, **kwargs)
+
+        def consumer(records):
+            handed.append(records.ctypes.data)
+            # started and not yet handed over, this batch included
+            in_flight.append(len(signal_buffers) - len(handed) + 1)
+
+        monkeypatch.setattr(trajectory, "_simulate_batch", counted)
+        run_ensemble(**self.small_args(n_traj=200), threads=threads, batch_size=20,
+                     consumer=consumer)
+        assert len(handed) == 10
+        assert max(in_flight) <= threads + 1
+        assert len({id(buf) for buf in signal_buffers}) <= threads + 1
+        assert len(set(handed)) <= threads + 1
+        if threads == 1:
+            assert len({id(buf) for buf in signal_buffers}) == len(set(handed)) == 1
+
+    def test_failed_consumer_stops_the_pool(self):
+        before = threading.active_count()
+        calls = []
+
+        def consumer(records):
+            calls.append(len(records))
+            raise DiagnosticError("stop")
+
+        with pytest.raises(DiagnosticError, match="stop"):
+            run_ensemble(**self.small_args(n_traj=400), threads=2, batch_size=20,
+                         consumer=consumer)
+        assert calls == [20]
+        assert threading.active_count() == before
 
     def test_decimate_must_divide(self):
         with pytest.raises(ConfigError):
@@ -609,3 +670,19 @@ class TestArchiveSerialization:
 
         arch, path = self.build(tmp_path)
         assert arch.digest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("batch_size", [2, 9])
+    def test_streamed_write_is_the_saved_archive(self, tmp_path, batch_size):
+        """``write_archive`` on a stream writes, batch by batch, the bytes of
+        the saved archive, and returns their digest."""
+        arch, path = self.build(tmp_path)
+        stream = stream_ensemble(9, NoisePlan(seed=5), [0, 0, 1], TimeGrid(0.01, 12),
+                                 (reference_detector(0.0, response=1.005, offset=-0.4),),
+                                 (EnsembleGenerator(matrix=dephasing_matrix((0, 0, 1), GAMMA),
+                                                    r_st=np.zeros(3)),),
+                                 decimate=3, config_digest="abc123", batch_size=batch_size)
+        streamed = tmp_path / "streamed.cqm"
+        with open(streamed, "wb") as fh:
+            digest = write_archive(stream, fh)
+        assert streamed.read_bytes() == path.read_bytes()
+        assert digest == arch.digest()
