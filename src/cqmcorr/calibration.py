@@ -23,7 +23,9 @@ Both estimators are block reducers: they take an ``EnsembleArchive`` or a
 ``RecordStream`` and fold its records as they are fed, in fixed groups of
 trajectories (jackknife blocks, or MOMENT_UNIT records for the calibration
 moments), so a stream is never held and no batch size or thread count moves
-a bit.
+a bit. A stream feeds slices of at most ``trajectory.RECORD_SLICE`` records,
+cut at its multiples, and MOMENT_UNIT equals it, so each calibration unit
+arrives whole, as a view of one slice.
 """
 
 from __future__ import annotations
@@ -67,9 +69,10 @@ def _fold(records, bounds, reduce, column=slice(None)) -> None:
     """Feed ``records`` (an EnsembleArchive or RecordStream) and call
     ``reduce(g, group)`` for group g = [lo, hi) of ``bounds``, in order, as
     soon as its last record arrives; ``column`` picks from each record. A
-    group inside one batch is a view of the batch, one that straddles batches
-    is gathered into an array of its own: either way the same values in the
-    same layout, so what a reducer computes depends on ``bounds`` alone."""
+    group inside one fed slice is a view of the slice, one that straddles
+    slices is gathered into an array of its own: either way the same values
+    in the same layout, so what a reducer computes depends on ``bounds``
+    alone."""
     seen, g, gathered = 0, 0, None
 
     def take(batch) -> None:
@@ -297,8 +300,8 @@ def estimate_correlator(records: EnsembleArchive | RecordStream, delta_i: float,
 
     ``records`` is an ``EnsembleArchive`` or a ``RecordStream``, fed through
     one jackknife-block reducer: each block's records are gathered across
-    batches until the block is complete and then reduced to its row of lag
-    sums, so memory is one block and one batch, whatever n_traj.
+    fed slices until the block is complete and then reduced to its row of
+    lag sums, so memory is one block and one slice, whatever n_traj.
     """
     if delta_i == 0:
         raise ConfigError("delta_i must be nonzero")

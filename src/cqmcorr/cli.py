@@ -384,10 +384,11 @@ def _threads(args) -> int:
 def _run(config: ExperimentConfig, detectors, segments, grid, seed: int, threads: int,
          r0) -> RecordStream:
     """The configured ensemble from initial state ``r0`` on noise stream
-    ``seed``, as a stream that runs when fed. Each batch is checked as it
-    arrives: raw records that overflow the raw-units map, or pass
-    sqrt(float max / record count of the whole run) so that a sum of their
-    squares can overflow, end the run before any estimator sees them."""
+    ``seed``, as a stream that runs when fed. Each slice of records is
+    checked as it arrives: raw records that overflow the raw-units map, or
+    pass sqrt(float max / record count of the whole run) so that a sum of
+    their squares can overflow, end the run before any estimator sees
+    them."""
     n_traj, decimate = config.ensemble.n_traj, config.grid.decimate
     acquisition = grid.decimated(decimate)
     bound = math.sqrt(sys.float_info.max / (n_traj * len(detectors) * acquisition.n_steps))
@@ -469,7 +470,7 @@ def cmd_simulate(args) -> int:
     grid = build_grid(config, detectors)
     records = _run(config, detectors, segments, grid, config.ensemble.seed, _threads(args),
                    np.asarray(config.initial_state, dtype=np.float64))
-    # written batch by batch to a side file that replaces the output only
+    # written slice by slice to a side file that replaces the output only
     # once every record is in, so a failed run leaves no partial archive
     partial = f"{args.out}.partial"
     try:
@@ -539,7 +540,8 @@ def cmd_correlate(args) -> int:
 def cmd_calibrate(args) -> int:
     config = load_config(args.config)
     if len(config.detectors) != 1:
-        raise ConfigError("calibrate expects exactly one detector")
+        raise ConfigError("detectors: calibrate expects exactly one detector, "
+                          f"got {len(config.detectors)}")
     if config.evolution.segments:
         raise ConfigError("evolution.segments: calibrate builds its own generator from gamma_per_us")
     if config.ensemble.n_traj < 2:
@@ -548,7 +550,8 @@ def cmd_calibrate(args) -> int:
     det = build_detector(config.detectors[0])
     gamma = config.evolution.gamma
     if config.evolution.omega_r != 0:
-        raise ConfigError("calibrate runs without a drive; set the Rabi rate to 0")
+        raise ConfigError("evolution.rabi_mhz: calibrate runs without a drive; set it to 0 "
+                          f"or leave it out, got {config.evolution.rabi_mhz!r}")
     segments = build_segments(config)
     grid = build_grid(config, (det,))
     threads, seed = _threads(args), config.ensemble.seed

@@ -109,6 +109,11 @@ NOISE_CHUNK = 20
 # their lanes, so the drawing thread takes the GIL less often (a copy per
 # tile made mc_correlate 4% slower); like NOISE_CHUNK it shapes no bit
 TILES_PER_COPY = 4
+# trajectories per hand-over of raw records: a batch is mapped to raw units
+# and handed to the consumer in slices cut at multiples of this, so a run
+# keeps one slice of records, not a batch of them. Like NOISE_CHUNK it shapes
+# no bit; it equals calibration.MOMENT_UNIT, so moment units arrive whole
+RECORD_SLICE = 1024
 
 
 def _noise_chunks(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int):
@@ -342,8 +347,8 @@ def _archive_head(records) -> bytes:
 def write_archive(records, fh=None) -> str:
     """Write the archive of ``records`` (an ``EnsembleArchive`` or a
     ``RecordStream``) to the binary file ``fh``, or only hash it when ``fh``
-    is None, and return the sha256 of its bytes. The records are fed batch by
-    batch, so a stream is written without its ensemble ever being held."""
+    is None, and return the sha256 of its bytes. The records are fed slice by
+    slice, so a stream is written without its ensemble ever being held."""
     digest = hashlib.sha256()
 
     def put(data) -> None:
@@ -403,10 +408,11 @@ class EnsembleArchive:
 @dataclasses.dataclass(frozen=True)
 class RecordStream:
     """The raw records of an ensemble that runs only when fed:
-    ``feed(consumer)`` runs it and hands each batch of records, an
-    (n, n_detectors, n_samples) array in trajectory order, to ``consumer``,
-    which must copy what it keeps before it returns. Each feed runs the
-    ensemble again, with the same bits. ``grid`` is the acquisition grid."""
+    ``feed(consumer)`` runs it and hands its records to ``consumer`` in
+    slices, each an (n, n_detectors, n_samples) array of n <= RECORD_SLICE
+    trajectories, in trajectory order; the consumer must copy what it keeps
+    before it returns. Each feed runs the ensemble again, with the same bits.
+    ``grid`` is the acquisition grid."""
 
     grid: TimeGrid
     seed: int
@@ -424,9 +430,10 @@ def stream_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
                     detectors, segments, *, decimate: int = 1, config_digest: str = "",
                     **options) -> RecordStream:
     """The records of ``run_ensemble`` on these arguments as a
-    ``RecordStream``: each feed calls ``run_ensemble`` with the consumer, so
-    the ensemble is never held. ``options`` are ``run_ensemble``'s
-    ``threads`` and ``batch_size``."""
+    ``RecordStream``: each feed calls ``run_ensemble`` with the consumer,
+    which gets slices of at most RECORD_SLICE records, so the ensemble is
+    never held and no batch of records is either. ``options`` are
+    ``run_ensemble``'s ``threads`` and ``batch_size``."""
     detectors = tuple(detectors)
     return RecordStream(
         grid=grid.decimated(decimate), seed=plan.seed, n_traj=n_traj,
@@ -441,10 +448,12 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
                  batch_size: int = DEFAULT_BATCH_SIZE, decimate: int = 1,
                  config_digest: str = "", consumer=None) -> EnsembleArchive | None:
     """Simulate n_traj trajectories in batches of ``batch_size`` and hand
-    each batch's raw output records, an (n, n_detectors, n_samples) array, to
-    ``consumer`` in trajectory order, on the calling thread. The array is
-    reused for a later batch once ``consumer`` returns. Without a consumer,
-    the batches fill an ``EnsembleArchive``, which is returned.
+    their raw output records to ``consumer`` in slices, each an
+    (n, n_detectors, n_samples) array of n <= RECORD_SLICE trajectories, cut
+    at multiples of RECORD_SLICE and at batch ends, in trajectory order and
+    on the calling thread. The array is reused for the batch's next slice
+    once ``consumer`` returns. Without a consumer, the slices fill an
+    ``EnsembleArchive``, which is returned.
 
     Trajectory j uses noise stream (plan.seed, j), so the records are a pure
     function of the arguments. ``decimate`` averages each group of that many
@@ -453,10 +462,12 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     distributes whole batches over a thread pool, with at most ``threads`` + 1
     batches in flight, so memory stays O(threads x batch_size); every output
     bit is independent of ``threads``. Each batch also draws its noise on a
-    helper thread of its own, so up to 2 * ``threads`` threads run. Each
-    in-flight slot keeps its signal and record buffers across the batches of
-    one call. States are not kept; use ``simulate_states`` for a state
-    history.
+    helper thread of its own, so up to 2 * ``threads`` threads run. A worker
+    returns its batch's step-major signals only, and each in-flight slot
+    keeps its signals buffer across the batches of one call; the calling
+    thread maps the signals to raw units, one slice at a time, into one
+    slice buffer per batch. States are not kept; use ``simulate_states`` for
+    a state history.
     """
     if n_traj < 1:
         raise ConfigError(f"n_traj must be >= 1, got {n_traj!r}")
@@ -472,39 +483,43 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     if consumer is None:
         archive = EnsembleArchive(grid=dec_grid, seed=plan.seed, config_digest=config_digest,
                                   signals=np.empty((n_traj, n_det, n_samples)))
-        # each batch writes its records into the archive itself
-        consumer = lambda records: None
+    n_signals = n_samples * n_det * max(width, 2)
 
-    def buffers():
-        """Flat buffers for one batch's signals and, when they go to a
-        consumer, its records, in one allocation: allocated apart, they
-        faulted about 930 pages back in on every call (5716 minor faults per
-        mc_correlate op against 4.5)."""
-        n_signals = n_samples * n_det * max(width, 2)
-        flat = np.empty(n_signals + (width * n_det * n_samples if archive is None else 0))
-        return flat[:n_signals], flat[n_signals:] if archive is None else None
-
-    def run_batch(lo: int, bufs):
-        hi = min(lo + batch_size, n_traj)
+    def run_batch(lo: int, buf):
         signals, _ = _simulate_batch(r0, grid, detectors, segments, seg_idx, plan,
-                                     record_states=False, traj_lo=lo, traj_hi=hi,
-                                     decimate=decimate, out=bufs[0])
+                                     record_states=False, traj_lo=lo,
+                                     traj_hi=min(lo + batch_size, n_traj), decimate=decimate,
+                                     out=buf)
+        return lo, signals
+
+    def hand_over(lo: int, signals) -> None:
+        """Map the step-major signals of trajectories lo.. to raw units, one
+        slice at a time, into the archive or a slice buffer, and hand each
+        slice to the consumer. The slice buffer is allocated once the batch
+        is stepped, when its noise blocks are freed, so it adds nothing to the
+        peak; one kept for the whole call stays alive while the next batch
+        steps, and read 0.5-1.2 MB more peak RSS per process."""
+        hi = lo + signals.shape[2]
         if archive is None:
-            records = bufs[1][:(hi - lo) * n_det * n_samples].reshape(hi - lo, n_det, n_samples)
-        else:
-            records = archive.signals[lo:hi]
-        # a huge response or offset overflows to inf here, which the caller
-        # reports; numpy's error state is per thread, so it is set in the worker
-        with np.errstate(over="ignore"):
-            np.multiply(responses[:, None], signals.transpose(2, 1, 0), out=records)
-            records += offsets[:, None]
-        return records
+            records = np.empty((min(RECORD_SLICE, hi - lo), n_det, n_samples))
+        cuts = [lo, *range((lo // RECORD_SLICE + 1) * RECORD_SLICE, hi, RECORD_SLICE), hi]
+        for a, b in zip(cuts, cuts[1:]):
+            out = records[:b - a] if archive is None else archive.signals[a:b]
+            # a huge response or offset overflows to inf here, which the
+            # consumer reports; numpy's error state is per thread, so it is
+            # set on the thread that maps
+            with np.errstate(over="ignore"):
+                np.multiply(responses[:, None], signals[:, :, a - lo:b - lo].transpose(2, 1, 0),
+                            out=out)
+                out += offsets[:, None]
+            if archive is None:
+                consumer(out)
 
     starts = range(0, n_traj, batch_size)
     if threads == 1:
-        bufs = buffers()
+        buf = np.empty(n_signals)
         for lo in starts:
-            consumer(run_batch(lo, bufs))
+            hand_over(*run_batch(lo, buf))
         return archive
 
     pool = concurrent.futures.ThreadPoolExecutor(max_workers=threads)
@@ -512,13 +527,13 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     try:
         for lo in starts:
             if len(in_flight) > threads:
-                done, bufs = in_flight.popleft()
-                consumer(done.result())
-                spare.append(bufs)
-            bufs = spare.pop() if spare else buffers()
-            in_flight.append((pool.submit(run_batch, lo, bufs), bufs))
+                done, buf = in_flight.popleft()
+                hand_over(*done.result())
+                spare.append(buf)
+            buf = spare.pop() if spare else np.empty(n_signals)
+            in_flight.append((pool.submit(run_batch, lo, buf), buf))
         while in_flight:
-            consumer(in_flight.popleft()[0].result())
+            hand_over(*in_flight.popleft()[0].result())
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
     return archive

@@ -568,6 +568,11 @@ class TestExitCodes:
          ("correlator.t_skip_us / correlator.t_avg_us: record too short",)),
         ("calibrate", lambda c: c["ensemble"].update(n_traj=1),
          ("ensemble.n_traj", "two or more trajectories")),
+        ("calibrate", lambda c: (c["detectors"].append(dict(c["detectors"][0])),
+                                 c["evolution"].update(gamma_per_us=3 * GAMMA)),
+         ("detectors: calibrate expects exactly one detector, got 2",)),
+        ("calibrate", lambda c: None,
+         ("evolution.rabi_mhz: calibrate runs without a drive", "got 1.0")),
     ], ids=["no-detectors", "axis-shape", "axis-unit", "tau_m", "no-tau", "tau_min", "eta",
             "phi_a-90", "dt", "duration", "decimate", "n_traj", "gamma", "gamma-below-gamma_m",
             "segment-matrix",
@@ -578,7 +583,8 @@ class TestExitCodes:
             "pair-seed-last", "max_lag-mc-huge", "max_lag-mc-minus-huge",
             "t_skip-negative-correlate", "t_skip-negative-simulate", "phi_a-95", "phi_a-huge",
             "lag_step-mc", "max_lag-mc-below-step", "t_skip-mc-past-record",
-            "t_avg-mc-to-record-end", "calibrate-one-traj"])
+            "t_avg-mc-to-record-end", "calibrate-one-traj", "calibrate-two-detectors",
+            "calibrate-drive"])
     def test_validation_rule_names_section_and_field(self, tmp_path, capsys, command, mutate,
                                                      names):
         cfg = base_config()
