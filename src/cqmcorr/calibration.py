@@ -142,20 +142,29 @@ def trace_moments(records: EnsembleArchive | RecordStream) -> TraceMoments:
 
     def reduce(g: int, unit) -> None:
         nonlocal n, peak, total, shift, shifted_total, m2
+        # the unit's integrals are the one unit-sized array: the running
+        # total is added in through its first row, which is then restored,
+        # and the unit is centred and squared in place
         x = integrate_traces(unit, dt)
         k = len(x)
-        peak = max(peak, float(np.abs(x).max()))
+        peak = max(peak, float(max(x.max(), -x.min())))
         if n == 0:
             shift = x.mean(axis=0)
-        y = x - shift
-        unit_total = y.sum(axis=0)
-        unit_m2 = ((y - unit_total / k) ** 2).sum(axis=0)
+            total = x.sum(axis=0)
+        else:
+            first = x[0].copy()
+            x[0] += total
+            total = x.sum(axis=0)
+            x[0] = first
+        x -= shift
+        unit_total = x.sum(axis=0)
+        x -= unit_total / k
+        unit_m2 = np.square(x, out=x).sum(axis=0)
         if n == 0:
-            total, shifted_total, m2 = x.sum(axis=0), unit_total, unit_m2
+            shifted_total, m2 = unit_total, unit_m2
         else:
             d = unit_total / k - shifted_total / n
             m2 = m2 + unit_m2 + d * d * (n * k / (n + k))
-            total = np.concatenate([total[None], x]).sum(axis=0)
             shifted_total = shifted_total + unit_total
         n += k
 
@@ -191,8 +200,13 @@ def integrate_traces(records: np.ndarray, dt: float) -> np.ndarray:
     if records.shape[1] != 1:
         raise ConfigError(f"calibration needs one-detector archives, got {records.shape[1]}")
     x = records[:, 0, :]
-    out = np.zeros(x.shape)
-    out[:, 1:] = np.cumsum(dt * (x[:, 1:] + x[:, :-1]) / 2.0, axis=1)
+    out = np.empty(x.shape)
+    out[:, 0] = 0.0
+    # dt (x_{i+1} + x_i) / 2, summed cumulatively, in place: no temporary
+    steps = np.add(x[:, 1:], x[:, :-1], out=out[:, 1:])
+    steps *= dt
+    steps /= 2.0
+    np.cumsum(steps, axis=1, out=steps)
     return out
 
 

@@ -627,8 +627,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         if threads:
             p.add_argument("--threads", type=int, default=1,
-                           help="batch workers for the trajectories, each with one noise "
-                                "helper thread (default 1)")
+                           help="batch workers for the trajectories (default 1); noise "
+                                "is drawn on one helper thread per run, or per batch of "
+                                "a pool")
         if needs_out:
             p.add_argument("--out", required=True, help="output path")
         else:

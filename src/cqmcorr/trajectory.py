@@ -24,6 +24,14 @@ model, so the draw is made once and reused.
 Reproducibility: noise is keyed per tile. The normal for (trajectory, step,
 detector) is a pure function of (seed, trajectory, step, detector), so
 results never depend on thread count, batch size, or evaluation order.
+
+Threads: the noise of a run is drawn on one helper thread, a noise feed
+(``_NoiseFeed``) that fills two reused blocks of steps in trajectory order
+while the stepper uses them. With ``threads`` = 1 one feed serves the whole
+run, so the helper draws the next batch's noise while the calling thread
+hands over the last batch's records. With ``threads`` = N > 1, N pool
+workers step whole batches, each batch with a feed of its own, so up to 2N
+threads run beside the calling thread.
 """
 
 from __future__ import annotations
@@ -36,7 +44,9 @@ import hashlib
 import itertools
 import json
 import math
+import queue
 import struct
+import threading
 from collections.abc import Callable
 
 import numpy as np
@@ -116,79 +126,126 @@ TILES_PER_COPY = 4
 RECORD_SLICE = 1024
 
 
-def _noise_chunks(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int):
+def _noise_chunks(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int, slots, tiles):
     """Normals for trajectories lo..hi-1, in step order: C-contiguous
     (m, n_det, hi-lo) blocks of m <= NOISE_CHUNK steps, each the next m
-    steps' draws for the whole batch, drawn on the thread that asks for
-    them. Blocks alternate between two buffers, so a yielded block stays
-    valid until the block after the next is drawn.
+    steps' draws for the whole batch. Each block is carved from the next
+    flat buffer of the iterator ``slots`` and drawn into it once that buffer
+    is taken; the blocks stop early if ``slots`` ends. ``tiles`` is a
+    reused (k, NOISE_CHUNK, n_det, NOISE_TILE) buffer of
+    k >= min(TILES_PER_COPY, tiles met) tiles (``_noise_buffers``).
 
     Each tile that meets [lo, hi) gets its own ``_tile_generator`` and draws
     NOISE_CHUNK steps of its (n_steps, n_det, NOISE_TILE) array per block.
-    Runs of tiles are drawn into a reused buffer and their lanes inside
-    [lo, hi) copied into the block in one call: a tile that lo or hi cuts on
-    its own, whole tiles TILES_PER_COPY at a time. The ziggurat keeps no
-    state outside the bit generator, so the pieces are the tile drawn at
-    once."""
+    Runs of tiles are drawn into ``tiles`` and their lanes inside [lo, hi)
+    copied into the block in one call: a tile that lo or hi cuts on its own,
+    whole tiles TILES_PER_COPY at a time. The ziggurat keeps no state
+    outside the bit generator, so the pieces are the tile drawn at once."""
     first_tile = lo // NOISE_TILE
-    tiles = range(first_tile, (hi - 1) // NOISE_TILE + 1)
+    met = range(first_tile, (hi - 1) // NOISE_TILE + 1)
     # runs [t0, t1) of tiles that reach a block in one copy
     whole = range(-(-lo // NOISE_TILE), hi // NOISE_TILE)
-    edges = sorted({tiles.start, tiles.stop, whole.start, whole.stop,
+    edges = sorted({met.start, met.stop, whole.start, whole.stop,
                     *range(whole.start, whole.stop, TILES_PER_COPY)})
     runs = list(zip(edges, edges[1:]))
-    gens = [_tile_generator(plan.seed, tile) for tile in tiles]
+    gens = [_tile_generator(plan.seed, tile) for tile in met]
     chunk = min(NOISE_CHUNK, n_steps)
-    starts = range(0, n_steps, chunk)
-    buf = np.empty((min(TILES_PER_COPY, len(tiles)), chunk, n_det, NOISE_TILE))
-    # both blocks in one allocation: allocated apart, they coincided with
-    # a 7.5 MB higher peak RSS in some benchmark runs of calibrate
-    blocks = np.empty((min(2, len(starts)), chunk, n_det, hi - lo))
-    for i, start in enumerate(starts):
-        m, block = min(chunk, n_steps - start), blocks[i % 2]
+    # steps first, so that no buffer is taken after the last block
+    for start, slot in zip(range(0, n_steps, chunk), slots):
+        m = min(chunk, n_steps - start)
+        block = slot[:m * n_det * (hi - lo)].reshape(m, n_det, hi - lo)
         for t0, t1 in runs:
-            drawn = buf[:t1 - t0, :m]
+            drawn = tiles[:t1 - t0, :m]
             for gen, out in zip(gens[t0 - first_tile:t1 - first_tile], drawn):
                 gen.standard_normal(out=out)
             a, b = max(lo, t0 * NOISE_TILE), min(hi, t1 * NOISE_TILE)
             lane = a - t0 * NOISE_TILE
             lanes = drawn[..., lane:lane + (b - a) // (t1 - t0)]
             # the block's lane axis is contiguous, so the reshape is a view
-            block[:m, :, a - lo:b - lo].reshape(m, n_det, t1 - t0, -1)[...] = \
+            block[:, :, a - lo:b - lo].reshape(m, n_det, t1 - t0, -1)[...] = \
                 lanes.transpose(1, 2, 0, 3)
-        yield block[:m]
+        yield block
 
 
-def _drawn_ahead(blocks):
-    """The blocks of a ``_noise_chunks`` iterator, each after the first
-    drawn on one helper thread while the caller uses the one before. numpy's
-    draws, like the stepper's matmul and ufuncs, release the GIL, so the two
-    share the host's cores. One draw runs at a time, in block order, so the
-    helper shapes no bit. Closing the iterator joins the helper; an error on
-    the helper reaches the caller at the next block.
+def _noise_buffers(n_steps: int, n_det: int, spans):
+    """Buffers of ``_noise_chunks`` for the batches [lo, hi) of ``spans``:
+    two flat block buffers, in one allocation, at the widest batch's width,
+    and the tile buffer. Allocated apart, the two blocks coincided with a
+    7.5 MB higher peak RSS in some benchmark runs of calibrate."""
+    chunk = min(NOISE_CHUNK, n_steps)
+    width = max(hi - lo for lo, hi in spans)
+    tiles = min(TILES_PER_COPY,
+                max((hi - 1) // NOISE_TILE - lo // NOISE_TILE + 1 for lo, hi in spans))
+    return (np.empty((2, chunk * n_det * width)),
+            np.empty((tiles, chunk, n_det, NOISE_TILE)))
 
-    The first block is drawn on the caller, so the caller's thread allocates
-    the buffers: allocated on the helper, most likely in a malloc arena of
-    its own, they raised ``calibrate``'s peak RSS by about 3 MB."""
-    helper = concurrent.futures.ThreadPoolExecutor(max_workers=1)
-    try:
-        block = next(blocks, None)
-        while block is not None:
-            # this draw overwrites the block before ``block``, which the
-            # caller is done with
-            pending = helper.submit(next, blocks, None)
+
+class _NoiseFeed:
+    """The noise of the batches [lo, hi) of ``spans``, in that order, drawn
+    ahead on one helper thread: the ``_noise_chunks`` blocks of batch after
+    batch, into the two block buffers of ``_noise_buffers``. A buffer is
+    drawn into as soon as the stepper releases it, so while the caller hands
+    over batch b the helper is already up to two blocks into batch b + 1.
+    numpy's draws, like the stepper's matmul and ufuncs, release the GIL, so
+    the two share the host's cores. One draw runs at a time, in trajectory
+    order, so the helper shapes no bit.
+
+    The buffers are allocated on the thread that makes the feed: allocated
+    on the helper, most likely in a malloc arena of its own, they raised
+    ``calibrate``'s peak RSS. An error on the helper reaches the caller when
+    it asks for the block that failed. ``close`` stops and joins the helper
+    on every exit."""
+
+    def __init__(self, plan: NoisePlan, n_steps: int, n_det: int, spans):
+        self._spans = collections.deque(spans)
+        self._n_blocks = len(range(0, n_steps, min(NOISE_CHUNK, n_steps)))
+        self._buffers, tiles = _noise_buffers(n_steps, n_det, self._spans)
+        # a token per released buffer, None once closed; blocks or an error
+        self._free, self._ready = queue.SimpleQueue(), queue.SimpleQueue()
+        for _ in self._buffers:
+            self._free.put(True)
+        self._closed = False
+        self._helper = threading.Thread(target=self._draw, name="cqmcorr-noise", daemon=True,
+                                        args=(plan, n_steps, n_det, list(self._spans), tiles))
+        self._helper.start()
+
+    def _draw(self, plan, n_steps, n_det, spans, tiles) -> None:
+        # the stepper releases blocks in order, so the two buffers alternate
+        slots = (self._buffers[i % 2] for i, _ in enumerate(iter(self._free.get, None)))
+        try:
+            for lo, hi in spans:
+                if self._closed:
+                    return
+                for block in _noise_chunks(plan, lo, hi, n_steps, n_det, slots, tiles):
+                    self._ready.put(block)
+        except BaseException as exc:
+            self._ready.put(exc)
+
+    def blocks(self, lo: int, hi: int):
+        """The blocks of batch [lo, hi), the feed's next batch. A block stays
+        valid until the block after it is asked for."""
+        if self._spans.popleft() != (lo, hi):
+            raise ValueError(f"batch [{lo}, {hi}) is not the noise feed's next")
+        for _ in range(self._n_blocks):
+            block = self._ready.get()
+            if isinstance(block, BaseException):
+                raise block
             yield block
-            block = pending.result()
-    finally:
-        helper.shutdown(wait=True, cancel_futures=True)
-        blocks.close()
+            self._free.put(True)
+
+    def close(self) -> None:
+        self._closed = True
+        self._free.put(None)
+        self._helper.join()
 
 
 def _batch_normals(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int) -> np.ndarray:
     """Normals for trajectories lo..hi-1, shape (hi-lo, n_steps, n_det): the
-    blocks of ``_noise_chunks`` joined, as a transposed view of a
-    C-contiguous (n_steps, n_det, hi-lo) array."""
-    blocks = [block.copy() for block in _noise_chunks(plan, lo, hi, n_steps, n_det)]
+    blocks of ``_noise_chunks``, drawn on the calling thread and joined, as a
+    transposed view of a C-contiguous (n_steps, n_det, hi-lo) array."""
+    slots, tiles = _noise_buffers(n_steps, n_det, [(lo, hi)])
+    blocks = [block.copy() for block in
+              _noise_chunks(plan, lo, hi, n_steps, n_det, itertools.cycle(slots), tiles)]
     return np.concatenate(blocks).transpose(2, 0, 1)
 
 
@@ -215,13 +272,12 @@ def _prepare(initial_state, grid: TimeGrid, detectors, segments):
     return r0, detectors, segments, seg_idx
 
 
-def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, plan: NoisePlan,
+def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise: _NoiseFeed,
                     record_states: bool, traj_lo: int, traj_hi: int, decimate: int = 1,
                     out: np.ndarray | None = None):
-    """Euler-Maruyama on trajectories traj_lo..traj_hi-1, for the noise
-    blocks of ``_noise_chunks``, each used as it arrives while a helper
-    thread draws the next (``_drawn_ahead``). The blocks are closed on every
-    exit, so an error joins the helper before it propagates. Returns
+    """Euler-Maruyama on trajectories traj_lo..traj_hi-1, the next batch of
+    the feed ``noise``, for its blocks, each used as it arrives while the
+    feed's helper draws ahead; the caller closes the feed. Returns
     step-major (signals (n_steps // decimate, n_det, B) normalized, states
     (n_steps+1, 3, B) or None). The signals are a view of ``out``, a flat
     float64 buffer of at least n_steps // decimate * n_det * max(B, 2)
@@ -278,32 +334,29 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, plan: Nois
     gain = np.empty((n_det, width))
     norm2 = np.empty(width)
 
-    noise = _drawn_ahead(_noise_chunks(plan, traj_lo, traj_hi, n_steps, n_det))
-    # closed now, not when a traceback is freed
-    with contextlib.closing(noise):
-        for k, w in enumerate(itertools.chain.from_iterable(noise)):
-            cur, nxt = blocks[k % 2], blocks[(k + 1) % 2]
-            r, r_new, nr = cur[:3], nxt[:3], nxt[4:4 + n_det]
-            np.matmul(linear[seg_idx[k]], cur[:4], out=nxt)
-            np.multiply(scale, w, out=sig)
-            sig += nr
-            signals[k // decimate] += sig
-            np.multiply(kick, w, out=gain)
-            for ell in range(n_det):
-                term = nxt[4 + n_det + 3 * ell:7 + n_det + 3 * ell]
-                np.multiply(nr[ell], r, out=quad)
-                term -= quad
-                term *= gain[ell]
-                r_new += term
-            np.einsum("ib,ib->b", r_new, r_new, out=norm2)
-            if norm2.max() > max_norm2:
-                worst = int(np.argmax(norm2))
-                raise DiagnosticError(
-                    f"trajectory {traj_lo + worst} norm {math.sqrt(float(norm2[worst])):.6g} "
-                    f"at t = {(k + 1) * dt:.6g} overshoots the Bloch sphere "
-                    f"by more than {NORM_OVERSHOOT_TOL}; reduce dt")
-            if record_states:
-                states[k + 1] = r_new
+    for k, w in enumerate(itertools.chain.from_iterable(noise.blocks(traj_lo, traj_hi))):
+        cur, nxt = blocks[k % 2], blocks[(k + 1) % 2]
+        r, r_new, nr = cur[:3], nxt[:3], nxt[4:4 + n_det]
+        np.matmul(linear[seg_idx[k]], cur[:4], out=nxt)
+        np.multiply(scale, w, out=sig)
+        sig += nr
+        signals[k // decimate] += sig
+        np.multiply(kick, w, out=gain)
+        for ell in range(n_det):
+            term = nxt[4 + n_det + 3 * ell:7 + n_det + 3 * ell]
+            np.multiply(nr[ell], r, out=quad)
+            term -= quad
+            term *= gain[ell]
+            r_new += term
+        np.einsum("ib,ib->b", r_new, r_new, out=norm2)
+        if norm2.max() > max_norm2:
+            worst = int(np.argmax(norm2))
+            raise DiagnosticError(
+                f"trajectory {traj_lo + worst} norm {math.sqrt(float(norm2[worst])):.6g} "
+                f"at t = {(k + 1) * dt:.6g} overshoots the Bloch sphere "
+                f"by more than {NORM_OVERSHOOT_TOL}; reduce dt")
+        if record_states:
+            states[k + 1] = r_new
     signals /= decimate
     return (signals[:, :, :batch],
             states[:, :, :batch] if record_states else None)
@@ -320,8 +373,11 @@ def simulate_states(initial_state, grid: TimeGrid, detectors, segments, plan: No
     if not 0 <= traj_lo < traj_hi:
         raise ConfigError(f"need 0 <= traj_lo < traj_hi, got {traj_lo!r}, {traj_hi!r}")
     r0, detectors, segments, seg_idx = _prepare(initial_state, grid, detectors, segments)
-    signals, states = _simulate_batch(r0, grid, detectors, segments, seg_idx, plan,
-                                      record_states=True, traj_lo=traj_lo, traj_hi=traj_hi)
+    # closed now, not when a traceback is freed
+    with contextlib.closing(_NoiseFeed(plan, grid.n_steps, len(detectors),
+                                       [(traj_lo, traj_hi)])) as noise:
+        signals, states = _simulate_batch(r0, grid, detectors, segments, seg_idx, noise,
+                                          record_states=True, traj_lo=traj_lo, traj_hi=traj_hi)
     return (np.ascontiguousarray(states.transpose(2, 0, 1)),
             np.ascontiguousarray(signals.transpose(2, 1, 0)))
 
@@ -461,13 +517,15 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     integration grid turns into a coarse acquisition grid. ``threads``
     distributes whole batches over a thread pool, with at most ``threads`` + 1
     batches in flight, so memory stays O(threads x batch_size); every output
-    bit is independent of ``threads``. Each batch also draws its noise on a
-    helper thread of its own, so up to 2 * ``threads`` threads run. A worker
-    returns its batch's step-major signals only, and each in-flight slot
-    keeps its signals buffer across the batches of one call; the calling
-    thread maps the signals to raw units, one slice at a time, into one
-    slice buffer per batch. States are not kept; use ``simulate_states`` for
-    a state history.
+    bit is independent of ``threads``. The noise is drawn ahead on a helper
+    thread (``_NoiseFeed``): at ``threads`` 1 one helper draws the whole
+    run, batch after batch, and is already drawing the next batch while the
+    calling thread hands over the last; on a pool each batch has a helper of
+    its own, so up to 2 * ``threads`` threads run beside the caller. A batch
+    returns its step-major signals only, and each in-flight slot keeps its
+    signals buffer across the batches of one call; the calling thread maps
+    the signals to raw units, one slice at a time, into one slice buffer per
+    batch. States are not kept; use ``simulate_states`` for a state history.
     """
     if n_traj < 1:
         raise ConfigError(f"n_traj must be >= 1, got {n_traj!r}")
@@ -485,20 +543,23 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
                                   signals=np.empty((n_traj, n_det, n_samples)))
     n_signals = n_samples * n_det * max(width, 2)
 
-    def run_batch(lo: int, buf):
-        signals, _ = _simulate_batch(r0, grid, detectors, segments, seg_idx, plan,
-                                     record_states=False, traj_lo=lo,
-                                     traj_hi=min(lo + batch_size, n_traj), decimate=decimate,
-                                     out=buf)
+    def run_batch(lo: int, hi: int, buf, noise: _NoiseFeed):
+        signals, _ = _simulate_batch(r0, grid, detectors, segments, seg_idx, noise,
+                                     record_states=False, traj_lo=lo, traj_hi=hi,
+                                     decimate=decimate, out=buf)
         return lo, signals
+
+    def run_pool_batch(lo: int, hi: int, buf):
+        with contextlib.closing(_NoiseFeed(plan, grid.n_steps, n_det, [(lo, hi)])) as noise:
+            return run_batch(lo, hi, buf, noise)
 
     def hand_over(lo: int, signals) -> None:
         """Map the step-major signals of trajectories lo.. to raw units, one
         slice at a time, into the archive or a slice buffer, and hand each
         slice to the consumer. The slice buffer is allocated once the batch
-        is stepped, when its noise blocks are freed, so it adds nothing to the
-        peak; one kept for the whole call stays alive while the next batch
-        steps, and read 0.5-1.2 MB more peak RSS per process."""
+        is stepped, when the stepper's state blocks are freed, so it adds
+        nothing to the peak; one kept for the whole call stays alive while
+        the next batch steps, and read 0.5-1.2 MB more peak RSS per process."""
         hi = lo + signals.shape[2]
         if archive is None:
             records = np.empty((min(RECORD_SLICE, hi - lo), n_det, n_samples))
@@ -515,23 +576,24 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
             if archive is None:
                 consumer(out)
 
-    starts = range(0, n_traj, batch_size)
+    spans = [(lo, min(lo + batch_size, n_traj)) for lo in range(0, n_traj, batch_size)]
     if threads == 1:
         buf = np.empty(n_signals)
-        for lo in starts:
-            hand_over(*run_batch(lo, buf))
+        with contextlib.closing(_NoiseFeed(plan, grid.n_steps, n_det, spans)) as noise:
+            for lo, hi in spans:
+                hand_over(*run_batch(lo, hi, buf, noise))
         return archive
 
     pool = concurrent.futures.ThreadPoolExecutor(max_workers=threads)
     in_flight, spare = collections.deque(), []
     try:
-        for lo in starts:
+        for lo, hi in spans:
             if len(in_flight) > threads:
                 done, buf = in_flight.popleft()
                 hand_over(*done.result())
                 spare.append(buf)
             buf = spare.pop() if spare else np.empty(n_signals)
-            in_flight.append((pool.submit(run_batch, lo, buf), buf))
+            in_flight.append((pool.submit(run_pool_batch, lo, hi, buf), buf))
         while in_flight:
             hand_over(*in_flight.popleft()[0].result())
     finally:

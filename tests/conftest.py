@@ -6,6 +6,8 @@ the pass/fail status of each numbered criterion is visible at a glance even
 when an assertion aborts a multi-part test early.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f" -- {detail}"
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail a test that leaves more threads alive than it started with: a
+    noise helper or pool worker that a run does not join."""
+    before = threading.enumerate()
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads left running: {left}")
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Stochastic trajectory engine: noise plan, stepper, ensembles, archives."""
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -30,7 +31,7 @@ from cqmcorr import (
 )
 from cqmcorr import trajectory
 from cqmcorr.calibration import MOMENT_UNIT
-from cqmcorr.trajectory import NOISE_TILE, RECORD_SLICE, _batch_normals, _noise_chunks
+from cqmcorr.trajectory import NOISE_TILE, RECORD_SLICE, _batch_normals, _NoiseFeed
 
 GAMMA = 1.0 / 1.8
 OMEGA = 2.0 * math.pi
@@ -193,7 +194,8 @@ class TestNoiseChunks:
     @pytest.mark.parametrize("lo, hi", [(0, 1), (3, 70), (64, 200), (250, 1100)])
     def test_blocks_are_c_contiguous_and_step_ordered(self, lo, hi):
         chunk = trajectory.NOISE_CHUNK
-        blocks = [b.copy() for b in _noise_chunks(NoisePlan(5), lo, hi, 70, 2)]
+        with contextlib.closing(_NoiseFeed(NoisePlan(5), 70, 2, [(lo, hi)])) as feed:
+            blocks = [b.copy() for b in feed.blocks(lo, hi)]
         assert [len(b) for b in blocks] == [min(chunk, 70 - s) for s in range(0, 70, chunk)]
         assert all(b.flags.c_contiguous and b.shape[1:] == (2, hi - lo) for b in blocks)
         want = np.stack([stream_v3_oracle(5, j, 70, 2) for j in range(lo, hi)], axis=2)
@@ -211,8 +213,9 @@ class TestNoiseChunks:
 
 
 class TestNoiseHelper:
-    """Each batch of the stepper draws its noise on one helper thread, and
-    every exit joins it."""
+    """Each run of the stepper draws its noise on one helper thread, the
+    whole run's at ``threads`` 1 and each batch's on a pool, and every exit
+    joins it."""
 
     # run_ensemble(**args()).digest() under noise stream v3, taken with
     # NOISE_CHUNK = 70, so that the helper draws the whole record as one block
@@ -229,6 +232,26 @@ class TestNoiseHelper:
     def assert_clean(self, threads_before):
         assert threading.active_count() == threads_before
         assert run_ensemble(**self.args()).digest() == self.FROZEN
+
+    @staticmethod
+    def hook_batch_2(monkeypatch, hook):
+        """Call ``hook()`` on the drawing thread before the first draw of the
+        second tile generator made from now on: batch 2's first draw in a
+        run of 50-trajectory batches, which all lie in tile 0."""
+        tile_generator, made = trajectory._tile_generator, []
+
+        class Hooked:
+            def __init__(self, seed, tile):
+                self.gen, self.hooked = tile_generator(seed, tile), len(made) == 1
+                made.append(self)
+
+            def standard_normal(self, out):
+                if self.hooked:
+                    self.hooked = False
+                    hook()
+                return self.gen.standard_normal(out=out)
+
+        monkeypatch.setattr(trajectory, "_tile_generator", Hooked)
 
     def test_tripped_guard_joins_the_helper(self):
         """The setup of ``TestTrajectory.test_norm_guard_trips_on_coarse_step``;
@@ -297,13 +320,79 @@ class TestNoiseHelper:
         if run == "simulate_states":
             simulate_states([1, 0, 0], TimeGrid(0.004, 70), [reference_detector(40.0)],
                             drive_segments(), NoisePlan(3), 3, 70)
-            helpers = 1
+            assert len(started) == 1
+        elif run == "run_ensemble threads 1":
+            # one helper draws all three batches
+            run_ensemble(**self.args(n_traj=150), batch_size=50)
+            assert len(started) == 1
         else:
-            run_ensemble(**self.args(n_traj=150), threads=int(run[-1]), batch_size=50)
-            helpers = 3
-        assert len(started) >= helpers
+            # two workers, and a helper per batch
+            run_ensemble(**self.args(n_traj=150), threads=2, batch_size=50)
+            assert len(started) >= 3
         assert threading.active_count() == before
         assert not any(thread.is_alive() for thread in started)
+
+    def test_next_batch_draws_during_the_hand_over(self, monkeypatch):
+        """The consumer of batch 1 returns only once batch 2's first draw has
+        begun, which the helper makes while batch 1 is handed over."""
+        drawing, waited = threading.Event(), []
+        self.hook_batch_2(monkeypatch, drawing.set)
+
+        def consumer(records):
+            if not waited:
+                waited.append(drawing.wait(timeout=10))
+
+        run_ensemble(**self.args(n_traj=150), batch_size=50, consumer=consumer)
+        assert waited == [True]
+
+    def test_failed_consumer_joins_the_drawing_helper(self, monkeypatch):
+        """The consumer raises on batch 1 of 3 while the helper is inside
+        batch 2's first draw."""
+        drawing, raised = threading.Event(), threading.Event()
+
+        def hold():
+            drawing.set()
+            raised.wait(timeout=10)
+
+        self.hook_batch_2(monkeypatch, hold)
+        calls = []
+
+        def consumer(records):
+            calls.append(len(records))
+            assert drawing.wait(timeout=10)
+            raised.set()
+            raise DiagnosticError("stop")
+
+        before = threading.active_count()
+        with pytest.raises(DiagnosticError, match="stop"):
+            run_ensemble(**self.args(n_traj=150), batch_size=50, consumer=consumer)
+        assert calls == [50]
+        self.assert_clean(before)
+
+    def test_failed_draw_in_the_next_batch_reaches_the_caller(self, monkeypatch):
+        drawers = []
+
+        def fail():
+            drawers.append(threading.current_thread())
+            raise RuntimeError("draw failed")
+
+        self.hook_batch_2(monkeypatch, fail)
+        handed = []
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            run_ensemble(**self.args(n_traj=150), batch_size=50,
+                         consumer=lambda records: handed.append(len(records)))
+        # batch 1 is handed over whole; batch 2 asks for the failed block
+        assert handed == [50]
+        assert drawers[0] is not threading.current_thread()
+        self.assert_clean(before)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_batches_with_a_tail_shape_no_bit(self, threads):
+        """Batches of 50, 50 and 40 give the bits of one batch."""
+        args = self.args(n_traj=140)
+        assert (run_ensemble(**args, threads=threads, batch_size=50).digest()
+                == run_ensemble(**args, threads=threads).digest())
 
 
 def one_step(r, detectors, generator, dt):
@@ -554,7 +643,7 @@ class TestRunEnsemble:
         """Batches on more threads than cores, each with its own noise
         helper and the interpreter switching threads every microsecond, give
         the bits of one thread, also when their reused record buffers go to
-        a consumer."""
+        a consumer; so do the 67 batches of one run's noise feed."""
         args = self.small_args(n_traj=2000, grid=TimeGrid(0.004, 10))
         want = run_ensemble(**args, batch_size=50).digest()
         stream = stream_ensemble(**args, threads=8, batch_size=50)
@@ -563,10 +652,12 @@ class TestRunEnsemble:
         try:
             got = [run_ensemble(**args, threads=8, batch_size=50).digest() for _ in range(3)]
             streamed = [write_archive(stream) for _ in range(3)]
+            fed = [run_ensemble(**args, batch_size=30).digest() for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
         assert got == [want] * 3
         assert streamed == [want] * 3
+        assert fed == [want] * 3
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_consumer_gets_batches_in_order_on_the_caller(self, threads):
