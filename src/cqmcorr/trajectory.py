@@ -25,13 +25,10 @@ Reproducibility: noise is keyed per tile. The normal for (trajectory, step,
 detector) is a pure function of (seed, trajectory, step, detector), so
 results never depend on thread count, batch size, or evaluation order.
 
-Threads: the noise of a run is drawn on one helper thread, a noise feed
-(``_NoiseFeed``) that fills two reused blocks of steps in trajectory order
-while the stepper uses them. With ``threads`` = 1 one feed serves the whole
-run, so the helper draws the next batch's noise while the calling thread
-hands over the last batch's records. With ``threads`` = N > 1, N pool
-workers step whole batches, each batch with a feed of its own, so up to 2N
-threads run beside the calling thread.
+Threads: a noise feed (``_NoiseFeed``) draws the noise on one helper thread,
+ahead of the stepper. At ``threads`` 1 one feed serves the whole run, so the
+next batch is drawn while the last is handed over; on a pool each batch has
+a feed of its own.
 """
 
 from __future__ import annotations
