@@ -24,8 +24,13 @@ Both estimators are block reducers: they take an ``EnsembleArchive`` or a
 trajectories (jackknife blocks, or MOMENT_UNIT records for the calibration
 moments), so a stream is never held and no batch size or thread count moves
 a bit. A stream feeds slices of at most ``trajectory.RECORD_SLICE`` records,
-cut at its multiples, and MOMENT_UNIT equals it, so each calibration unit
-arrives whole, as a view of one slice.
+cut at its multiples, each an (n, n_det, n_samples) view of step-major
+memory, and MOMENT_UNIT equals it, so each calibration unit arrives whole,
+as a view of one slice. Every reduction runs on a fresh step-major array of
+one fixed layout, a row per sample (or lag) across the group's
+trajectories, whatever the layout fed: numpy sums each row pairwise, the
+moments are summed within a unit and merged in unit order, and so what an
+estimator returns depends on its groups alone.
 """
 
 from __future__ import annotations
@@ -69,10 +74,11 @@ def _fold(records, bounds, reduce, column=slice(None)) -> None:
     """Feed ``records`` (an EnsembleArchive or RecordStream) and call
     ``reduce(g, group)`` for group g = [lo, hi) of ``bounds``, in order, as
     soon as its last record arrives; ``column`` picks from each record. A
-    group inside one fed slice is a view of the slice, one that straddles
-    slices is gathered into an array of its own: either way the same values
-    in the same layout, so what a reducer computes depends on ``bounds``
-    alone."""
+    group inside one fed slice is a view of the slice; one that straddles
+    slices is gathered into an array of its own, step-major like a stream's
+    slices: the transposed view of a C-contiguous array with the
+    trajectory axis last. The reducers compute on fresh arrays of one
+    layout of their own, so what they compute depends on ``bounds`` alone."""
     seen, g, gathered = 0, 0, None
 
     def take(batch) -> None:
@@ -89,7 +95,7 @@ def _fold(records, bounds, reduce, column=slice(None)) -> None:
                 reduce(g, piece)
             else:
                 if gathered is None:
-                    gathered = np.empty((hi - lo,) + piece.shape[1:])
+                    gathered = np.empty(piece.shape[:0:-1] + (hi - lo,)).T
                 gathered[seen - lo:seen - lo + n] = piece
                 if seen + n == hi:
                     reduce(g, gathered)
@@ -125,15 +131,15 @@ def trace_moments(records: EnsembleArchive | RecordStream) -> TraceMoments:
     """The ``TraceMoments`` of a one-detector ensemble, reduced as it is fed.
 
     The records are cut into units of MOMENT_UNIT trajectories, the last one
-    shorter, and each unit's integrals are folded in, in unit order. The
-    running total adds them row by row, the order in which numpy sums a
-    column of the whole ensemble, so the mean has the bits of the record
-    path's ``mean(axis=0)``. The centred sums of squares merge by Chan's
-    formula: a unit of k records with mean u and centred sum of squares q
-    adds q + d^2 n k / (n + k), d = u - (the mean of the n records before
-    it). Both are taken on the integrals less the first unit's mean, so d
-    keeps its digits however large the detector offset. Memory is one
-    unit's integrals, whatever n_traj."""
+    shorter, and each unit's integrals (step-major, from
+    ``integrate_traces``) are summed within the unit, along each sample's
+    row of trajectories, which numpy sums pairwise. The unit sums are merged
+    in unit order: the totals added, the centred sums of squares by Chan's
+    formula, a unit of k records with mean u and centred sum of squares q
+    adding q + d^2 n k / (n + k), d = u - (the mean of the n records before
+    it). The centred sums are taken on the integrals less the first unit's
+    mean, so d keeps its digits however large the detector offset. Memory
+    is one unit's integrals, whatever n_traj."""
     if records.n_detectors != 1:
         raise ConfigError(f"calibration needs one-detector archives, got {records.n_detectors}")
     n_traj, dt = records.n_traj, records.grid.dt
@@ -142,24 +148,21 @@ def trace_moments(records: EnsembleArchive | RecordStream) -> TraceMoments:
 
     def reduce(g: int, unit) -> None:
         nonlocal n, peak, total, shift, shifted_total, m2
-        # the unit's integrals are the one unit-sized array: the running
-        # total is added in through its first row, which is then restored,
-        # and the unit is centred and squared in place
-        x = integrate_traces(unit, dt)
-        k = len(x)
+        # the unit's integrals, step-major: every sum runs along a row of
+        # the unit's trajectories, and the rows are centred and squared in
+        # place
+        x = integrate_traces(unit, dt).T
+        k = x.shape[1]
         peak = max(peak, float(max(x.max(), -x.min())))
+        unit_sum = x.sum(axis=1)
         if n == 0:
-            shift = x.mean(axis=0)
-            total = x.sum(axis=0)
+            shift, total = unit_sum / k, unit_sum
         else:
-            first = x[0].copy()
-            x[0] += total
-            total = x.sum(axis=0)
-            x[0] = first
-        x -= shift
-        unit_total = x.sum(axis=0)
-        x -= unit_total / k
-        unit_m2 = np.square(x, out=x).sum(axis=0)
+            total = total + unit_sum
+        x -= shift[:, None]
+        unit_total = x.sum(axis=1)
+        x -= (unit_total / k)[:, None]
+        unit_m2 = np.square(x, out=x).sum(axis=1)
         if n == 0:
             shifted_total, m2 = unit_total, unit_m2
         else:
@@ -196,18 +199,22 @@ class CalibrationRun:
 def integrate_traces(records: np.ndarray, dt: float) -> np.ndarray:
     """Cumulative time integral of each raw record of a one-detector
     ensemble, (n_traj, 1, n_samples) records on samples ``dt`` apart
-    (trapezoid rule, zero at the first sample). Shape (n_traj, n_samples)."""
+    (trapezoid rule, zero at the first sample). Shape (n_traj, n_samples):
+    the transposed view of a fresh C-contiguous step-major
+    (n_samples, n_traj) array, whatever the layout of ``records``."""
     if records.shape[1] != 1:
         raise ConfigError(f"calibration needs one-detector archives, got {records.shape[1]}")
-    x = records[:, 0, :]
+    x = records[:, 0, :].T
     out = np.empty(x.shape)
-    out[:, 0] = 0.0
-    # dt (x_{i+1} + x_i) / 2, summed cumulatively, in place: no temporary
-    steps = np.add(x[:, 1:], x[:, :-1], out=out[:, 1:])
+    out[0] = 0.0
+    # dt (x_{i+1} + x_i) / 2, in place: no temporary
+    steps = np.add(x[1:], x[:-1], out=out[1:])
     steps *= dt
     steps /= 2.0
-    np.cumsum(steps, axis=1, out=steps)
-    return out
+    # the running sum, one contiguous row at a time: the bits of cumsum
+    for i in range(2, len(out)):
+        out[i] += out[i - 1]
+    return out.T
 
 
 def _line_slope(t: np.ndarray, y: np.ndarray) -> float:
@@ -314,8 +321,10 @@ def estimate_correlator(records: EnsembleArchive | RecordStream, delta_i: float,
 
     ``records`` is an ``EnsembleArchive`` or a ``RecordStream``, fed through
     one jackknife-block reducer: each block's records are gathered across
-    fed slices until the block is complete and then reduced to its row of
-    lag sums, so memory is one block and one slice, whatever n_traj.
+    fed slices until the block is complete, copied step-major, and reduced
+    to its row of lag sums; the lag products accumulate as (n_lags, n) rows
+    across the block's n trajectories, each summed pairwise. Memory is one
+    block and one slice, whatever n_traj.
     """
     if delta_i == 0:
         raise ConfigError("delta_i must be nonzero")
@@ -333,12 +342,15 @@ def estimate_correlator(records: EnsembleArchive | RecordStream, delta_i: float,
     block_sizes = np.array([hi - lo for lo, hi in bounds], dtype=np.float64)
 
     def reduce(b: int, block) -> None:
-        j = (block - block[:, offset_mask].mean()) * scale
-        acc = np.zeros((len(block), n_lags))
+        # step-major: a row per sample, and one per lag in ``acc``
+        j = block.T.copy()
+        j -= j[offset_mask].mean()
+        j *= scale
+        acc, product = np.zeros((n_lags, len(block))), np.empty((n_lags, len(block)))
         for i in i1:
-            acc += j[:, i, None] * j[:, i + 1:i + 1 + n_lags]
+            acc += np.multiply(j[i], j[i + 1:i + 1 + n_lags], out=product)
         acc /= i1.size
-        block_sums[b] = acc.sum(axis=0)
+        block_sums[b] = acc.sum(axis=1)
 
     _fold(records, bounds, reduce, column=detector_index)
 

@@ -164,16 +164,25 @@ def _noise_chunks(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int, s
         yield block
 
 
-def _noise_buffers(n_steps: int, n_det: int, spans):
+def _noise_buffers(n_steps: int, n_det: int, spans, signals: int = 0):
     """Buffers of ``_noise_chunks`` for the batches [lo, hi) of ``spans``:
-    two flat block buffers, in one allocation, at the widest batch's width,
-    and the tile buffer. Allocated apart, the two blocks coincided with a
-    7.5 MB higher peak RSS in some benchmark runs of calibrate."""
+    two flat block buffers at the widest batch's width and a flat buffer of
+    ``signals`` values, in one allocation, and the tile buffer. Allocated
+    apart, the two blocks coincided with a 7.5 MB higher peak RSS in some
+    benchmark runs of calibrate. With the signals buffer inside it, the
+    allocation is a run's largest, so glibc's heap-trim threshold, twice
+    the largest mmapped chunk freed, sits about 5 MB above the free space
+    a run leaves at the top of the heap. With the signals buffer apart the
+    margin was 0.13 MB (7.74 MB free against 7.87 MB), and a process on
+    the wrong side of it had about 7.3 MB trimmed and faulted in again per
+    run: 3750 minor faults per calibrate op instead of 3."""
     chunk = min(NOISE_CHUNK, n_steps)
     width = max(hi - lo for lo, hi in spans)
     tiles = min(TILES_PER_COPY,
                 max((hi - 1) // NOISE_TILE - lo // NOISE_TILE + 1 for lo, hi in spans))
-    return (np.empty((2, chunk * n_det * width)),
+    block = chunk * n_det * width
+    flat = np.empty(2 * block + signals)
+    return (flat[:2 * block].reshape(2, block), flat[2 * block:],
             np.empty((tiles, chunk, n_det, NOISE_TILE)))
 
 
@@ -189,14 +198,16 @@ class _NoiseFeed:
 
     The buffers are allocated on the thread that makes the feed: allocated
     on the helper, most likely in a malloc arena of its own, they raised
-    ``calibrate``'s peak RSS. An error on the helper reaches the caller when
-    it asks for the block that failed. ``close`` stops and joins the helper
-    on every exit."""
+    ``calibrate``'s peak RSS. ``signals`` > 0 adds a flat signals buffer of
+    that many values to the blocks' allocation, as ``feed.signals``. An
+    error on the helper reaches the caller when it asks for the block that
+    failed. ``close`` stops and joins the helper on every exit."""
 
-    def __init__(self, plan: NoisePlan, n_steps: int, n_det: int, spans):
+    def __init__(self, plan: NoisePlan, n_steps: int, n_det: int, spans, signals: int = 0):
         self._spans = collections.deque(spans)
         self._n_blocks = len(range(0, n_steps, min(NOISE_CHUNK, n_steps)))
-        self._buffers, tiles = _noise_buffers(n_steps, n_det, self._spans)
+        self._buffers, self.signals, tiles = _noise_buffers(n_steps, n_det, self._spans,
+                                                            signals)
         # a token per released buffer, None once closed; blocks or an error
         self._free, self._ready = queue.SimpleQueue(), queue.SimpleQueue()
         for _ in self._buffers:
@@ -240,7 +251,7 @@ def _batch_normals(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int) 
     """Normals for trajectories lo..hi-1, shape (hi-lo, n_steps, n_det): the
     blocks of ``_noise_chunks``, drawn on the calling thread and joined, as a
     transposed view of a C-contiguous (n_steps, n_det, hi-lo) array."""
-    slots, tiles = _noise_buffers(n_steps, n_det, [(lo, hi)])
+    slots, _, tiles = _noise_buffers(n_steps, n_det, [(lo, hi)])
     blocks = [block.copy() for block in
               _noise_chunks(plan, lo, hi, n_steps, n_det, itertools.cycle(slots), tiles)]
     return np.concatenate(blocks).transpose(2, 0, 1)
@@ -464,8 +475,10 @@ class RecordStream:
     ``feed(consumer)`` runs it and hands its records to ``consumer`` in
     slices, each an (n, n_detectors, n_samples) array of n <= RECORD_SLICE
     trajectories, in trajectory order; the consumer must copy what it keeps
-    before it returns. Each feed runs the ensemble again, with the same bits.
-    ``grid`` is the acquisition grid."""
+    before it returns. A slice may be a view of any layout: those of
+    ``run_ensemble`` are transposed views of step-major memory. Each feed
+    runs the ensemble again, with the same bits. ``grid`` is the
+    acquisition grid."""
 
     grid: TimeGrid
     seed: int
@@ -504,9 +517,11 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     their raw output records to ``consumer`` in slices, each an
     (n, n_detectors, n_samples) array of n <= RECORD_SLICE trajectories, cut
     at multiples of RECORD_SLICE and at batch ends, in trajectory order and
-    on the calling thread. The array is reused for the batch's next slice
-    once ``consumer`` returns. Without a consumer, the slices fill an
-    ``EnsembleArchive``, which is returned.
+    on the calling thread. A slice is the transposed view of a C-contiguous
+    step-major (n_samples, n_detectors, n) array, the stepper's order, and
+    its memory is reused for the batch's next slice once ``consumer``
+    returns. Without a consumer, the slices fill an ``EnsembleArchive``,
+    which is returned.
 
     Trajectory j uses noise stream (plan.seed, j), so the records are a pure
     function of the arguments. ``decimate`` averages each group of that many
@@ -521,8 +536,9 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     its own, so up to 2 * ``threads`` threads run beside the caller. A batch
     returns its step-major signals only, and each in-flight slot keeps its
     signals buffer across the batches of one call; the calling thread maps
-    the signals to raw units, one slice at a time, into one slice buffer per
-    batch. States are not kept; use ``simulate_states`` for a state history.
+    the signals to raw units, one slice at a time and row by step-major row,
+    into one slice buffer per batch. States are not kept; use
+    ``simulate_states`` for a state history.
     """
     if n_traj < 1:
         raise ConfigError(f"n_traj must be >= 1, got {n_traj!r}")
@@ -553,32 +569,40 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     def hand_over(lo: int, signals) -> None:
         """Map the step-major signals of trajectories lo.. to raw units, one
         slice at a time, into the archive or a slice buffer, and hand each
-        slice to the consumer. The slice buffer is allocated once the batch
-        is stepped, when the stepper's state blocks are freed, so it adds
-        nothing to the peak; one kept for the whole call stays alive while
-        the next batch steps, and read 0.5-1.2 MB more peak RSS per process."""
+        slice to the consumer. A slice of n records is mapped into the first
+        n_samples * n_det * n values of the flat slice buffer as a
+        C-contiguous step-major (n_samples, n_det, n) array, row by
+        contiguous row, and handed over as its (n, n_det, n_samples)
+        transposed view: no transposing copy. The slice buffer is allocated
+        once the batch is stepped, when the stepper's state blocks are
+        freed, so it adds nothing to the peak; one kept for the whole call
+        stays alive while the next batch steps, and read 0.5-1.2 MB more
+        peak RSS per process."""
         hi = lo + signals.shape[2]
         if archive is None:
-            records = np.empty((min(RECORD_SLICE, hi - lo), n_det, n_samples))
+            records = np.empty(n_samples * n_det * min(RECORD_SLICE, hi - lo))
         cuts = [lo, *range((lo // RECORD_SLICE + 1) * RECORD_SLICE, hi, RECORD_SLICE), hi]
         for a, b in zip(cuts, cuts[1:]):
-            out = records[:b - a] if archive is None else archive.signals[a:b]
+            part = signals[:, :, a - lo:b - lo]
+            if archive is None:
+                out = records[:part.size].reshape(part.shape)
+            else:
+                out = archive.signals[a:b].transpose(2, 1, 0)
             # a huge response or offset overflows to inf here, which the
             # consumer reports; numpy's error state is per thread, so it is
             # set on the thread that maps
             with np.errstate(over="ignore"):
-                np.multiply(responses[:, None], signals[:, :, a - lo:b - lo].transpose(2, 1, 0),
-                            out=out)
+                np.multiply(responses[:, None], part, out=out)
                 out += offsets[:, None]
             if archive is None:
-                consumer(out)
+                consumer(out.transpose(2, 1, 0))
 
     spans = [(lo, min(lo + batch_size, n_traj)) for lo in range(0, n_traj, batch_size)]
     if threads == 1:
-        buf = np.empty(n_signals)
-        with contextlib.closing(_NoiseFeed(plan, grid.n_steps, n_det, spans)) as noise:
+        with contextlib.closing(_NoiseFeed(plan, grid.n_steps, n_det, spans,
+                                           signals=n_signals)) as noise:
             for lo, hi in spans:
-                hand_over(*run_batch(lo, hi, buf, noise))
+                hand_over(*run_batch(lo, hi, noise.signals, noise))
         return archive
 
     pool = concurrent.futures.ThreadPoolExecutor(max_workers=threads)

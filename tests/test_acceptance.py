@@ -390,16 +390,33 @@ def test_criterion_6_cross_correlator(criteria):
     assert [d.gamma_m for d in dets_mc] == [d.gamma_m for d in setup.detectors]
     dt, dec = 4e-4, 25
     dt_acq = dt * dec
-    arch = run_ensemble(600_000, NoisePlan(606), setup.initial_state,
-                        TimeGrid(dt, 775), dets_mc, setup.segments,
-                        decimate=dec)
+    n_traj, first_times, lags = 600_000, (0.02, 0.06, 0.10), (0.02, 0.05, 0.10, 0.20)
+
+    def first_sample(t_center):
+        return int(round((t_center - dt_acq) / dt_acq))
+
+    # each trajectory's patch means, kept as its slice is handed over; the
+    # records themselves are never held
+    means = {patch: np.empty(n_traj) for patch in
+             {(0, first_sample(t1)) for t1 in first_times}
+             | {(1, first_sample(t1 + tau)) for t1 in first_times for tau in lags}}
+    filled = 0
+
+    def keep(records):
+        nonlocal filled
+        for (det, k0), out in means.items():
+            out[filled:filled + len(records)] = records[:, det, k0:k0 + 2].mean(axis=1)
+        filled += len(records)
+
+    run_ensemble(n_traj, NoisePlan(606), setup.initial_state, TimeGrid(dt, 775), dets_mc,
+                 setup.segments, decimate=dec, consumer=keep)
+    assert filled == n_traj
 
     nodes6, weights6 = np.polynomial.legendre.leggauss(6)
     w6 = 0.5 * weights6
 
     def patch_mean(det, t_center):
-        k0 = int(round((t_center - dt_acq) / dt_acq))
-        return arch.signals[:, det, k0:k0 + 2].mean(axis=1)
+        return means[det, first_sample(t_center)]
 
     def patch_ref(t1, t2):
         cache = {}
@@ -413,12 +430,12 @@ def test_criterion_6_cross_correlator(criteria):
         return total
 
     rows = []
-    for t1 in (0.02, 0.06, 0.10):
+    for t1 in first_times:
         pz = patch_mean(0, t1)
-        for tau in (0.02, 0.05, 0.10, 0.20):
+        for tau in lags:
             prod = pz * patch_mean(1, t1 + tau)
             mc = prod.mean()
-            se = prod.std(ddof=1) / np.sqrt(arch.n_traj)
+            se = prod.std(ddof=1) / np.sqrt(n_traj)
             rows.append((mc, se, patch_ref(t1, t1 + tau)))
     zs = np.array([(mc - ref) / se for mc, se, ref in rows])
     imax = int(np.argmax([ref for _, _, ref in rows]))

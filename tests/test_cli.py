@@ -68,8 +68,9 @@ def calibrate_config():
 
 def record_path_calibration(path):
     """The calibrate estimates by the record path: both preparations held as
-    archives, each integrated whole and reduced by numpy's mean and
-    var(ddof=1), then fitted as ``calibration`` fits them."""
+    archives, each integrated whole and reduced to its exactly rounded
+    per-time mean (``math.fsum``) and numpy's var(ddof=1), then fitted as
+    ``calibration`` fits them."""
     config = load_config(path)
     det = build_detector(config.detectors[0])
     grid, seed = build_grid(config, (det,)), config.ensemble.seed
@@ -82,8 +83,8 @@ def record_path_calibration(path):
         integrals.append(out)
     t = grid.times()
     mask = t <= config.calibrate.fit_window_us + 1e-9
-    delta_i = float(np.polyfit(t[mask], (integrals[0].mean(axis=0)
-                                         - integrals[1].mean(axis=0))[mask], 1)[0])
+    plus, minus = ([math.fsum(column) / len(column) for column in x.T] for x in integrals)
+    delta_i = float(np.polyfit(t[mask], (np.array(plus) - np.array(minus))[mask], 1)[0])
     slopes = [float(np.polyfit(t, x.var(axis=0, ddof=1), 1)[0]) for x in integrals]
     tau_m = (2.0 / delta_i) ** 2 * 0.5 * sum(slopes)
     return {"delta_i": delta_i, "tau_m_us": tau_m,

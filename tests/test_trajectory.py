@@ -29,7 +29,7 @@ from cqmcorr import (
     stream_ensemble,
     write_archive,
 )
-from cqmcorr import trajectory
+from cqmcorr import calibration, trajectory
 from cqmcorr.calibration import MOMENT_UNIT
 from cqmcorr.trajectory import NOISE_TILE, RECORD_SLICE, _batch_normals, _NoiseFeed
 
@@ -698,6 +698,22 @@ class TestRunEnsemble:
         if threads == 1:
             assert len({id(buf) for buf in signal_buffers}) == 1
 
+    def test_signals_share_the_noise_allocation(self, monkeypatch):
+        """At ``threads`` 1 the run's signals buffer lies in the allocation
+        of its two noise blocks, which makes it the run's largest
+        (``_noise_buffers``)."""
+        calls, simulate = [], trajectory._simulate_batch
+
+        def recorded(*args, **kwargs):
+            calls.append((kwargs["out"], args[5]))
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(trajectory, "_simulate_batch", recorded)
+        run_ensemble(**self.small_args(n_traj=100), batch_size=40)
+        assert len(calls) == 3
+        for out, noise in calls:
+            assert out.base is noise._buffers.base is calls[0][0].base
+
     def test_failed_consumer_stops_the_pool(self):
         before = threading.active_count()
         calls = []
@@ -736,9 +752,12 @@ class TestRecordSlices:
 
     N_TRAJ = 2 * RECORD_SLICE + 37
     # (batch_size, slice lengths of each batch): one batch wider than a
-    # slice, and batches that slice boundaries cut
+    # slice, batches that slice boundaries cut, and batches narrower than a
+    # slice, so that every calibration unit is gathered across batches
     LAYOUTS = [(trajectory.DEFAULT_BATCH_SIZE, [[RECORD_SLICE, RECORD_SLICE, 37]]),
-               (RECORD_SLICE + 5, [[RECORD_SLICE, 5], [RECORD_SLICE - 5, 10], [27]])]
+               (RECORD_SLICE + 5, [[RECORD_SLICE, 5], [RECORD_SLICE - 5, 10], [27]]),
+               (300, [[300], [300], [300], [124, 176], [300], [300], [248, 37]])]
+    LAYOUT_IDS = ["wide-batch", "cut-batches", "narrow-batches"]
 
     @staticmethod
     def args():
@@ -752,7 +771,7 @@ class TestRecordSlices:
         ``calibrate``'s units arrive whole, as views of a slice."""
         assert RECORD_SLICE == MOMENT_UNIT == 4 * NOISE_TILE
 
-    @pytest.mark.parametrize("batch_size, batches", LAYOUTS, ids=["wide-batch", "cut-batches"])
+    @pytest.mark.parametrize("batch_size, batches", LAYOUTS, ids=LAYOUT_IDS)
     @pytest.mark.parametrize("threads", [1, 2])
     def test_consumer_gets_ordered_slices_on_the_caller(self, batch_size, batches, threads):
         """Each batch's slices are mapped into one buffer of its own."""
@@ -772,24 +791,58 @@ class TestRecordSlices:
         assert set(callers) == {threading.current_thread()}
         np.testing.assert_array_equal(np.concatenate(got), run_ensemble(**self.args()).signals)
 
-    @pytest.mark.parametrize("batch_size, batches", LAYOUTS, ids=["wide-batch", "cut-batches"])
+    @pytest.mark.parametrize("batch_size, batches", LAYOUTS, ids=LAYOUT_IDS)
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_estimators_on_slices_equal_the_archive(self, batch_size, batches, threads):
+    def test_estimators_on_slices_equal_the_archive(self, monkeypatch, batch_size, batches,
+                                                    threads):
         """Jackknife blocks of 700 records straddle the slices, and so do the
-        calibration units where batch ends cut them; both estimators give
-        the bits of the archive."""
+        calibration units where batch ends cut them; the reducers gather
+        such a group step-major, like a slice, and both estimators give the
+        bits of the archive."""
         archive = run_ensemble(**self.args())
         stream = stream_ensemble(**self.args(), threads=threads, batch_size=batch_size)
         estimate = dict(delta_i=2.0, t_avg=0.02, t_skip=0.0, block_size=700)
         want, got = (estimate_correlator(records, **estimate) for records in (archive, stream))
         for field in ("lags", "values", "errors", "t1_values"):
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
-        want, got = (CalibrationRun(plus=records, minus=records) for records in (archive, stream))
+        want = CalibrationRun(plus=archive, minus=archive)
+        units, integrate = [], calibration.integrate_traces
+
+        def watched(records, dt):
+            units.append(records)
+            return integrate(records, dt)
+
+        monkeypatch.setattr(calibration, "integrate_traces", watched)
+        got = CalibrationRun(plus=stream, minus=stream)
+        assert [len(unit) for unit in units] == 2 * [RECORD_SLICE, RECORD_SLICE, 37]
+        assert all(unit.T.flags.c_contiguous for unit in units)
         for side in ("plus_moments", "minus_moments"):
             a, b = getattr(got, side), getattr(want, side)
             assert (a.n_traj, a.peak) == (b.n_traj, b.peak)
             np.testing.assert_array_equal(a.mean, b.mean)
             np.testing.assert_array_equal(a.m2, b.m2)
+
+    @pytest.mark.parametrize("batch_size, batches", LAYOUTS, ids=LAYOUT_IDS)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_slices_are_views_of_step_major_memory(self, batch_size, batches, threads):
+        """A slice of n records is the (n, n_det, n_samples) transposed view
+        of a C-contiguous step-major array, carved from the one flat buffer
+        that all slices of its batch share: the hand-over makes no
+        transposing copy."""
+        slices = []
+        run_ensemble(**self.args(), threads=threads, batch_size=batch_size,
+                     consumer=slices.append)
+        n_samples = self.args()["grid"].n_steps
+        for records in slices:
+            n, n_det = records.shape[:2]
+            assert records.shape == (n, n_det, n_samples)
+            assert records.strides == (8, 8 * n, 8 * n * n_det)
+            assert records.base.ndim == 1 and records.base.flags.c_contiguous
+        firsts = np.cumsum([0] + [len(lengths) for lengths in batches])
+        bases = [{id(records.base) for records in slices[i:j]}
+                 for i, j in zip(firsts, firsts[1:])]
+        assert all(len(ids) == 1 for ids in bases)
+        assert len(set.union(*bases)) == len(batches)
 
     def test_consumer_run_holds_one_batch_of_signals(self):
         """A full 8192 x 60 batch handed to a consumer peaks below one
