@@ -42,7 +42,6 @@ from .analytic import (
     k_qrf_baseline,
 )
 from .trajectory import (
-    EnsembleArchive,
     NoisePlan,
     RecordStream,
     run_ensemble,
@@ -96,7 +95,6 @@ __all__ = [
     "simulate_states",
     "run_ensemble",
     "stream_ensemble",
-    "EnsembleArchive",
     "RecordStream",
     "write_archive",
     "CalibrationRun",

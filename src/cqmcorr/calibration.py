@@ -19,14 +19,14 @@ directly: it removes a per-block offset, normalizes by Delta_I/2 so pole
 means sit at +-1, averages the two-sample product over a window of first
 times, and quotes delete-one-block jackknife standard errors.
 
-Both estimators are block reducers: they take an ``EnsembleArchive`` or a
-``RecordStream`` and fold its records as they are fed, in fixed groups of
-trajectories (jackknife blocks, or MOMENT_UNIT records for the calibration
-moments), so a stream is never held and no batch size or thread count moves
-a bit. A stream feeds slices of at most ``trajectory.RECORD_SLICE`` records,
-cut at its multiples, each an (n, n_det, n_samples) view of step-major
-memory, and MOMENT_UNIT equals it, so each calibration unit arrives whole,
-as a view of one slice. Every reduction runs on a fresh step-major array of
+Both estimators are block reducers: they take a ``RecordStream`` and fold
+its records as they are fed, in fixed groups of trajectories (jackknife
+blocks, or MOMENT_UNIT records for the calibration moments), so the ensemble
+is never held and no batch size or thread count moves a bit. A stream of
+``stream_ensemble`` feeds slices of at most ``trajectory.RECORD_SLICE``
+records, cut at its multiples, each an (n, n_det, n_samples) view of
+step-major memory, and MOMENT_UNIT equals it, so each calibration unit
+arrives whole, as a view of one slice. Every reduction runs on a fresh step-major array of
 one fixed layout, a row per sample (or lag) across the group's
 trajectories, whatever the layout fed: numpy sums each row pairwise, the
 moments are summed within a unit and merged in unit order, and so what an
@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from .core import ConfigError, CorrelatorResult, DiagnosticError, TimeGrid
-from .trajectory import EnsembleArchive, RecordStream
+from .trajectory import RecordStream
 
 DEFAULT_RESPONSE_FIT_WINDOW = 0.6
 DEFAULT_BLOCK_SIZE = 3000
@@ -70,14 +70,13 @@ VARIANCE_MATCH_Z = 5.0
 MOMENT_UNIT = 1024
 
 
-def _fold(records, bounds, reduce, column=slice(None)) -> None:
-    """Feed ``records`` (an EnsembleArchive or RecordStream) and call
-    ``reduce(g, group)`` for group g = [lo, hi) of ``bounds``, in order, as
-    soon as its last record arrives; ``column`` picks from each record. A
-    group inside one fed slice is a view of the slice; one that straddles
-    slices is gathered into an array of its own, step-major like a stream's
-    slices: the transposed view of a C-contiguous array with the
-    trajectory axis last. The reducers compute on fresh arrays of one
+def _fold(records: RecordStream, bounds, reduce, column=slice(None)) -> None:
+    """Feed ``records`` and call ``reduce(g, group)`` for group g = [lo, hi)
+    of ``bounds``, in order, as soon as its last record arrives; ``column``
+    picks from each record. A group inside one fed slice is a view of the
+    slice; one that straddles slices is gathered into an array of its own,
+    step-major like the slices of ``stream_ensemble``: the transposed view
+    of a C-contiguous array with the trajectory axis last. The reducers compute on fresh arrays of one
     layout of their own, so what they compute depends on ``bounds`` alone."""
     seen, g, gathered = 0, 0, None
 
@@ -127,7 +126,7 @@ class TraceMoments:
         return self.m2 / (self.n_traj - 1)
 
 
-def trace_moments(records: EnsembleArchive | RecordStream) -> TraceMoments:
+def trace_moments(records: RecordStream) -> TraceMoments:
     """The ``TraceMoments`` of a one-detector ensemble, reduced as it is fed.
 
     The records are cut into units of MOMENT_UNIT trajectories, the last one
@@ -179,13 +178,13 @@ def trace_moments(records: EnsembleArchive | RecordStream) -> TraceMoments:
 @dataclasses.dataclass
 class CalibrationRun:
     """Paired one-detector raw-record ensembles, +axis and -axis preparations,
-    each an ``EnsembleArchive`` or a ``RecordStream``, and the moments of
-    their records' time integrals (``trace_moments``), reduced once for both
-    estimators. A stream is fed once, one preparation after the other, and
-    neither ensemble is held."""
+    each a ``RecordStream``, and the moments of their records' time
+    integrals (``trace_moments``), reduced once for both estimators. Each
+    stream is fed once, one preparation after the other, and neither
+    ensemble is held."""
 
-    plus: EnsembleArchive | RecordStream
-    minus: EnsembleArchive | RecordStream
+    plus: RecordStream
+    minus: RecordStream
     plus_moments: TraceMoments = dataclasses.field(init=False, repr=False)
     minus_moments: TraceMoments = dataclasses.field(init=False, repr=False)
 
@@ -305,7 +304,7 @@ def _block_bounds(n_traj: int, block_size: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def estimate_correlator(records: EnsembleArchive | RecordStream, delta_i: float,
+def estimate_correlator(records: RecordStream, delta_i: float,
                         t_avg: float, t_skip: float,
                         block_size: int = DEFAULT_BLOCK_SIZE,
                         detector_index: int = 0,
@@ -319,12 +318,12 @@ def estimate_correlator(records: EnsembleArchive | RecordStream, delta_i: float,
     record mean over each block of trajectories at t >= t_skip. Standard
     errors are delete-one-block jackknife over the same blocks.
 
-    ``records`` is an ``EnsembleArchive`` or a ``RecordStream``, fed through
-    one jackknife-block reducer: each block's records are gathered across
-    fed slices until the block is complete, copied step-major, and reduced
-    to its row of lag sums; the lag products accumulate as (n_lags, n) rows
-    across the block's n trajectories, each summed pairwise. Memory is one
-    block and one slice, whatever n_traj.
+    ``records`` is a ``RecordStream``, fed once through one jackknife-block
+    reducer: each block's records are gathered across fed slices until the
+    block is complete, copied step-major, and reduced to its row of lag
+    sums; the lag products accumulate as (n_lags, n) rows across the
+    block's n trajectories, each summed pairwise. Memory is one block and
+    one slice, whatever n_traj.
     """
     if delta_i == 0:
         raise ConfigError("delta_i must be nonzero")

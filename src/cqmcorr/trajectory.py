@@ -302,10 +302,11 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise: _No
     sqrt(dt/tau_m) w (K (n x r) + n - (n.r) r) to the drifted state in
     place. Two such blocks alternate as input and output.
 
-    Step k adds its signals into row k // D of a zeroed
-    (n_steps // D, n_det, B) array, for ``decimate`` D, and the array is
-    divided by D after the last step: a sample is its D fine samples summed
-    in step order, divided by D. With D = 1 both are exact, so the signals
+    Step k writes its signals into row k // D of the
+    (n_steps // D, n_det, B) array, for ``decimate`` D, if it is the first
+    step of its group of D, and adds them into the row if not; for D > 1 the
+    array is divided by D after the last step. A sample is its D fine
+    samples summed in step order, divided by D, and with D = 1 the signals
     are the fine samples themselves.
     """
     n_steps, n_det, batch = grid.n_steps, len(detectors), traj_hi - traj_lo
@@ -334,9 +335,6 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise: _No
     if out is None:
         out = np.empty(math.prod(shape))
     signals = out[:math.prod(shape)].reshape(shape)
-    # zeroed by a write, not left as calloc's untouched pages: the first add
-    # to a row would fault each page in twice, a read and then a copy-on-write
-    signals.fill(0.0)
     sig = np.empty((n_det, width))
     quad = np.empty((3, width))
     gain = np.empty((n_det, width))
@@ -346,9 +344,14 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise: _No
         cur, nxt = blocks[k % 2], blocks[(k + 1) % 2]
         r, r_new, nr = cur[:3], nxt[:3], nxt[4:4 + n_det]
         np.matmul(linear[seg_idx[k]], cur[:4], out=nxt)
-        np.multiply(scale, w, out=sig)
-        sig += nr
-        signals[k // decimate] += sig
+        row = signals[k // decimate]
+        if k % decimate:
+            np.multiply(scale, w, out=sig)
+            sig += nr
+            row += sig
+        else:
+            np.multiply(scale, w, out=row)
+            row += nr
         np.multiply(kick, w, out=gain)
         for ell in range(n_det):
             term = nxt[4 + n_det + 3 * ell:7 + n_det + 3 * ell]
@@ -365,7 +368,8 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise: _No
                 f"by more than {NORM_OVERSHOOT_TOL}; reduce dt")
         if record_states:
             states[k + 1] = r_new
-    signals /= decimate
+    if decimate > 1:
+        signals /= decimate
     return (signals[:, :, :batch],
             states[:, :, :batch] if record_states else None)
 
@@ -390,10 +394,9 @@ def simulate_states(initial_state, grid: TimeGrid, detectors, segments, plan: No
             np.ascontiguousarray(signals.transpose(2, 1, 0)))
 
 
-def _archive_head(records) -> bytes:
-    """What precedes the records in the archive of ``records`` (an
-    ``EnsembleArchive`` or a ``RecordStream``): the magic, the header length
-    and the JSON header."""
+def _archive_head(records: RecordStream) -> bytes:
+    """What precedes the records in the archive of ``records``: the magic,
+    the header length and the JSON header."""
     header = json.dumps({
         "config_digest": records.config_digest,
         "dt": records.grid.dt,
@@ -408,11 +411,16 @@ def _archive_head(records) -> bytes:
     return ARCHIVE_MAGIC + struct.pack("<I", len(header)) + header
 
 
-def write_archive(records, fh=None) -> str:
-    """Write the archive of ``records`` (an ``EnsembleArchive`` or a
-    ``RecordStream``) to the binary file ``fh``, or only hash it when ``fh``
-    is None, and return the sha256 of its bytes. The records are fed slice by
-    slice, so a stream is written without its ensemble ever being held."""
+def write_archive(records: RecordStream, fh=None) -> str:
+    """Write the archive of ``records`` to the binary file ``fh``, or only
+    hash it when ``fh`` is None, and return the sha256 of its bytes. The
+    records are fed slice by slice, so the ensemble is never held.
+
+    Format (little-endian): magic ``CQMARCH1``, uint32 header length, JSON
+    header with sorted keys (config_digest, dt, kind = "raw", n_detectors,
+    n_samples, n_traj, seed, t0 = 0.0, version), then the records as
+    consecutive per-trajectory blocks of n_detectors * n_samples float64
+    values, C order. The package writes archives and reads none back."""
     digest = hashlib.sha256()
 
     def put(data) -> None:
@@ -423,50 +431,6 @@ def write_archive(records, fh=None) -> str:
     put(_archive_head(records))
     records.feed(lambda batch: put(np.ascontiguousarray(batch, dtype="<f8").data))
     return digest.hexdigest()
-
-
-@dataclasses.dataclass
-class EnsembleArchive:
-    """Ensemble of output records on a common grid, in raw detector units,
-    held in memory.
-
-    Serialized format (little-endian): magic ``CQMARCH1``, uint32 header
-    length, JSON header with sorted keys (config_digest, dt, kind = "raw",
-    n_detectors, n_samples, n_traj, seed, t0 = 0.0, version), then the signal
-    array as consecutive per-trajectory blocks of n_detectors * n_samples
-    float64 values, C order. The package writes archives and reads none
-    back. ``feed`` hands the records to a consumer as one batch, so the
-    estimators reduce an archive as they reduce a ``RecordStream``.
-    """
-
-    grid: TimeGrid
-    seed: int
-    signals: np.ndarray  # (n_traj, n_detectors, n_samples)
-    config_digest: str = ""
-
-    @property
-    def n_traj(self) -> int:
-        return self.signals.shape[0]
-
-    @property
-    def n_detectors(self) -> int:
-        return self.signals.shape[1]
-
-    @property
-    def n_samples(self) -> int:
-        return self.signals.shape[2]
-
-    def feed(self, consumer) -> None:
-        consumer(self.signals)
-
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            write_archive(self, fh)
-
-    def digest(self) -> str:
-        """sha256 of the serialized byte stream (identical to hashing the
-        saved file)."""
-        return write_archive(self)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -512,7 +476,7 @@ def stream_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
 def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
                  detectors, segments, *, threads: int = 1,
                  batch_size: int = DEFAULT_BATCH_SIZE, decimate: int = 1,
-                 config_digest: str = "", consumer=None) -> EnsembleArchive | None:
+                 consumer: Callable[[np.ndarray], None]) -> None:
     """Simulate n_traj trajectories in batches of ``batch_size`` and hand
     their raw output records to ``consumer`` in slices, each an
     (n, n_detectors, n_samples) array of n <= RECORD_SLICE trajectories, cut
@@ -520,8 +484,8 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     on the calling thread. A slice is the transposed view of a C-contiguous
     step-major (n_samples, n_detectors, n) array, the stepper's order, and
     its memory is reused for the batch's next slice once ``consumer``
-    returns. Without a consumer, the slices fill an ``EnsembleArchive``,
-    which is returned.
+    returns, so the consumer copies what it keeps. ``stream_ensemble`` wraps
+    the run as a ``RecordStream``.
 
     Trajectory j uses noise stream (plan.seed, j), so the records are a pure
     function of the arguments. ``decimate`` averages each group of that many
@@ -544,16 +508,11 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
         raise ConfigError(f"n_traj must be >= 1, got {n_traj!r}")
     if threads < 1 or batch_size < 1:
         raise ConfigError("threads and batch_size must be >= 1")
-    dec_grid = grid.decimated(decimate)
+    n_samples = grid.decimated(decimate).n_steps
     r0, detectors, segments, seg_idx = _prepare(initial_state, grid, detectors, segments)
-    n_det, n_samples = len(detectors), dec_grid.n_steps
-    width = min(batch_size, n_traj)
+    n_det, width = len(detectors), min(batch_size, n_traj)
     offsets = np.array([det.offset for det in detectors])
     responses = np.array([det.response for det in detectors])
-    archive = None
-    if consumer is None:
-        archive = EnsembleArchive(grid=dec_grid, seed=plan.seed, config_digest=config_digest,
-                                  signals=np.empty((n_traj, n_det, n_samples)))
     n_signals = n_samples * n_det * max(width, 2)
 
     def run_batch(lo: int, hi: int, buf, noise: _NoiseFeed):
@@ -568,8 +527,8 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
 
     def hand_over(lo: int, signals) -> None:
         """Map the step-major signals of trajectories lo.. to raw units, one
-        slice at a time, into the archive or a slice buffer, and hand each
-        slice to the consumer. A slice of n records is mapped into the first
+        slice at a time, into a slice buffer, and hand each slice to the
+        consumer. A slice of n records is mapped into the first
         n_samples * n_det * n values of the flat slice buffer as a
         C-contiguous step-major (n_samples, n_det, n) array, row by
         contiguous row, and handed over as its (n, n_det, n_samples)
@@ -579,23 +538,18 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
         stays alive while the next batch steps, and read 0.5-1.2 MB more
         peak RSS per process."""
         hi = lo + signals.shape[2]
-        if archive is None:
-            records = np.empty(n_samples * n_det * min(RECORD_SLICE, hi - lo))
+        records = np.empty(n_samples * n_det * min(RECORD_SLICE, hi - lo))
         cuts = [lo, *range((lo // RECORD_SLICE + 1) * RECORD_SLICE, hi, RECORD_SLICE), hi]
         for a, b in zip(cuts, cuts[1:]):
             part = signals[:, :, a - lo:b - lo]
-            if archive is None:
-                out = records[:part.size].reshape(part.shape)
-            else:
-                out = archive.signals[a:b].transpose(2, 1, 0)
+            out = records[:part.size].reshape(part.shape)
             # a huge response or offset overflows to inf here, which the
             # consumer reports; numpy's error state is per thread, so it is
             # set on the thread that maps
             with np.errstate(over="ignore"):
                 np.multiply(responses[:, None], part, out=out)
                 out += offsets[:, None]
-            if archive is None:
-                consumer(out.transpose(2, 1, 0))
+            consumer(out.transpose(2, 1, 0))
 
     spans = [(lo, min(lo + batch_size, n_traj)) for lo in range(0, n_traj, batch_size)]
     if threads == 1:
@@ -603,7 +557,7 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
                                            signals=n_signals)) as noise:
             for lo, hi in spans:
                 hand_over(*run_batch(lo, hi, noise.signals, noise))
-        return archive
+        return
 
     pool = concurrent.futures.ThreadPoolExecutor(max_workers=threads)
     in_flight, spare = collections.deque(), []
@@ -619,4 +573,3 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
             hand_over(*in_flight.popleft()[0].result())
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-    return archive

@@ -6,6 +6,7 @@ the pass/fail status of each numbered criterion is visible at a glance even
 when an assertion aborts a multi-part test early.
 """
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -53,6 +54,19 @@ def no_thread_outlives_the_test():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260818)
+
+
+def gather(stream):
+    """The records of ``stream``, fed once, as one (n_traj, n_det, n_samples) array."""
+    slices = []
+    stream.feed(lambda records: slices.append(records.copy()))
+    return np.concatenate(slices)
+
+
+def fed_whole(stream):
+    """``stream`` gathered once, then fed as one slice of its whole ensemble."""
+    records = gather(stream)
+    return dataclasses.replace(stream, feed=lambda consumer: consumer(records))
 
 
 def random_unit_vector(rng):

@@ -44,7 +44,9 @@ from cqmcorr import (
     run_ensemble,
     simulate_states,
     stream_ensemble,
+    write_archive,
 )
+from conftest import gather
 
 GAMMA = 1.0 / 1.8            # ensemble dephasing rate, 1/us
 OMEGA = 2.0 * math.pi        # Rabi rate, rad/us
@@ -336,15 +338,23 @@ def test_criterion_5_multi_time_oracle(criteria):
         r0 = _unit(rng) * rng.uniform(0.3, 0.9)
 
         n_steps = int(round((times[-1] + patch * dt_acq) / dt))
-        arch = run_ensemble(100_000, NoisePlan(5050 + i), r0,
-                            TimeGrid(dt, n_steps), dets, segments,
-                            decimate=dec)
-        prod = np.ones(arch.n_traj)
-        for t, d in zip(times, det_idx):
-            k0 = int(round(t / dt_acq))
-            prod = prod * arch.signals[:, d, k0:k0 + patch].mean(axis=1)
+        patches = [(d, int(round(t / dt_acq))) for t, d in zip(times, det_idx)]
+        # each trajectory's product of patch means, taken as its slice is
+        # handed over; the records themselves are never held
+        prods = []
+
+        def keep(records):
+            prod = np.ones(len(records))
+            for d, k0 in patches:
+                prod = prod * records[:, d, k0:k0 + patch].mean(axis=1)
+            prods.append(prod)
+
+        run_ensemble(100_000, NoisePlan(5050 + i), r0, TimeGrid(dt, n_steps), dets, segments,
+                     decimate=dec, consumer=keep)
+        prod = np.concatenate(prods)
+        assert len(prod) == 100_000
         mc = prod.mean()
-        se = prod.std(ddof=1) / np.sqrt(arch.n_traj)
+        se = prod.std(ddof=1) / np.sqrt(len(prod))
 
         width = patch * dt_acq
         node_sets = [t + 0.5 * width * (nodes6 + 1.0) for t in times]
@@ -655,13 +665,13 @@ def test_criterion_9e_efficiency_independence(criteria):
     va = correlator_time_averaged(taus, det, (gen,), X_PLUS, T_SKIP, T_AVG).values
     vb = correlator_time_averaged(taus, det_hi, (gen,), X_PLUS, T_SKIP, T_AVG).values
     grid = TimeGrid(DT, 200)
-    sa = run_ensemble(500, NoisePlan(17), X_PLUS, grid, (det,), (gen,))
-    sb = run_ensemble(500, NoisePlan(17), X_PLUS, grid, (det_hi,), (gen,))
-    ok = np.array_equal(va, vb) and np.array_equal(sa.signals, sb.signals)
+    sa = gather(stream_ensemble(500, NoisePlan(17), X_PLUS, grid, (det,), (gen,)))
+    sb = gather(stream_ensemble(500, NoisePlan(17), X_PLUS, grid, (det_hi,), (gen,)))
+    ok = np.array_equal(va, vb) and np.array_equal(sa, sb)
     criteria.record(9, "e eta-independence", ok,
                     "recipe values and trajectory records bit-identical")
     assert np.array_equal(va, vb)
-    assert np.array_equal(sa.signals, sb.signals)
+    assert np.array_equal(sa, sb)
 
 
 def test_criterion_9f_thread_determinism(criteria):
@@ -669,10 +679,10 @@ def test_criterion_9f_thread_determinism(criteria):
     det = production_detector(70.0)
     gen = rabi_dephasing_generator(GAMMA, OMEGA)
     grid = TimeGrid(DT, 300)
-    d1 = run_ensemble(2000, NoisePlan(23), Z_AXIS, grid, (det,), (gen,),
-                      threads=1, batch_size=256).digest()
-    d3 = run_ensemble(2000, NoisePlan(23), Z_AXIS, grid, (det,), (gen,),
-                      threads=3, batch_size=256).digest()
+    d1 = write_archive(stream_ensemble(2000, NoisePlan(23), Z_AXIS, grid, (det,), (gen,),
+                                       threads=1, batch_size=256))
+    d3 = write_archive(stream_ensemble(2000, NoisePlan(23), Z_AXIS, grid, (det,), (gen,),
+                                       threads=3, batch_size=256))
     criteria.record(9, "f thread-determinism", d1 == d3,
                     f"sha256 {d1[:16]}... equal across 1 and 3 threads")
     assert d1 == d3

@@ -11,7 +11,6 @@ from cqmcorr import (
     ConfigError,
     DetectorModel,
     DiagnosticError,
-    EnsembleArchive,
     EnsembleGenerator,
     NoisePlan,
     RabiCaseParams,
@@ -24,20 +23,22 @@ from cqmcorr import (
     integrate_traces,
     k_qrf_baseline,
     rabi_dephasing_generator,
-    run_ensemble,
     stream_ensemble,
     trace_moments,
 )
 from cqmcorr.calibration import MOMENT_UNIT, VARIANCE_MATCH_TOL
+from conftest import fed_whole
 
 GAMMA = 1.0 / 1.8
 OMEGA = 2.0 * math.pi
 
 
 def archive_from_signals(signals, dt=0.04, seed=0):
+    """A stream that feeds the (n_traj, n_det, n_samples) ``signals`` whole,
+    as one slice."""
     signals = np.asarray(signals, dtype=np.float64)
-    grid = TimeGrid(dt, signals.shape[2])
-    return EnsembleArchive(grid=grid, seed=seed, signals=signals)
+    return RecordStream(grid=TimeGrid(dt, signals.shape[2]), seed=seed, n_traj=len(signals),
+                        n_detectors=signals.shape[1], feed=lambda consumer: consumer(signals))
 
 
 def synthetic_pair(n_traj, n_samples, response, offset, tau_m, dt, seed,
@@ -54,8 +55,7 @@ def synthetic_pair(n_traj, n_samples, response, offset, tau_m, dt, seed,
 def test_integrate_traces_matches_cumulative_trapezoid():
     gen = np.random.default_rng(2)
     sig = gen.normal(size=(5, 1, 30))
-    arch = archive_from_signals(sig, dt=0.05)
-    got = integrate_traces(arch.signals, arch.grid.dt)
+    got = integrate_traces(sig, 0.05)
     want = cumulative_trapezoid(sig[:, 0, :], dx=0.05, axis=1, initial=0.0)
     np.testing.assert_array_equal(got, want)
     assert got.shape == (5, 30)
@@ -75,7 +75,7 @@ class TestCalibrationRun:
             with pytest.raises(ConfigError, match="one-detector archives, got 2"):
                 CalibrationRun(plus=plus, minus=minus)
         with pytest.raises(ConfigError, match="one-detector archives"):
-            integrate_traces(two.signals, two.grid.dt)
+            integrate_traces(np.zeros((3, 2, 10)), 0.04)
 
 
 class TestEstimateResponse:
@@ -223,9 +223,9 @@ class TestEstimateCorrelator:
                                                   response=1.005, offset=-0.4)
         segments = (rabi_dephasing_generator(GAMMA, OMEGA),)
         grid = TimeGrid(0.004, 300)
-        arch = run_ensemble(6000, NoisePlan(seed=101), [1, 0, 0], grid, (det,),
-                            segments, decimate=10)
-        res = estimate_correlator(arch, delta_i=2 * det.response, t_avg=0.28,
+        stream = stream_ensemble(6000, NoisePlan(seed=101), [1, 0, 0], grid, (det,),
+                                 segments, decimate=10)
+        res = estimate_correlator(stream, delta_i=2 * det.response, t_avg=0.28,
                                   t_skip=0.28, block_size=300, max_lag=0.48)
         # at zero angle the correlator is the preparation-independent baseline
         p = RabiCaseParams(gamma=GAMMA, omega_r=OMEGA)
@@ -240,9 +240,9 @@ BATCHES = [(1, 1), (7, 1), (255, 1), (257, 1), (8192, 1), (7, 2), (257, 2), (819
 
 class TestBlockReducers:
     """Both estimators fold fed records in groups fixed by the estimator
-    (jackknife blocks, units of MOMENT_UNIT records), so a ``RecordStream``
-    gives the bits of an ``EnsembleArchive`` at any batch size and thread
-    count."""
+    (jackknife blocks, units of MOMENT_UNIT records), so a stream fed in
+    slices gives the bits of its whole ensemble fed as one slice, at any
+    batch size and thread count."""
 
     @staticmethod
     def correlate_args():
@@ -262,7 +262,7 @@ class TestBlockReducers:
         det, segments = self.correlate_args()
         args = (450, NoisePlan(7), [1, 0, 0], TimeGrid(0.004, 300), (det,), segments)
         estimate = dict(delta_i=2.0, t_avg=0.28, t_skip=0.28, block_size=200, max_lag=0.6)
-        want = estimate_correlator(run_ensemble(*args, decimate=10), **estimate)
+        want = estimate_correlator(fed_whole(stream_ensemble(*args, decimate=10)), **estimate)
         got = estimate_correlator(stream_ensemble(*args, decimate=10, batch_size=batch_size,
                                                   threads=threads), **estimate)
         self.assert_same_curve(got, want)
@@ -275,7 +275,7 @@ class TestBlockReducers:
         det, segments = self.correlate_args()
         args = (20_000, NoisePlan(7), [1, 0, 0], TimeGrid(0.004, 610), (det,), segments)
         estimate = dict(delta_i=2.0, t_avg=0.28, t_skip=0.28, block_size=2000, max_lag=1.0)
-        want = estimate_correlator(run_ensemble(*args, decimate=10), **estimate)
+        want = estimate_correlator(fed_whole(stream_ensemble(*args, decimate=10)), **estimate)
         got = estimate_correlator(stream_ensemble(*args, decimate=10, threads=threads),
                                   **estimate)
         self.assert_same_curve(got, want)
@@ -289,13 +289,13 @@ class TestBlockReducers:
         segments = (EnsembleGenerator(matrix=dephasing_matrix(det.axis, 1.0 / (2 * 0.44 * 2.04)),
                                       r_st=np.zeros(3)),)
 
-        def run(make, **options):
-            return CalibrationRun(*(make(1100, NoisePlan(seed), r0, TimeGrid(0.04, 60), (det,),
-                                         segments, **options)
-                                    for seed, r0 in ((11, det.axis), (12, -det.axis))))
+        def streams(**options):
+            return [stream_ensemble(1100, NoisePlan(seed), r0, TimeGrid(0.04, 60), (det,),
+                                    segments, **options)
+                    for seed, r0 in ((11, det.axis), (12, -det.axis))]
 
-        want = run(run_ensemble)
-        got = run(stream_ensemble, batch_size=batch_size, threads=threads)
+        want = CalibrationRun(*map(fed_whole, streams()))
+        got = CalibrationRun(*streams(batch_size=batch_size, threads=threads))
         for side in ("plus_moments", "minus_moments"):
             a, b = getattr(got, side), getattr(want, side)
             assert (a.n_traj, a.peak) == (b.n_traj, b.peak) == (1100, b.peak)

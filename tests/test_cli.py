@@ -20,7 +20,8 @@ from cqmcorr import (
     TimeGrid,
     k_analytic_averaged,
     rabi_dephasing_generator,
-    run_ensemble,
+    stream_ensemble,
+    write_archive,
 )
 from cqmcorr.cli import (
     CSV_HEADER,
@@ -31,6 +32,7 @@ from cqmcorr.cli import (
     load_config,
     main,
 )
+from conftest import gather
 
 GAMMA = 1.0 / 1.8
 OMEGA = 2.0 * math.pi
@@ -67,8 +69,8 @@ def calibrate_config():
 
 
 def record_path_calibration(path):
-    """The calibrate estimates by the record path: both preparations held as
-    archives, each integrated whole and reduced to its exactly rounded
+    """The calibrate estimates by the record path: both preparations gathered
+    whole from their streams, each integrated whole and reduced to its exactly rounded
     per-time mean (``math.fsum``) and numpy's var(ddof=1), then fitted as
     ``calibration`` fits them."""
     config = load_config(path)
@@ -76,8 +78,8 @@ def record_path_calibration(path):
     grid, seed = build_grid(config, (det,)), config.ensemble.seed
     integrals = []
     for s, r0 in ((seed, det.axis), (seed + 1, -det.axis)):
-        x = run_ensemble(config.ensemble.n_traj, NoisePlan(s), r0, grid, (det,),
-                         build_segments(config)).signals[:, 0, :]
+        x = gather(stream_ensemble(config.ensemble.n_traj, NoisePlan(s), r0, grid, (det,),
+                                   build_segments(config)))[:, 0, :]
         out = np.zeros(x.shape)
         out[:, 1:] = np.cumsum(grid.dt * (x[:, 1:] + x[:, :-1]) / 2.0, axis=1)
         integrals.append(out)
@@ -283,14 +285,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", path, "--out", str(out)]) == 0
         # same engine, same seed: the file is the in-process archive, byte for byte
         cfg_obj = load_config(path)
-        want = run_ensemble(40, NoisePlan(5), [1, 0, 0],
-                            TimeGrid(0.004, 300),
-                            (build_detector(cfg_obj.detectors[0]),),
-                            build_segments(cfg_obj), decimate=10,
-                            config_digest=cfg_obj.digest)
-        assert want.n_traj == 40 and want.n_samples == 30
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == want.digest()
-        assert f"sha256 {want.digest()}" in capsys.readouterr().out
+        stream = stream_ensemble(40, NoisePlan(5), [1, 0, 0], TimeGrid(0.004, 300),
+                                 (build_detector(cfg_obj.detectors[0]),),
+                                 build_segments(cfg_obj), decimate=10,
+                                 config_digest=cfg_obj.digest)
+        assert stream.n_traj == 40 and stream.n_samples == 30
+        want = write_archive(stream)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+        assert f"sha256 {want}" in capsys.readouterr().out
 
 
 class TestCalibrateCommand:

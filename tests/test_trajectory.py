@@ -32,6 +32,7 @@ from cqmcorr import (
 from cqmcorr import calibration, trajectory
 from cqmcorr.calibration import MOMENT_UNIT
 from cqmcorr.trajectory import NOISE_TILE, RECORD_SLICE, _batch_normals, _NoiseFeed
+from conftest import fed_whole, gather
 
 GAMMA = 1.0 / 1.8
 OMEGA = 2.0 * math.pi
@@ -174,9 +175,9 @@ class TestNoiseChunks:
         ensemble = dict(plan=plan, initial_state=[0.3, -0.2, 0.4], grid=grid,
                         detectors=self.DETECTORS, segments=self.SEGMENTS)
         return {
-            "threads 2, batches of 33": run_ensemble(
-                70, **ensemble, threads=2, batch_size=33, decimate=4).digest(),
-            "batches of 1": run_ensemble(5, **ensemble, batch_size=1).digest(),
+            "threads 2, batches of 33": write_archive(stream_ensemble(
+                70, **ensemble, threads=2, batch_size=33, decimate=4)),
+            "batches of 1": write_archive(stream_ensemble(5, **ensemble, batch_size=1)),
             "states 3..4": _sha256(*simulate_states([0.3, -0.2, 0.4], grid, self.DETECTORS,
                                                     self.SEGMENTS, plan, 3, 4)),
             "states 3..70": _sha256(*simulate_states([0.3, -0.2, 0.4], grid, self.DETECTORS,
@@ -217,7 +218,7 @@ class TestNoiseHelper:
     whole run's at ``threads`` 1 and each batch's on a pool, and every exit
     joins it."""
 
-    # run_ensemble(**args()).digest() under noise stream v3, taken with
+    # write_archive(stream_ensemble(**args())) under noise stream v3, taken with
     # NOISE_CHUNK = 70, so that the helper draws the whole record as one block
     FROZEN = "11a09c2436ebce0447c567345648fb5d13827468adf639040489aab0b300b1cf"
 
@@ -231,7 +232,7 @@ class TestNoiseHelper:
 
     def assert_clean(self, threads_before):
         assert threading.active_count() == threads_before
-        assert run_ensemble(**self.args()).digest() == self.FROZEN
+        assert write_archive(stream_ensemble(**self.args())) == self.FROZEN
 
     @staticmethod
     def hook_batch_2(monkeypatch, hook):
@@ -283,7 +284,7 @@ class TestNoiseHelper:
         monkeypatch.setattr(trajectory, "_tile_generator", FailsOnce)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="draw failed"):
-            run_ensemble(**self.args())
+            run_ensemble(**self.args(), consumer=lambda records: None)
         assert drawers[1] is not threading.current_thread()
         # every later draw succeeds, so the next run gives the frozen bits
         self.assert_clean(before)
@@ -303,7 +304,8 @@ class TestNoiseHelper:
                 _batch_normals(plan, 3, 70, n_steps, 2),
                 np.stack([stream_v3_oracle(7, j, n_steps, 2) for j in range(3, 70)]))
         with pytest.raises(RuntimeError, match="thread started"):
-            run_ensemble(**self.args(grid=TimeGrid(0.004, 3 * chunk + 1)))
+            run_ensemble(**self.args(grid=TimeGrid(0.004, 3 * chunk + 1)),
+                         consumer=lambda records: None)
 
     @pytest.mark.parametrize("run", ["run_ensemble threads 1", "run_ensemble threads 2",
                                      "simulate_states"])
@@ -323,11 +325,12 @@ class TestNoiseHelper:
             assert len(started) == 1
         elif run == "run_ensemble threads 1":
             # one helper draws all three batches
-            run_ensemble(**self.args(n_traj=150), batch_size=50)
+            run_ensemble(**self.args(n_traj=150), batch_size=50, consumer=lambda records: None)
             assert len(started) == 1
         else:
             # two workers, and a helper per batch
-            run_ensemble(**self.args(n_traj=150), threads=2, batch_size=50)
+            run_ensemble(**self.args(n_traj=150), threads=2, batch_size=50,
+                         consumer=lambda records: None)
             assert len(started) >= 3
         assert threading.active_count() == before
         assert not any(thread.is_alive() for thread in started)
@@ -391,8 +394,8 @@ class TestNoiseHelper:
     def test_batches_with_a_tail_shape_no_bit(self, threads):
         """Batches of 50, 50 and 40 give the bits of one batch."""
         args = self.args(n_traj=140)
-        assert (run_ensemble(**args, threads=threads, batch_size=50).digest()
-                == run_ensemble(**args, threads=threads).digest())
+        assert (write_archive(stream_ensemble(**args, threads=threads, batch_size=50))
+                == write_archive(stream_ensemble(**args, threads=threads)))
 
 
 def one_step(r, detectors, generator, dt):
@@ -558,41 +561,41 @@ class TestRunEnsemble:
 
     def test_matches_single_trajectory_engine(self):
         args = self.small_args()
-        arch = run_ensemble(**args)
+        records = gather(stream_ensemble(**args))
         for j in (0, 13, 63):
             _, signals = simulate_states(args["initial_state"], args["grid"],
                                          args["detectors"], args["segments"],
                                          args["plan"], j, j + 1)
-            np.testing.assert_array_equal(arch.signals[j], signals[0])
+            np.testing.assert_array_equal(records[j], signals[0])
 
     def test_batch_size_invariance(self):
-        a = run_ensemble(**self.small_args(), batch_size=7)
-        b = run_ensemble(**self.small_args(), batch_size=64)
-        np.testing.assert_array_equal(a.signals, b.signals)
+        a = gather(stream_ensemble(**self.small_args(), batch_size=7))
+        b = gather(stream_ensemble(**self.small_args(), batch_size=64))
+        np.testing.assert_array_equal(a, b)
 
     def test_batch_size_invariance_across_tiles(self):
         """Batches that cut the 256-trajectory noise tiles anywhere give the
         records of one batch."""
         args = self.small_args(n_traj=600)
-        whole = run_ensemble(**args)
+        whole = gather(stream_ensemble(**args))
         for batch_size in (1, 7, 255, 257):
-            np.testing.assert_array_equal(run_ensemble(**args, batch_size=batch_size).signals,
-                                          whole.signals)
+            np.testing.assert_array_equal(gather(stream_ensemble(**args, batch_size=batch_size)),
+                                          whole)
 
     def test_thread_invariance_bitwise(self):
-        a = run_ensemble(**self.small_args(), threads=1, batch_size=16)
-        b = run_ensemble(**self.small_args(), threads=4, batch_size=16)
-        assert a.digest() == b.digest()
+        a = write_archive(stream_ensemble(**self.small_args(), threads=1, batch_size=16))
+        b = write_archive(stream_ensemble(**self.small_args(), threads=4, batch_size=16))
+        assert a == b
 
     def test_efficiency_never_touches_trajectories(self):
         """eta enters the ensemble generator, not the stepper: with the
         generator held fixed, records are bit-identical across eta."""
         base = self.small_args()
-        lo = run_ensemble(**{**base, "detectors": (reference_detector(40.0),)})
+        lo = gather(stream_ensemble(**{**base, "detectors": (reference_detector(40.0),)}))
         det_hi = DetectorModel(axis=(0, 0, 1), tau_m=reference_detector(40.0).tau_m,
                                k_phase=reference_detector(40.0).k_phase, eta=1.0)
-        hi = run_ensemble(**{**base, "detectors": (det_hi,)})
-        np.testing.assert_array_equal(lo.signals, hi.signals)
+        hi = gather(stream_ensemble(**{**base, "detectors": (det_hi,)}))
+        np.testing.assert_array_equal(lo, hi)
 
     @pytest.mark.parametrize("n_steps, decimate", [(40, 1), (40, 4), (40, 8), (40, 10),
                                                    (40, 20), (40, 40), (260, 130)])
@@ -600,40 +603,44 @@ class TestRunEnsemble:
     def test_decimation_averages_fine_samples(self, n_steps, decimate, batch_size):
         """A sample is its fine samples summed in step order, divided by D."""
         args = self.small_args(grid=TimeGrid(0.004, n_steps))
-        fine = run_ensemble(**args)
-        coarse = run_ensemble(**args, decimate=decimate, batch_size=batch_size)
+        fine = gather(stream_ensemble(**args))
+        stream = stream_ensemble(**args, decimate=decimate, batch_size=batch_size)
+        coarse = gather(stream)
         n_dec = n_steps // decimate
-        groups = fine.signals.reshape(64, 1, n_dec, decimate)
+        groups = fine.reshape(64, 1, n_dec, decimate)
         total = np.zeros((64, 1, n_dec))
         for i in range(decimate):
             total += groups[..., i]
-        np.testing.assert_array_equal(coarse.signals, total / decimate)
-        np.testing.assert_allclose(coarse.signals, groups.mean(axis=3), rtol=0, atol=1e-12)
-        assert coarse.grid.dt == pytest.approx(0.004 * decimate)
-        assert coarse.grid.n_steps == n_dec
+        np.testing.assert_array_equal(coarse, total / decimate)
+        np.testing.assert_allclose(coarse, groups.mean(axis=3), rtol=0, atol=1e-12)
+        assert stream.grid.dt == pytest.approx(0.004 * decimate)
+        assert stream.grid.n_steps == n_dec
 
     def test_batch_memory_stays_near_its_noise(self):
-        """A batch holds no raw-word array and no full-size signal copy: its
-        peak stays below 1.5 times the noise of the whole batch."""
+        """A batch handed to a consumer that keeps nothing holds no raw-word
+        array and no full-size signal copy: its peak (1.3 MB traced) stays
+        below 1.5 times the noise of the whole batch (5 MB)."""
         noise_bytes = 1024 * 610 * 8
         tracemalloc.start()
         try:
             run_ensemble(**self.small_args(n_traj=1024, grid=TimeGrid(0.004, 610)),
-                         decimate=10)
+                         decimate=10, consumer=lambda records: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * noise_bytes
 
     def test_full_batch_peak_memory(self):
-        """One full 8192 x 610 batch, decimated by 10, peaks at 13 MB traced:
-        4 MB of records, 4 MB of step-major signals, two 1.3 MB noise
-        blocks, one stepped while the other is drawn, and a 0.16 MB tile
-        buffer. Its whole noise, 40 MB, is never held at once."""
+        """One full 8192 x 610 batch, decimated by 10 and handed to a
+        consumer that keeps nothing, peaks at 8.3 MB traced: 4 MB of
+        step-major signals, two 1.3 MB noise blocks, one stepped while the
+        other is drawn, a 0.16 MB tile buffer, the stepper's two 0.5 MB
+        state blocks and one 0.5 MB slice of records. Its whole noise,
+        40 MB, is never held at once."""
         tracemalloc.start()
         try:
             run_ensemble(**self.small_args(n_traj=8192, grid=TimeGrid(0.004, 610)),
-                         decimate=10)
+                         decimate=10, consumer=lambda records: None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -642,21 +649,19 @@ class TestRunEnsemble:
     def test_many_threads_match_one(self):
         """Batches on more threads than cores, each with its own noise
         helper and the interpreter switching threads every microsecond, give
-        the bits of one thread, also when their reused record buffers go to
-        a consumer; so do the 67 batches of one run's noise feed."""
+        the bits of one thread; so do the 67 batches of one run's noise
+        feed."""
         args = self.small_args(n_traj=2000, grid=TimeGrid(0.004, 10))
-        want = run_ensemble(**args, batch_size=50).digest()
-        stream = stream_ensemble(**args, threads=8, batch_size=50)
+        want = write_archive(stream_ensemble(**args, batch_size=50))
+        pooled = stream_ensemble(**args, threads=8, batch_size=50)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = [run_ensemble(**args, threads=8, batch_size=50).digest() for _ in range(3)]
-            streamed = [write_archive(stream) for _ in range(3)]
-            fed = [run_ensemble(**args, batch_size=30).digest() for _ in range(3)]
+            got = [write_archive(pooled) for _ in range(3)]
+            fed = [write_archive(stream_ensemble(**args, batch_size=30)) for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
         assert got == [want] * 3
-        assert streamed == [want] * 3
         assert fed == [want] * 3
 
     @pytest.mark.parametrize("threads", [1, 3])
@@ -670,7 +675,7 @@ class TestRunEnsemble:
 
         assert run_ensemble(**args, threads=threads, batch_size=20, consumer=consumer) is None
         assert [len(records) for records in got] == [20] * 7 + [10]
-        np.testing.assert_array_equal(np.concatenate(got), run_ensemble(**args).signals)
+        np.testing.assert_array_equal(np.concatenate(got), gather(stream_ensemble(**args)))
         assert set(callers) == {threading.current_thread()}
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -709,7 +714,7 @@ class TestRunEnsemble:
             return simulate(*args, **kwargs)
 
         monkeypatch.setattr(trajectory, "_simulate_batch", recorded)
-        run_ensemble(**self.small_args(n_traj=100), batch_size=40)
+        run_ensemble(**self.small_args(n_traj=100), batch_size=40, consumer=lambda records: None)
         assert len(calls) == 3
         for out, noise in calls:
             assert out.base is noise._buffers.base is calls[0][0].base
@@ -730,19 +735,25 @@ class TestRunEnsemble:
 
     def test_decimate_must_divide(self):
         with pytest.raises(ConfigError):
-            run_ensemble(**self.small_args(), decimate=7)
+            run_ensemble(**self.small_args(), decimate=7, consumer=lambda records: None)
 
     def test_raw_units_applied_after_decimation(self):
         det = reference_detector(40.0, response=0.33, offset=-0.4)
-        raw = run_ensemble(**self.small_args(detectors=(det,)), decimate=4)
-        norm = run_ensemble(**self.small_args(), decimate=4)
-        np.testing.assert_array_equal(raw.signals, -0.4 + 0.33 * norm.signals)
+        raw = gather(stream_ensemble(**self.small_args(detectors=(det,)), decimate=4))
+        norm = gather(stream_ensemble(**self.small_args(), decimate=4))
+        np.testing.assert_array_equal(raw, -0.4 + 0.33 * norm)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            run_ensemble(**self.small_args(n_traj=0))
+            run_ensemble(**self.small_args(n_traj=0), consumer=lambda records: None)
         with pytest.raises(ConfigError):
-            run_ensemble(**self.small_args(detectors=()))
+            run_ensemble(**self.small_args(detectors=()), consumer=lambda records: None)
+        # the records go to a consumer and only there
+        with pytest.raises(TypeError, match="consumer"):
+            run_ensemble(**self.small_args())
+        with pytest.raises(TypeError, match="config_digest"):
+            run_ensemble(**self.small_args(), config_digest="abc123",
+                         consumer=lambda records: None)
 
 
 class TestRecordSlices:
@@ -789,7 +800,7 @@ class TestRecordSlices:
         firsts = np.cumsum([0] + [len(lengths) for lengths in batches])
         assert all(len(set(buffers[i:j])) == 1 for i, j in zip(firsts, firsts[1:]))
         assert set(callers) == {threading.current_thread()}
-        np.testing.assert_array_equal(np.concatenate(got), run_ensemble(**self.args()).signals)
+        np.testing.assert_array_equal(np.concatenate(got), gather(stream_ensemble(**self.args())))
 
     @pytest.mark.parametrize("batch_size, batches", LAYOUTS, ids=LAYOUT_IDS)
     @pytest.mark.parametrize("threads", [1, 2])
@@ -798,8 +809,8 @@ class TestRecordSlices:
         """Jackknife blocks of 700 records straddle the slices, and so do the
         calibration units where batch ends cut them; the reducers gather
         such a group step-major, like a slice, and both estimators give the
-        bits of the archive."""
-        archive = run_ensemble(**self.args())
+        bits of the whole ensemble fed as one slice."""
+        archive = fed_whole(stream_ensemble(**self.args()))
         stream = stream_ensemble(**self.args(), threads=threads, batch_size=batch_size)
         estimate = dict(delta_i=2.0, t_avg=0.02, t_skip=0.0, block_size=700)
         want, got = (estimate_correlator(records, **estimate) for records in (archive, stream))
@@ -875,51 +886,41 @@ class TestRecordSlices:
 
 
 class TestArchiveSerialization:
-    def build(self, tmp_path):
-        arch = run_ensemble(n_traj=9, plan=NoisePlan(seed=5), initial_state=[0, 0, 1],
-                            grid=TimeGrid(0.01, 12),
-                            detectors=(reference_detector(0.0, response=1.005, offset=-0.4),),
-                            segments=(EnsembleGenerator(
-                                matrix=dephasing_matrix((0, 0, 1), GAMMA), r_st=np.zeros(3)),),
-                            decimate=3, config_digest="abc123")
-        path = tmp_path / "run.cqm"
-        arch.save(path)
-        return arch, path
-
-    def test_round_trip(self, tmp_path):
-        """The file holds the documented header, then the records."""
-        arch, path = self.build(tmp_path)
-        blob = path.read_bytes()
-        assert blob[:8] == b"CQMARCH1"
-        (hlen,) = struct.unpack_from("<I", blob, 8)
-        text = blob[12:12 + hlen].decode()
-        header = json.loads(text)
-        assert text == json.dumps(header, sort_keys=True)
-        assert header == {"config_digest": "abc123", "dt": pytest.approx(0.03), "kind": "raw",
-                          "n_detectors": 1, "n_samples": 4, "n_traj": 9, "seed": 5,
-                          "t0": 0.0, "version": 3}
-        assert len(blob) == 12 + hlen + 8 * 9 * 1 * 4
-        signals = np.frombuffer(blob, dtype="<f8", offset=12 + hlen).reshape(9, 1, 4)
-        np.testing.assert_array_equal(signals, arch.signals)
-
-    def test_digest_matches_file_hash(self, tmp_path):
-        import hashlib
-
-        arch, path = self.build(tmp_path)
-        assert arch.digest() == hashlib.sha256(path.read_bytes()).hexdigest()
-
-    @pytest.mark.parametrize("batch_size", [2, 9])
-    def test_streamed_write_is_the_saved_archive(self, tmp_path, batch_size):
-        """``write_archive`` on a stream writes, batch by batch, the bytes of
-        the saved archive, and returns their digest."""
-        arch, path = self.build(tmp_path)
+    @staticmethod
+    def write(tmp_path, batch_size):
+        """Write the archive of a stream run in batches of ``batch_size``;
+        return the stream, the file and the digest ``write_archive`` gave."""
         stream = stream_ensemble(9, NoisePlan(seed=5), [0, 0, 1], TimeGrid(0.01, 12),
                                  (reference_detector(0.0, response=1.005, offset=-0.4),),
                                  (EnsembleGenerator(matrix=dephasing_matrix((0, 0, 1), GAMMA),
                                                     r_st=np.zeros(3)),),
                                  decimate=3, config_digest="abc123", batch_size=batch_size)
-        streamed = tmp_path / "streamed.cqm"
-        with open(streamed, "wb") as fh:
+        path = tmp_path / f"run-{batch_size}.cqm"
+        with open(path, "wb") as fh:
             digest = write_archive(stream, fh)
-        assert streamed.read_bytes() == path.read_bytes()
-        assert digest == arch.digest()
+        return stream, path, digest
+
+    def test_round_trip(self, tmp_path):
+        """The file holds the documented header, then the records, whatever
+        the batches that wrote it."""
+        for batch_size in (2, 9):
+            stream, path, _ = self.write(tmp_path, batch_size)
+            blob = path.read_bytes()
+            assert blob[:8] == b"CQMARCH1"
+            (hlen,) = struct.unpack_from("<I", blob, 8)
+            text = blob[12:12 + hlen].decode()
+            header = json.loads(text)
+            assert text == json.dumps(header, sort_keys=True)
+            assert header == {"config_digest": "abc123", "dt": pytest.approx(0.03),
+                              "kind": "raw", "n_detectors": 1, "n_samples": 4, "n_traj": 9,
+                              "seed": 5, "t0": 0.0, "version": 3}
+            assert len(blob) == 12 + hlen + 8 * 9 * 1 * 4
+            signals = np.frombuffer(blob, dtype="<f8", offset=12 + hlen).reshape(9, 1, 4)
+            np.testing.assert_array_equal(signals, gather(stream))
+
+    def test_digest_matches_file_hash(self, tmp_path):
+        """The digest returned with the file, and without one, is the sha256
+        of the file."""
+        for batch_size in (2, 9):
+            stream, path, digest = self.write(tmp_path, batch_size)
+            assert digest == write_archive(stream) == hashlib.sha256(path.read_bytes()).hexdigest()
