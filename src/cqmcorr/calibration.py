@@ -140,7 +140,7 @@ def trace_moments(records: RecordStream) -> TraceMoments:
     mean, so d keeps its digits however large the detector offset. Memory
     is one unit's integrals, whatever n_traj."""
     if records.n_detectors != 1:
-        raise ConfigError(f"calibration needs one-detector archives, got {records.n_detectors}")
+        raise ConfigError(f"calibration needs one-detector records, got {records.n_detectors}")
     n_traj, dt = records.n_traj, records.grid.dt
     n, peak = 0, 0.0
     total = shift = shifted_total = m2 = None
@@ -202,7 +202,7 @@ def integrate_traces(records: np.ndarray, dt: float) -> np.ndarray:
     the transposed view of a fresh C-contiguous step-major
     (n_samples, n_traj) array, whatever the layout of ``records``."""
     if records.shape[1] != 1:
-        raise ConfigError(f"calibration needs one-detector archives, got {records.shape[1]}")
+        raise ConfigError(f"calibration needs one-detector records, got {records.shape[1]}")
     x = records[:, 0, :].T
     out = np.empty(x.shape)
     out[0] = 0.0

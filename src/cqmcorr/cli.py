@@ -12,7 +12,9 @@ the three that run trajectories take --threads, default 1):
 * ``fit-phase``: recover the quadrature angle from a correlate CSV.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 numerical
-diagnostic failure, 4 file I/O failure.
+diagnostic failure, 4 file I/O failure. Every config rule, the subcommand's
+included, runs at load and all problems are reported together; the commands
+only compute.
 
 CSV output is byte-stable for a fixed config, whatever the thread count: a
 comment line with the canonical config digest and seed, a fixed header, then
@@ -208,7 +210,9 @@ class ExperimentConfig:
     digest: str = dataclasses.field(default="", init=False)
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, command: str | None = None) -> ExperimentConfig:
+    """The config at ``path``, checked against the rules of every command
+    and, when given, those of the subcommand ``command``."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -218,17 +222,18 @@ def load_config(path: str) -> ExperimentConfig:
     config = _parse(ExperimentConfig, raw, "config")
     config.digest = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
-    problems = validate_experiment(config)
+    problems = validate_experiment(config, command)
     if problems:
         raise ConfigError(f"{path}: invalid config:\n  " + "\n  ".join(problems))
     return config
 
 
-def validate_experiment(config: ExperimentConfig) -> list[str]:
+def validate_experiment(config: ExperimentConfig, command: str | None = None) -> list[str]:
     """Every problem in a parsed config, each led by its JSON path; empty
     means valid. The value rules live in the model constructors: this
     builds each model and reports the ConfigError it raises. It checks
-    directly only the rules that no model holds."""
+    directly the rules that no model holds, and those of the subcommand
+    ``command`` when given."""
     problems = []
 
     def need(ok, problem: str) -> None:
@@ -290,7 +295,7 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
                     acquisition = grid.decimated(gc.decimate)
     ens = config.ensemble
     need(ens.n_traj >= 1, f"ensemble.n_traj must be >= 1, got {ens.n_traj!r}")
-    build("ensemble.seed", lambda: NoisePlan(ens.seed))
+    plan = build("ensemble.seed", lambda: NoisePlan(ens.seed))
 
     corr = config.correlator
     need(corr.mode in ("mc", "gcr", "analytic"),
@@ -326,6 +331,43 @@ def validate_experiment(config: ExperimentConfig) -> list[str]:
              f"detectors[{corr.detector_index}].axis: the closed form needs the +z axis; "
              "use mode gcr")
     build("initial_state", lambda: require_physical(config.initial_state))
+
+    if command in ("simulate", "correlate", "calibrate"):
+        need(gc is not None, f"grid: {command} needs a grid section")
+    if command in ("correlate", "fit-phase"):
+        need(corr.t_avg_us is not None, "correlator.t_avg_us required")
+    if command == "calibrate" or command == "correlate" and corr.mode == "mc":
+        need(plan is None or ens.seed + 1 < 2**64, f"ensemble.seed: seed {ens.seed}: the pair "
+             "also uses seed + 1, which must fit in uint64")
+    if command == "correlate" and corr.mode == "mc":
+        need(corr.block_size < 2 or ens.n_traj >= 2 * corr.block_size,
+             f"correlator.block_size {corr.block_size} leaves fewer than two jackknife blocks "
+             f"for ensemble.n_traj {ens.n_traj}; need n_traj >= 2 * block_size")
+    if command == "correlate" and corr.mode in ("gcr", "analytic"):
+        need(corr.mode == "gcr" or not evo.segments,
+             "evolution.segments: the closed form needs the Rabi model; use mode gcr")
+        need(corr.max_lag_us is not None, "correlator.max_lag_us required for deterministic modes")
+        # _lag_grid's step: lag_step_us, or else the acquisition step
+        step = acquisition.dt if corr.lag_step_us is None and acquisition else corr.lag_step_us
+        need(step is None or step > 0, f"correlator.lag_step_us must be positive, got {step!r}")
+        if corr.max_lag_us is not None and max_lag_ok and step is not None and step > 0:
+            n = corr.max_lag_us / step
+            need(n <= MAX_LAGS, f"correlator.max_lag_us {corr.max_lag_us} over lag_step_us "
+                 f"{step} gives more than {MAX_LAGS} lags")
+            need(n > 0.5, "correlator.max_lag_us below one lag step")  # round(n) >= 1
+    if command == "calibrate":
+        need(len(config.detectors) == 1, "detectors: calibrate expects exactly one detector, "
+             f"got {len(config.detectors)}")
+        need(not evo.segments,
+             "evolution.segments: calibrate builds its own generator from gamma_per_us")
+        need(ens.n_traj >= 2, "ensemble.n_traj: calibrate needs two or more trajectories per "
+             f"preparation for a variance, got {ens.n_traj}")
+        need(evo.omega_r == 0, "evolution.rabi_mhz: calibrate runs without a drive; set it to 0 "
+             f"or leave it out, got {evo.rabi_mhz!r}")
+        # estimate_response fits the acquisition samples t_k = k dt <= fit_window_us
+        w = config.calibrate.fit_window_us
+        need(acquisition is None or acquisition.n_steps >= 3 and 2 * acquisition.dt <= w + 1e-9,
+             f"calibrate.fit_window_us {w!r} covers fewer than 3 acquisition samples")
     return problems
 
 
@@ -412,13 +454,6 @@ def _run(config: ExperimentConfig, detectors, segments, grid, seed: int, threads
                         feed=feed, config_digest=config.digest)
 
 
-def _check_pair_seed(seed: int) -> None:
-    """The antipodal preparation runs on noise stream seed + 1; refuse a seed
-    whose successor leaves uint64 before the first ensemble runs."""
-    if seed + 1 >= 2**64:
-        raise ConfigError(f"seed {seed}: the pair also uses seed + 1, which must fit in uint64")
-
-
 def _write_csv(out, config: ExperimentConfig, lags, kp, ep, km, em) -> None:
     columns = (lags, kp, ep, km, em, kp - km, np.sqrt(ep**2 + em**2))
     if not all(np.all(np.isfinite(c)) for c in columns):
@@ -449,22 +484,11 @@ def _emit(out, text: str) -> None:
 def _lag_grid(config: ExperimentConfig, grid: TimeGrid) -> np.ndarray:
     corr = config.correlator
     step = corr.lag_step_us if corr.lag_step_us is not None else grid.dt * config.grid.decimate
-    if corr.max_lag_us is None:
-        raise ConfigError("correlator.max_lag_us required for deterministic modes")
-    if not step > 0:
-        raise ConfigError(f"correlator.lag_step_us must be positive, got {step!r}")
-    n = corr.max_lag_us / step
-    if not n <= MAX_LAGS:
-        raise ConfigError(f"correlator.max_lag_us {corr.max_lag_us} over lag_step_us {step} "
-                          f"gives more than {MAX_LAGS} lags")
-    n = round(max(n, 0.0))
-    if n < 1:
-        raise ConfigError("correlator.max_lag_us below one lag step")
-    return step * np.arange(1, n + 1)
+    return step * np.arange(1, round(corr.max_lag_us / step) + 1)
 
 
 def cmd_simulate(args) -> int:
-    config = load_config(args.config)
+    config = load_config(args.config, "simulate")
     detectors = tuple(build_detector(d) for d in config.detectors)
     segments = build_segments(config)
     grid = build_grid(config, detectors)
@@ -486,27 +510,17 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    config = load_config(args.config)
+    config = load_config(args.config, "correlate")
     detectors = tuple(build_detector(d) for d in config.detectors)
     segments = build_segments(config)
+    grid = build_grid(config, detectors)
     corr = config.correlator
     det = detectors[corr.detector_index]
-    if corr.t_avg_us is None:
-        raise ConfigError("correlator.t_avg_us required")
-    threads = _threads(args)
-    seed = config.ensemble.seed
+    threads, seed = _threads(args), config.ensemble.seed
     r0 = np.asarray(config.initial_state, dtype=np.float64)
 
     # curve(r, seed): (lags, values, errors) of the state r prepared at t = 0
     if corr.mode == "mc":
-        if config.ensemble.n_traj < 2 * corr.block_size:
-            raise ConfigError(
-                f"correlator.block_size {corr.block_size} leaves fewer than two jackknife "
-                f"blocks for ensemble.n_traj {config.ensemble.n_traj}; "
-                "need n_traj >= 2 * block_size")
-        grid = build_grid(config, detectors)
-        _check_pair_seed(seed)
-
         def curve(r, seed):
             records = _run(config, detectors, segments, grid, seed, threads, r)
             result = estimate_correlator(records, 2.0 * det.response, corr.t_avg_us,
@@ -515,10 +529,7 @@ def cmd_correlate(args) -> int:
                                          max_lag=corr.max_lag_us)
             return result.lags, result.values, result.errors
     else:
-        if corr.mode == "analytic" and config.evolution.segments:
-            raise ConfigError("evolution.segments: the closed form needs the Rabi model; "
-                              "use mode gcr")
-        lags = _lag_grid(config, build_grid(config, detectors))
+        lags = _lag_grid(config, grid)
 
         def curve(r, seed):
             if corr.mode == "gcr":
@@ -538,24 +549,12 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    config = load_config(args.config)
-    if len(config.detectors) != 1:
-        raise ConfigError("detectors: calibrate expects exactly one detector, "
-                          f"got {len(config.detectors)}")
-    if config.evolution.segments:
-        raise ConfigError("evolution.segments: calibrate builds its own generator from gamma_per_us")
-    if config.ensemble.n_traj < 2:
-        raise ConfigError("ensemble.n_traj: calibrate needs two or more trajectories per "
-                          f"preparation for a variance, got {config.ensemble.n_traj}")
+    config = load_config(args.config, "calibrate")
     det = build_detector(config.detectors[0])
     gamma = config.evolution.gamma
-    if config.evolution.omega_r != 0:
-        raise ConfigError("evolution.rabi_mhz: calibrate runs without a drive; set it to 0 "
-                          f"or leave it out, got {config.evolution.rabi_mhz!r}")
     segments = build_segments(config)
     grid = build_grid(config, (det,))
     threads, seed = _threads(args), config.ensemble.seed
-    _check_pair_seed(seed)
     run = CalibrationRun(plus=_run(config, (det,), segments, grid, seed, threads, det.axis),
                          minus=_run(config, (det,), segments, grid, seed + 1, threads, -det.axis))
     delta_i = estimate_response(run, fit_window=config.calibrate.fit_window_us)
@@ -577,31 +576,31 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def cmd_fit_phase(args) -> int:
-    config = load_config(args.config)
-    corr = config.correlator
-    if corr.t_avg_us is None:
-        raise ConfigError("correlator.t_avg_us required to compute the window factor")
-    rows = []
-    with open(args.dk, "r", encoding="utf-8") as fh:
+def _read_dk(path: str):
+    """The tau_us, dK and err_dK columns of a correlate CSV."""
+    with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
     if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"{args.dk}: expected header {CSV_HEADER!r}")
+        raise ConfigError(f"{path}: expected header {CSV_HEADER!r}")
+    rows = []
     for ln in lines[1:]:
         try:
             values = [float(v) for v in ln.split(",")]
         except ValueError:
             values = []
         if len(values) != 7:
-            raise ConfigError(f"{args.dk}: malformed row {ln!r}")
+            raise ConfigError(f"{path}: malformed row {ln!r}")
         if not all(math.isfinite(v) for v in values):
-            raise ConfigError(f"{args.dk}: non-finite value in row {ln!r}")
+            raise ConfigError(f"{path}: non-finite value in row {ln!r}")
         rows.append((values[0], values[5], values[6]))
-    lags = np.array([r[0] for r in rows])
-    dk = np.array([r[1] for r in rows])
-    err = np.array([r[2] for r in rows])
-    gamma = config.evolution.gamma
-    omega_r = config.evolution.omega_r
+    return np.array(rows, dtype=np.float64).reshape(-1, 3).T.copy()
+
+
+def cmd_fit_phase(args) -> int:
+    config = load_config(args.config, "fit-phase")
+    corr = config.correlator
+    lags, dk, err = _read_dk(args.dk)
+    gamma, omega_r = config.evolution.gamma, config.evolution.omega_r
     c = c_factor(gamma, corr.t_skip_us, corr.t_avg_us)
     fit = fit_phase_angle(lags, dk, err if np.all(err > 0) else None,
                           gamma=gamma, omega_r=omega_r, c=c)

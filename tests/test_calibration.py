@@ -72,9 +72,9 @@ class TestCalibrationRun:
         one = archive_from_signals(np.zeros((3, 1, 10)))
         two = archive_from_signals(np.zeros((3, 2, 10)))
         for plus, minus in ((two, two), (one, two), (two, one)):
-            with pytest.raises(ConfigError, match="one-detector archives, got 2"):
+            with pytest.raises(ConfigError, match="one-detector records, got 2"):
                 CalibrationRun(plus=plus, minus=minus)
-        with pytest.raises(ConfigError, match="one-detector archives"):
+        with pytest.raises(ConfigError, match="one-detector records"):
             integrate_traces(np.zeros((3, 2, 10)), 0.04)
 
 

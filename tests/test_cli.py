@@ -8,6 +8,7 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -149,6 +150,17 @@ class TestConfigLoading:
         with pytest.raises(ConfigError) as err:
             load_config(write_config(tmp_path, cfg))
         assert "axis" in str(err.value) and "n_traj" in str(err.value)
+
+    def test_command_rules_only_for_their_command(self, tmp_path):
+        """Without a command, load_config checks the rules of every command."""
+        cfg = base_config()
+        del cfg["correlator"]["t_avg_us"]
+        path = write_config(tmp_path, cfg)
+        assert load_config(path).correlator.t_avg_us is None
+        assert load_config(path, "simulate").correlator.t_avg_us is None
+        for command in ("correlate", "fit-phase"):
+            with pytest.raises(ConfigError, match="correlator.t_avg_us required"):
+                load_config(path, command)
 
     def test_detector_needs_a_measurement_time(self, tmp_path):
         cfg = base_config()
@@ -576,6 +588,15 @@ class TestExitCodes:
          ("detectors: calibrate expects exactly one detector, got 2",)),
         ("calibrate", lambda c: None,
          ("evolution.rabi_mhz: calibrate runs without a drive", "got 1.0")),
+        ("correlate", lambda c: (c["correlator"].update(mode="mc", block_size=300),
+                                 c["correlator"].pop("t_avg_us")),
+         ("correlator.t_avg_us required", "correlator.block_size 300 leaves fewer than two "
+          "jackknife blocks for ensemble.n_traj 300")),
+        ("calibrate", lambda c: (c["detectors"].append(dict(c["detectors"][0])),
+                                 c["ensemble"].update(n_traj=1)),
+         ("detectors: calibrate expects exactly one detector, got 2",
+          "evolution.rabi_mhz: calibrate runs without a drive",
+          "ensemble.n_traj: calibrate needs two or more trajectories")),
     ], ids=["no-detectors", "axis-shape", "axis-unit", "tau_m", "no-tau", "tau_min", "eta",
             "phi_a-90", "dt", "duration", "decimate", "n_traj", "gamma", "gamma-below-gamma_m",
             "segment-matrix",
@@ -587,7 +608,7 @@ class TestExitCodes:
             "t_skip-negative-correlate", "t_skip-negative-simulate", "phi_a-95", "phi_a-huge",
             "lag_step-mc", "max_lag-mc-below-step", "t_skip-mc-past-record",
             "t_avg-mc-to-record-end", "calibrate-one-traj", "calibrate-two-detectors",
-            "calibrate-drive"])
+            "calibrate-drive", "mc-no-t_avg-one-block", "calibrate-three-rules"])
     def test_validation_rule_names_section_and_field(self, tmp_path, capsys, command, mutate,
                                                      names):
         cfg = base_config()
@@ -624,6 +645,18 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert "ensemble.n_traj: records of 25000000000 values each allow at most 0" in err, err
+
+    def test_fit_window_checked_at_load(self, tmp_path, capsys):
+        """A 0.05 us fit window holds 2 samples of the 0.04 us grid: refused
+        under its key before either calibrate ensemble runs."""
+        cfg = calibrate_config()
+        cfg["calibrate"] = {"fit_window_us": 0.05}
+        with mock.patch("cqmcorr.cli.run_ensemble") as run:
+            assert main(["calibrate", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o.json")]) == 2
+        run.assert_not_called()
+        assert ("calibrate.fit_window_us 0.05 covers fewer than 3 acquisition samples"
+                in capsys.readouterr().err)
 
     def test_record_bound_admits_criterion_3b(self, tmp_path):
         cfg = base_config()

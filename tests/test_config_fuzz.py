@@ -1,17 +1,19 @@
 """Property tests: a command on a sample config with one leaf mutated or
 deleted ends with exit code 0, 2, 3 or 4, never with an exception or a
-numpy RuntimeWarning."""
+numpy RuntimeWarning; a config that exits 2 runs no trajectory."""
 
 import copy
 import json
 import pathlib
 import tempfile
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from cqmcorr import cli  # noqa: E402
 from cqmcorr.cli import main  # noqa: E402
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -49,8 +51,10 @@ LEAVES = list(leaf_paths(BASE))
 MC_CASES = [(command, path) for command, base in MC_BASES.items() for path in leaf_paths(base)]
 
 
-def exit_code(command, cfg, path, mutation):
-    """Exit code of ``command`` on ``cfg`` with the leaf at ``path`` mutated."""
+def exit_code(command, cfg, path, mutation, *args):
+    """Exit code of ``command`` (with the further arguments ``args``) on
+    ``cfg`` with the leaf at ``path`` mutated. Every config rule runs at
+    load, so a run that exits 2 must not have started an ensemble."""
     cfg = copy.deepcopy(cfg)
     parent = cfg
     for key in path[:-1]:
@@ -65,7 +69,11 @@ def exit_code(command, cfg, path, mutation):
     with tempfile.TemporaryDirectory() as tmp:
         config = pathlib.Path(tmp) / "cfg.json"
         config.write_text(json.dumps(cfg))
-        return main([command, "--config", str(config), "--out", str(pathlib.Path(tmp) / "out")])
+        with mock.patch.object(cli, "run_ensemble", wraps=cli.run_ensemble) as run:
+            code = main([command, "--config", str(config),
+                         "--out", str(pathlib.Path(tmp) / "out"), *args])
+    assert code != 2 or run.call_count == 0, f"exit 2 after {run.call_count} ensembles"
+    return code
 
 
 @settings(derandomize=True, max_examples=500, deadline=None)
@@ -83,3 +91,21 @@ def test_mutated_monte_carlo_config_exits_with_a_code(case, mutation):
     """``correlate``, ``simulate`` and ``calibrate`` on tiny ensembles."""
     command, path = case
     assert exit_code(command, MC_BASES[command], path, mutation) in (0, 2, 3, 4)
+
+
+@pytest.fixture(scope="module")
+def dk_csv(tmp_path_factory):
+    """The correlate CSV of the analytic base config."""
+    tmp = tmp_path_factory.mktemp("dk")
+    (tmp / "base.json").write_text(json.dumps(BASE))
+    assert main(["correlate", "--config", str(tmp / "base.json"),
+                 "--out", str(tmp / "dk.csv")]) == 0
+    return str(tmp / "dk.csv")
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@pytest.mark.parametrize("path", LEAVES, ids=lambda path: ".".join(map(str, path)))
+def test_mutated_config_fits_phase_with_a_code(dk_csv, path, mutation):
+    """``fit-phase`` on every leaf x mutation of the analytic base config,
+    against the CSV that ``correlate`` writes from the unmutated base."""
+    assert exit_code("fit-phase", BASE, path, mutation, "--dk", dk_csv) in (0, 2, 3, 4)
