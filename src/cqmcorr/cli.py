@@ -13,8 +13,8 @@ the three that run trajectories take --threads, default 1):
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 numerical
 diagnostic failure, 4 file I/O failure. Every config rule, the subcommand's
-included, runs at load and all problems are reported together; the commands
-only compute.
+and the ``--threads`` bound included, runs at load and all problems are
+reported together; the commands only compute.
 
 CSV output is byte-stable for a fixed config, whatever the thread count: a
 comment line with the canonical config digest and seed, a fixed header, then
@@ -210,9 +210,10 @@ class ExperimentConfig:
     digest: str = dataclasses.field(default="", init=False)
 
 
-def load_config(path: str, command: str | None = None) -> ExperimentConfig:
+def load_config(path: str, command: str | None = None, threads: int = 1) -> ExperimentConfig:
     """The config at ``path``, checked against the rules of every command
-    and, when given, those of the subcommand ``command``."""
+    and, when given, those of the subcommand ``command``; a ``threads``
+    below 1, the subcommand's ``--threads``, is reported with them."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -223,6 +224,8 @@ def load_config(path: str, command: str | None = None) -> ExperimentConfig:
     config.digest = hashlib.sha256(
         json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
     problems = validate_experiment(config, command)
+    if threads < 1:
+        problems.append(f"--threads must be >= 1, got {threads}")
     if problems:
         raise ConfigError(f"{path}: invalid config:\n  " + "\n  ".join(problems))
     return config
@@ -417,12 +420,6 @@ def build_grid(config: ExperimentConfig, detectors) -> TimeGrid:
     return TimeGrid(dt=dt, n_steps=n_steps)
 
 
-def _threads(args) -> int:
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-    return args.threads
-
-
 def _run(config: ExperimentConfig, detectors, segments, grid, seed: int, threads: int,
          r0) -> RecordStream:
     """The configured ensemble from initial state ``r0`` on noise stream
@@ -488,11 +485,11 @@ def _lag_grid(config: ExperimentConfig, grid: TimeGrid) -> np.ndarray:
 
 
 def cmd_simulate(args) -> int:
-    config = load_config(args.config, "simulate")
+    config = load_config(args.config, "simulate", args.threads)
     detectors = tuple(build_detector(d) for d in config.detectors)
     segments = build_segments(config)
     grid = build_grid(config, detectors)
-    records = _run(config, detectors, segments, grid, config.ensemble.seed, _threads(args),
+    records = _run(config, detectors, segments, grid, config.ensemble.seed, args.threads,
                    np.asarray(config.initial_state, dtype=np.float64))
     # written slice by slice to a side file that replaces the output only
     # once every record is in, so a failed run leaves no partial archive
@@ -510,13 +507,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_correlate(args) -> int:
-    config = load_config(args.config, "correlate")
+    config = load_config(args.config, "correlate", args.threads)
     detectors = tuple(build_detector(d) for d in config.detectors)
     segments = build_segments(config)
     grid = build_grid(config, detectors)
     corr = config.correlator
     det = detectors[corr.detector_index]
-    threads, seed = _threads(args), config.ensemble.seed
+    threads, seed = args.threads, config.ensemble.seed
     r0 = np.asarray(config.initial_state, dtype=np.float64)
 
     # curve(r, seed): (lags, values, errors) of the state r prepared at t = 0
@@ -549,12 +546,12 @@ def cmd_correlate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    config = load_config(args.config, "calibrate")
+    config = load_config(args.config, "calibrate", args.threads)
     det = build_detector(config.detectors[0])
     gamma = config.evolution.gamma
     segments = build_segments(config)
     grid = build_grid(config, (det,))
-    threads, seed = _threads(args), config.ensemble.seed
+    threads, seed = args.threads, config.ensemble.seed
     run = CalibrationRun(plus=_run(config, (det,), segments, grid, seed, threads, det.axis),
                          minus=_run(config, (det,), segments, grid, seed + 1, threads, -det.axis))
     delta_i = estimate_response(run, fit_window=config.calibrate.fit_window_us)
@@ -626,9 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         if threads:
             p.add_argument("--threads", type=int, default=1,
-                           help="batch workers for the trajectories (default 1); noise "
-                                "is drawn on one helper thread per run, or per batch of "
-                                "a pool")
+                           help="batch workers for the trajectories (default 1); each "
+                                "draws its batches' noise on one helper thread")
         if needs_out:
             p.add_argument("--out", required=True, help="output path")
         else:

@@ -25,10 +25,11 @@ Reproducibility: noise is keyed per tile. The normal for (trajectory, step,
 detector) is a pure function of (seed, trajectory, step, detector), so
 results never depend on thread count, batch size, or evaluation order.
 
-Threads: a noise feed (``_NoiseFeed``) draws the noise on one helper thread,
-ahead of the stepper. At ``threads`` 1 one feed serves the whole run, so the
-next batch is drawn while the last is handed over; on a pool each batch has
-a feed of its own.
+Threads: a noise feed (``_NoiseFeed``) draws the noise of its batches on one
+helper thread, ahead of the stepper, and holds the signals buffer they step
+into. A run makes W = min(``threads``, batches) feeds, one per worker, and
+batch i steps from feed i % W, so each feed's next batch is drawn while its
+last is handed over. At W = 1 the batches step on the calling thread.
 """
 
 from __future__ import annotations
@@ -199,9 +200,10 @@ class _NoiseFeed:
     The buffers are allocated on the thread that makes the feed: allocated
     on the helper, most likely in a malloc arena of its own, they raised
     ``calibrate``'s peak RSS. ``signals`` > 0 adds a flat signals buffer of
-    that many values to the blocks' allocation, as ``feed.signals``. An
-    error on the helper reaches the caller when it asks for the block that
-    failed. ``close`` stops and joins the helper on every exit."""
+    that many values to the blocks' allocation, as ``feed.signals``, which
+    the stepper writes each of the feed's batches into. An error on the
+    helper reaches the caller when it asks for the block that failed.
+    ``close`` stops and joins the helper on every exit."""
 
     def __init__(self, plan: NoisePlan, n_steps: int, n_det: int, spans, signals: int = 0):
         self._spans = collections.deque(spans)
@@ -281,16 +283,14 @@ def _prepare(initial_state, grid: TimeGrid, detectors, segments):
 
 
 def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise: _NoiseFeed,
-                    record_states: bool, traj_lo: int, traj_hi: int, decimate: int = 1,
-                    out: np.ndarray | None = None):
+                    record_states: bool, traj_lo: int, traj_hi: int, decimate: int = 1):
     """Euler-Maruyama on trajectories traj_lo..traj_hi-1, the next batch of
     the feed ``noise``, for its blocks, each used as it arrives while the
     feed's helper draws ahead; the caller closes the feed. Returns
     step-major (signals (n_steps // decimate, n_det, B) normalized, states
-    (n_steps+1, 3, B) or None). The signals are a view of ``out``, a flat
-    float64 buffer of at least n_steps // decimate * n_det * max(B, 2)
-    values, when one is given, so a caller can reuse one buffer for its
-    batches.
+    (n_steps+1, 3, B) or None). The signals are a view of ``noise.signals``,
+    which holds at least n_steps // decimate * n_det * max(B, 2) values, so
+    the feed's batches reuse one buffer.
 
     The batch state is the C-contiguous (4, B) block of columns (r, 1), and
     one matmul per step applies every affine map of it. For the step's
@@ -332,9 +332,7 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise: _No
     if record_states:
         states[0] = blocks[0, :3]
     shape = (n_steps // decimate, n_det, width)
-    if out is None:
-        out = np.empty(math.prod(shape))
-    signals = out[:math.prod(shape)].reshape(shape)
+    signals = noise.signals[:math.prod(shape)].reshape(shape)
     sig = np.empty((n_det, width))
     quad = np.empty((3, width))
     gain = np.empty((n_det, width))
@@ -385,9 +383,10 @@ def simulate_states(initial_state, grid: TimeGrid, detectors, segments, plan: No
     if not 0 <= traj_lo < traj_hi:
         raise ConfigError(f"need 0 <= traj_lo < traj_hi, got {traj_lo!r}, {traj_hi!r}")
     r0, detectors, segments, seg_idx = _prepare(initial_state, grid, detectors, segments)
+    n_signals = grid.n_steps * len(detectors) * max(traj_hi - traj_lo, 2)
     # closed now, not when a traceback is freed
     with contextlib.closing(_NoiseFeed(plan, grid.n_steps, len(detectors),
-                                       [(traj_lo, traj_hi)])) as noise:
+                                       [(traj_lo, traj_hi)], signals=n_signals)) as noise:
         signals, states = _simulate_batch(r0, grid, detectors, segments, seg_idx, noise,
                                           record_states=True, traj_lo=traj_lo, traj_hi=traj_hi)
     return (np.ascontiguousarray(states.transpose(2, 0, 1)),
@@ -473,6 +472,13 @@ def stream_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
                                            **options))
 
 
+def _inline(fn, *args) -> concurrent.futures.Future:
+    """``fn(*args)``, run now on the calling thread, as a done future."""
+    done = concurrent.futures.Future()
+    done.set_result(fn(*args))
+    return done
+
+
 def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
                  detectors, segments, *, threads: int = 1,
                  batch_size: int = DEFAULT_BATCH_SIZE, decimate: int = 1,
@@ -490,19 +496,18 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     Trajectory j uses noise stream (plan.seed, j), so the records are a pure
     function of the arguments. ``decimate`` averages each group of that many
     consecutive samples into one (dt grows accordingly), which is how a fine
-    integration grid turns into a coarse acquisition grid. ``threads``
-    distributes whole batches over a thread pool, with at most ``threads`` + 1
-    batches in flight, so memory stays O(threads x batch_size); every output
-    bit is independent of ``threads``. The noise is drawn ahead on a helper
-    thread (``_NoiseFeed``): at ``threads`` 1 one helper draws the whole
-    run, batch after batch, and is already drawing the next batch while the
-    calling thread hands over the last; on a pool each batch has a helper of
-    its own, so up to 2 * ``threads`` threads run beside the caller. A batch
-    returns its step-major signals only, and each in-flight slot keeps its
-    signals buffer across the batches of one call; the calling thread maps
-    the signals to raw units, one slice at a time and row by step-major row,
-    into one slice buffer per batch. States are not kept; use
-    ``simulate_states`` for a state history.
+    integration grid turns into a coarse acquisition grid. Every output bit
+    is independent of ``threads``.
+
+    The calling thread makes W = min(``threads``, batches) noise feeds
+    (``_NoiseFeed``), and batch i steps into the signals buffer of feed
+    i % W, whose helper draws the feed's batches ahead. At W = 1 the batches
+    step on the calling thread. At W > 1 a pool of W workers steps them, and
+    batch i + W is submitted once batch i is handed over, when its feed is
+    free: at most W batches are in flight, beside W helpers. The calling
+    thread maps a batch's step-major signals to raw units, one slice at a
+    time and row by step-major row, into one slice buffer per batch. States
+    are not kept; use ``simulate_states`` for a state history.
     """
     if n_traj < 1:
         raise ConfigError(f"n_traj must be >= 1, got {n_traj!r}")
@@ -510,20 +515,17 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
         raise ConfigError("threads and batch_size must be >= 1")
     n_samples = grid.decimated(decimate).n_steps
     r0, detectors, segments, seg_idx = _prepare(initial_state, grid, detectors, segments)
-    n_det, width = len(detectors), min(batch_size, n_traj)
+    n_det = len(detectors)
     offsets = np.array([det.offset for det in detectors])
     responses = np.array([det.response for det in detectors])
-    n_signals = n_samples * n_det * max(width, 2)
+    n_signals = n_samples * n_det * max(min(batch_size, n_traj), 2)
 
-    def run_batch(lo: int, hi: int, buf, noise: _NoiseFeed):
-        signals, _ = _simulate_batch(r0, grid, detectors, segments, seg_idx, noise,
-                                     record_states=False, traj_lo=lo, traj_hi=hi,
-                                     decimate=decimate, out=buf)
+    def run_batch(i: int):
+        lo, hi = spans[i]
+        signals, _ = _simulate_batch(r0, grid, detectors, segments, seg_idx,
+                                     feeds[i % workers], record_states=False, traj_lo=lo,
+                                     traj_hi=hi, decimate=decimate)
         return lo, signals
-
-    def run_pool_batch(lo: int, hi: int, buf):
-        with contextlib.closing(_NoiseFeed(plan, grid.n_steps, n_det, [(lo, hi)])) as noise:
-            return run_batch(lo, hi, buf, noise)
 
     def hand_over(lo: int, signals) -> None:
         """Map the step-major signals of trajectories lo.. to raw units, one
@@ -552,24 +554,21 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
             consumer(out.transpose(2, 1, 0))
 
     spans = [(lo, min(lo + batch_size, n_traj)) for lo in range(0, n_traj, batch_size)]
-    if threads == 1:
-        with contextlib.closing(_NoiseFeed(plan, grid.n_steps, n_det, spans,
-                                           signals=n_signals)) as noise:
-            for lo, hi in spans:
-                hand_over(*run_batch(lo, hi, noise.signals, noise))
-        return
-
-    pool = concurrent.futures.ThreadPoolExecutor(max_workers=threads)
-    in_flight, spare = collections.deque(), []
-    try:
-        for lo, hi in spans:
-            if len(in_flight) > threads:
-                done, buf = in_flight.popleft()
-                hand_over(*done.result())
-                spare.append(buf)
-            buf = spare.pop() if spare else np.empty(n_signals)
-            in_flight.append((pool.submit(run_pool_batch, lo, hi, buf), buf))
+    workers = min(threads, len(spans))
+    # the pool is closed, its batches done, before the feeds it steps from
+    with contextlib.ExitStack() as stack:
+        feeds = [stack.enter_context(contextlib.closing(_NoiseFeed(
+            plan, grid.n_steps, n_det, spans[w::workers], signals=n_signals)))
+            for w in range(workers)]
+        if workers == 1:
+            submit = _inline
+        else:
+            submit = stack.enter_context(
+                concurrent.futures.ThreadPoolExecutor(max_workers=workers)).submit
+        in_flight = collections.deque()
+        for i in range(len(spans)):
+            if len(in_flight) == workers:
+                hand_over(*in_flight.popleft().result())
+            in_flight.append(submit(run_batch, i))
         while in_flight:
-            hand_over(*in_flight.popleft()[0].result())
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+            hand_over(*in_flight.popleft().result())

@@ -597,6 +597,8 @@ class TestExitCodes:
          ("detectors: calibrate expects exactly one detector, got 2",
           "evolution.rabi_mhz: calibrate runs without a drive",
           "ensemble.n_traj: calibrate needs two or more trajectories")),
+        ("correlate --threads 0", lambda c: c["correlator"].pop("t_avg_us"),
+         ("correlator.t_avg_us required", "--threads must be >= 1, got 0")),
     ], ids=["no-detectors", "axis-shape", "axis-unit", "tau_m", "no-tau", "tau_min", "eta",
             "phi_a-90", "dt", "duration", "decimate", "n_traj", "gamma", "gamma-below-gamma_m",
             "segment-matrix",
@@ -608,7 +610,8 @@ class TestExitCodes:
             "t_skip-negative-correlate", "t_skip-negative-simulate", "phi_a-95", "phi_a-huge",
             "lag_step-mc", "max_lag-mc-below-step", "t_skip-mc-past-record",
             "t_avg-mc-to-record-end", "calibrate-one-traj", "calibrate-two-detectors",
-            "calibrate-drive", "mc-no-t_avg-one-block", "calibrate-three-rules"])
+            "calibrate-drive", "mc-no-t_avg-one-block", "calibrate-three-rules",
+            "threads-flag-zero-no-t_avg"])
     def test_validation_rule_names_section_and_field(self, tmp_path, capsys, command, mutate,
                                                      names):
         cfg = base_config()

@@ -214,9 +214,9 @@ class TestNoiseChunks:
 
 
 class TestNoiseHelper:
-    """Each run of the stepper draws its noise on one helper thread, the
-    whole run's at ``threads`` 1 and each batch's on a pool, and every exit
-    joins it."""
+    """Each run of the stepper draws its noise on one helper thread per batch
+    worker, each helper the batches of its worker, and every exit joins
+    them."""
 
     # write_archive(stream_ensemble(**args())) under noise stream v3, taken with
     # NOISE_CHUNK = 70, so that the helper draws the whole record as one block
@@ -328,10 +328,11 @@ class TestNoiseHelper:
             run_ensemble(**self.args(n_traj=150), batch_size=50, consumer=lambda records: None)
             assert len(started) == 1
         else:
-            # two workers, and a helper per batch
+            # two workers, and a helper for each: batches 1 and 3, and batch 2
             run_ensemble(**self.args(n_traj=150), threads=2, batch_size=50,
                          consumer=lambda records: None)
-            assert len(started) >= 3
+            helpers = [thread for thread in started if thread.name == "cqmcorr-noise"]
+            assert len(helpers) == 2
         assert threading.active_count() == before
         assert not any(thread.is_alive() for thread in started)
 
@@ -647,7 +648,7 @@ class TestRunEnsemble:
         assert peak <= 16e6
 
     def test_many_threads_match_one(self):
-        """Batches on more threads than cores, each with its own noise
+        """Batches on more threads than cores, each worker with its own noise
         helper and the interpreter switching threads every microsecond, give
         the bits of one thread; so do the 67 batches of one run's noise
         feed."""
@@ -680,13 +681,14 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_buffers_are_reused_and_batches_in_flight_bounded(self, monkeypatch, threads):
-        """At most ``threads`` + 1 batches are in flight, and each in-flight
-        slot reuses its signals buffer for the batches of one call."""
+        """At most ``threads`` batches are in flight, and the run's
+        ``threads`` noise feeds each reuse their signals buffer for the
+        batches they serve."""
         signal_buffers, handed, in_flight = [], [], []
         simulate = trajectory._simulate_batch
 
         def counted(*args, **kwargs):
-            signal_buffers.append(kwargs["out"])
+            signal_buffers.append(args[5].signals)
             return simulate(*args, **kwargs)
 
         def consumer(records):
@@ -698,26 +700,32 @@ class TestRunEnsemble:
         run_ensemble(**self.small_args(n_traj=200), threads=threads, batch_size=20,
                      consumer=consumer)
         assert len(handed) == 10
-        assert max(in_flight) <= threads + 1
-        assert len({id(buf) for buf in signal_buffers}) <= threads + 1
-        if threads == 1:
-            assert len({id(buf) for buf in signal_buffers}) == 1
+        assert max(in_flight) <= threads
+        assert len({id(buf) for buf in signal_buffers}) == min(threads, 10)
 
-    def test_signals_share_the_noise_allocation(self, monkeypatch):
-        """At ``threads`` 1 the run's signals buffer lies in the allocation
-        of its two noise blocks, which makes it the run's largest
-        (``_noise_buffers``)."""
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_signals_share_the_noise_allocation(self, monkeypatch, threads):
+        """Every batch steps into its feed's signals buffer, which lies in
+        the allocation of the feed's two noise blocks and makes it the
+        run's largest (``_noise_buffers``); batch i steps from feed
+        i % threads."""
         calls, simulate = [], trajectory._simulate_batch
 
         def recorded(*args, **kwargs):
-            calls.append((kwargs["out"], args[5]))
-            return simulate(*args, **kwargs)
+            signals, states = simulate(*args, **kwargs)
+            calls.append((kwargs["traj_lo"], signals, args[5]))
+            return signals, states
 
         monkeypatch.setattr(trajectory, "_simulate_batch", recorded)
-        run_ensemble(**self.small_args(n_traj=100), batch_size=40, consumer=lambda records: None)
+        run_ensemble(**self.small_args(n_traj=100), threads=threads, batch_size=40,
+                     consumer=lambda records: None)
         assert len(calls) == 3
-        for out, noise in calls:
-            assert out.base is noise._buffers.base is calls[0][0].base
+        for _, signals, noise in calls:
+            assert np.shares_memory(signals, noise.signals)
+            assert noise.signals.base is noise._buffers.base
+        feeds = [id(noise) for _, _, noise in sorted(calls, key=lambda call: call[0])]
+        assert feeds == [feeds[i % threads] for i in range(3)]
+        assert len(set(feeds)) == min(threads, 3)
 
     def test_failed_consumer_stops_the_pool(self):
         before = threading.active_count()
