@@ -63,6 +63,15 @@ def _frozen_array(obj, name, value):
     object.__setattr__(obj, name, value)
 
 
+def _cross_matrix(n: np.ndarray) -> np.ndarray:
+    """[n]x, the matrix of r -> n x r."""
+    return np.array([
+        [0.0, -n[2], n[1]],
+        [n[2], 0.0, -n[0]],
+        [-n[1], n[0], 0.0],
+    ])
+
+
 def rabi_rad_per_us(f_mhz: float) -> float:
     """Angular Rabi frequency (rad/us) for a Rabi frequency quoted in MHz."""
     return TWO_PI * f_mhz
@@ -88,6 +97,12 @@ class DetectorModel:
         ``response`` is the half-separation: the two qubit poles sit at
         offset +- response, so a calibration that fits the separation of the
         two mean integrated signals measures 2*response.
+
+    ``collapse`` (derived, read-only) is the linear map of one measurement on
+    the sign-weighted pair (Kvec, K) of the collapse recipe,
+    (Kvec, K) -> (K n + K_phase (n x Kvec), n . Kvec), as the 4x4 matrix
+    [[K_phase [n]x, n], [n^T, 0]]; the recipe and the trajectory stepper
+    both apply it.
     """
 
     axis: np.ndarray
@@ -96,6 +111,7 @@ class DetectorModel:
     eta: float = 1.0
     response: float = 1.0
     offset: float = 0.0
+    collapse: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=np.float64)
@@ -112,6 +128,12 @@ class DetectorModel:
         for name in ("k_phase", "response", "offset"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        collapse = np.zeros((4, 4))
+        collapse[:3, :3] = self.k_phase * _cross_matrix(self.axis)
+        collapse[:3, 3] = self.axis
+        collapse[3, :3] = self.axis
+        collapse.setflags(write=False)
+        object.__setattr__(self, "collapse", collapse)
 
     @property
     def gamma_m(self) -> float:

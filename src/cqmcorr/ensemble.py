@@ -12,16 +12,16 @@ E = e^{L t}, which holds for singular L (pure rotations, partial dephasing)
 with no special cases and keeps the last row exactly (0, 0, 0, 1). ``_expm``
 exponentiates a stack of 3x3 generators in numpy; ``propagator`` builds one
 interval's map, and ``propagators`` a stack of them with one ``_expm`` call
-per segment. A detector's measurement is the 4x4 ``_collapse_matrix`` on the
-same columns; the collapse recipe and the trajectory stepper both build on
-these maps.
+per segment. A detector's measurement is its 4x4 ``DetectorModel.collapse``
+on the same columns; the collapse recipe and the trajectory stepper both
+build on these maps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import ConfigError, DetectorModel, EnsembleGenerator, as_bloch, check_segments
+from .core import ConfigError, EnsembleGenerator, _cross_matrix, as_bloch, check_segments
 
 
 def dephasing_matrix(axis, rate: float) -> np.ndarray:
@@ -37,12 +37,7 @@ def dephasing_matrix(axis, rate: float) -> np.ndarray:
 def rotation_matrix(axis, omega: float) -> np.ndarray:
     """Generator of coherent rotation about ``axis`` at angular rate ``omega``
     (rad/us): r -> omega (n x r)."""
-    n = as_bloch(axis)
-    return omega * np.array([
-        [0.0, -n[2], n[1]],
-        [n[2], 0.0, -n[0]],
-        [-n[1], n[0], 0.0],
-    ])
+    return omega * _cross_matrix(as_bloch(axis))
 
 
 def rabi_dephasing_generator(gamma: float, omega_r: float) -> EnsembleGenerator:
@@ -65,18 +60,6 @@ def _augmented_generator(segment: EnsembleGenerator) -> np.ndarray:
     aug[:3, :3] = segment.matrix
     aug[:3, 3] = -segment.matrix @ segment.r_st
     return aug
-
-
-def _collapse_matrix(det: DetectorModel) -> np.ndarray:
-    """Linear map of one measurement by the detector ``det`` on the
-    sign-weighted pair (Kvec, K) of the collapse recipe:
-    (Kvec, K) -> (K n + K_phase (n x Kvec), n . Kvec), as the 4x4 matrix
-    [[K_phase [n]x, n], [n^T, 0]]."""
-    mat = np.zeros((4, 4))
-    mat[:3, :3] = rotation_matrix(det.axis, det.k_phase)
-    mat[:3, 3] = det.axis
-    mat[3, :3] = det.axis
-    return mat
 
 
 # Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005: the largest 1-norm at which
@@ -142,7 +125,10 @@ def propagator(t_from: float, t_to: float, segments, cache: dict | None = None) 
     ``segments`` is an ordered gap-free list of EnsembleGenerator. ``cache``,
     if given, memoizes per-segment matrix exponentials keyed on (segment index,
     duration); repeated sweeps over a uniform grid then pay for each distinct
-    duration once.
+    duration once. The cache holds each step read-only, beside its product
+    with the identity, which an interval inside one segment returns: the
+    result may be a read-only view of the cache. An interval across segments
+    chains the steps onto that of its first segment.
     """
     if t_to < t_from:
         raise ConfigError(f"t_to {t_to} precedes t_from {t_from}")
@@ -152,17 +138,22 @@ def propagator(t_from: float, t_to: float, segments, cache: dict | None = None) 
     check_segments(segments, t_from, t_to)
     cache = {} if cache is None else cache
 
-    prop = np.eye(4)
+    prop = None
     for index, seg in enumerate(segments):
         lo = max(t_from, seg.t_start)
         hi = min(t_to, seg.t_end)
         if hi <= lo:
             continue
         key = (index, hi - lo)
-        step = cache.get(key)
-        if step is None:
-            step = cache[key] = _segment_steps(seg, np.array([hi - lo]))[0]
-        prop = step @ prop
+        steps = cache.get(key)
+        if steps is None:
+            step = _segment_steps(seg, np.array([hi - lo]))
+            # the step, then the step times the identity, which is how
+            # ``propagators`` takes a first step: the two agree in the signs
+            # of zeros too
+            steps = cache[key] = np.concatenate((step, step @ np.eye(4)))
+            steps.setflags(write=False)
+        prop = steps[1] if prop is None else steps[0] @ prop
     return prop
 
 

@@ -17,8 +17,8 @@ outcome paths, and an O(N) recursion over a sign-weighted running vector.
 They agree to rounding and the tests hold them to that. The recursion and
 the time-averaged form chain 4x4 matrices: the augmented propagators of
 ``ensemble.propagator`` (stacked by ``ensemble.propagators`` in the time
-average) and the collapse matrix of each detector, which the trajectory
-stepper shares.
+average) and each detector's ``DetectorModel.collapse``, which the trajectory
+stepper applies too.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .core import (
     as_bloch,
     require_physical,
 )
-from .ensemble import _collapse_matrix, dephasing_matrix, propagator, propagators
+from .ensemble import dephasing_matrix, propagator, propagators
 
 # enumeration walks 2^N paths; beyond this it is pointless (use the recursion)
 MAX_ENUMERATION_TIMES = 20
@@ -143,17 +143,17 @@ def correlator_recursive(spec: CorrelatorSpec, detectors, segments,
 
     as the 4-vector v = (Kvec, K) from (r0, 1): each hop applies the
     augmented propagator A_j and each measurement the collapse matrix M_j,
-    v_j = M_j A_j v_{j-1}. Exactly equal to the enumeration because every
-    step of the recipe is affine in the state."""
+    v_j = M_j A_j v_{j-1}, M_j the detector's ``collapse``. Exactly equal to
+    the enumeration because every step of the recipe is affine in the state."""
     dets = _resolve_detectors(spec, detectors)
-    collapses = {idx: _collapse_matrix(det)
-                 for idx, det in dict(zip(spec.detector_indices, dets)).items()}
     if cache is None:
         cache = {}
-    v = np.append(spec.initial_state, 1.0)
+    v = np.empty(4)
+    v[:3] = spec.initial_state
+    v[3] = 1.0
     t_prev = 0.0
-    for t, idx in zip(spec.times, spec.detector_indices):
-        v = collapses[idx] @ (propagator(t_prev, t, segments, cache) @ v)
+    for t, det in zip(spec.times, dets):
+        v = det.collapse @ (propagator(t_prev, t, segments, cache) @ v)
         t_prev = t
     return float(v[3])
 
@@ -200,7 +200,7 @@ def correlator_time_averaged(lags, detector: DetectorModel, segments, initial_st
 
     segments = list(segments)
     t_max = t_skip + t_avg + float(lags.max())
-    collapse = _collapse_matrix(detector)
+    collapse = detector.collapse
     v0 = np.append(r0, 1.0)
 
     # states (r, 1) at the quadrature nodes, as (64, 4, 1) columns

@@ -56,7 +56,7 @@ from .core import (
     check_segments,
     require_physical,
 )
-from .ensemble import _augmented_generator, _collapse_matrix
+from .ensemble import _augmented_generator
 
 DEFAULT_BATCH_SIZE = 8192
 # trajectories per generator in noise stream v3; part of the stream's
@@ -295,7 +295,7 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise: _No
     The batch state is the C-contiguous (4, B) block of columns (r, 1), and
     one matmul per step applies every affine map of it. For the step's
     segment s the stacked matrix is I + G_s dt, G_s the segment's augmented
-    generator, on top of row 3 of every detector's collapse matrix
+    generator, on top of row 3 of every detector's ``collapse``
     [[K [n]x, n], [n^T, 0]], then rows 0-2 of each. Its product holds the
     drifted state, the ones row, n.r and K (n x r) + n, so the signals are
     n.r + sqrt(tau_m/dt) w and the kicks add
@@ -320,8 +320,8 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise: _No
 
     kick = np.array([[math.sqrt(dt / det.tau_m)] for det in detectors])
     scale = np.array([[math.sqrt(det.tau_m / dt)] for det in detectors])
-    collapses = [_collapse_matrix(det) for det in detectors]
-    measured = [m[3] for m in collapses] + [m[:3] for m in collapses]
+    measured = ([det.collapse[3] for det in detectors]
+                + [det.collapse[:3] for det in detectors])
     linear = [np.vstack([np.eye(4) + _augmented_generator(seg) * dt, *measured])
               for seg in segments]
 

@@ -1,5 +1,6 @@
 """Validation and bookkeeping types: detectors, grids, unit helpers."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from cqmcorr import (
     rabi_rad_per_us,
     require_physical,
 )
+from conftest import random_unit_vector
 
 
 def test_as_bloch_accepts_lists_and_copies():
@@ -88,6 +90,34 @@ class TestDetectorModel:
     def test_quadrature_angle_rejects_near_90(self):
         with pytest.raises(ConfigError):
             DetectorModel.from_quadrature_angle((0, 0, 1), tau_min=2.04, phi_a_deg=90.0)
+
+
+    def test_collapse_is_the_recipe_measurement_map(self, rng):
+        """``collapse`` is [[K [n]x, n], [n^T, 0]], bit for bit, signs of
+        zeros too, as K times the written-out [n]x beside n."""
+        cases = [(random_unit_vector(rng), k_phase)
+                 for k_phase in (0.0, -0.0, 2.0, -2.0, *rng.uniform(-3.0, 3.0, 20))]
+        cases += [(axis, -0.5) for axis in ((0, 0, 1), (1, 0, 0), (0, -1, 0))]
+        for axis, k_phase in cases:
+            det = DetectorModel(axis=axis, tau_m=1.0, k_phase=k_phase)
+            want = np.zeros((4, 4))
+            n = det.axis
+            want[:3, :3] = k_phase * np.array([[0.0, -n[2], n[1]],
+                                               [n[2], 0.0, -n[0]],
+                                               [-n[1], n[0], 0.0]])
+            want[:3, 3] = n
+            want[3, :3] = n
+            assert det.collapse.tobytes() == want.tobytes()
+
+    def test_collapse_is_derived_and_read_only(self):
+        det = DetectorModel(axis=(0, 0, 1), tau_m=1.0, k_phase=2.0)
+        with pytest.raises(ValueError):
+            det.collapse[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            DetectorModel(axis=(0, 0, 1), tau_m=1.0, collapse=np.eye(4))
+        assert "collapse" not in repr(det)
+        assert [f.name for f in dataclasses.fields(det) if f.compare] == [
+            "axis", "tau_m", "k_phase", "eta", "response", "offset"]
 
 
 class TestTimeGrid:

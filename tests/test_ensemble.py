@@ -143,6 +143,28 @@ class TestPropagator:
         assert len(cache) == n1  # same segment, same duration
         np.testing.assert_array_equal(p1, p2)
 
+    def test_cached_matrix_is_read_only(self):
+        cache = {}
+        prop = propagator(0.0, 0.25, self.segments, cache)
+        assert np.shares_memory(propagator(0.5, 0.75, self.segments, cache), prop)
+        with pytest.raises(ValueError):
+            prop[0, 0] = 1.0
+
+    def test_keeps_the_signs_of_zeros_of_the_stacked_chains(self, rng):
+        """Bit for bit, signs of zeros included, the scalar propagator equals
+        the stacked one, whose chains start from the identity."""
+        segments = [rabi_dephasing_generator(GAMMA, OMEGA),
+                    EnsembleGenerator(matrix=rotation_matrix((1, 0, 0), -3.0),
+                                      r_st=np.array([-0.0, 0.0, -0.0]), t_end=0.6),
+                    EnsembleGenerator(matrix=dephasing_matrix((0, 0, 1), 0.5),
+                                      r_st=np.array([-0.0, 0.1, -0.0]), t_start=0.6)]
+        for segs in (segments[:1], segments[1:]):
+            t_from = rng.uniform(0.0, 1.0, 30)
+            t_to = t_from + rng.uniform(0.01, 1.0, 30)
+            cache = {}
+            for a, b, prop in zip(t_from, t_to, propagators(t_from, t_to, segs)):
+                assert propagator(a, b, segs, cache).tobytes() == prop.tobytes()
+
     def test_apply_affine_form(self):
         seg = EnsembleGenerator(matrix=dephasing_matrix((0, 0, 1), 2.0),
                                 r_st=np.array([0.0, 0.0, 0.3]),

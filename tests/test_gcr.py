@@ -26,7 +26,6 @@ from cqmcorr import (
     rotation_matrix,
 )
 from cqmcorr.cli import main
-from cqmcorr.ensemble import _collapse_matrix
 from cqmcorr.gcr import MAX_STACKED_PAIRS
 from conftest import random_bloch_vector, random_unit_vector
 
@@ -46,7 +45,7 @@ def scalar_time_average(lags, detector, segments, r0, t_skip, t_avg):
     summed per lag in node order."""
     nodes, weights = np.polynomial.legendre.leggauss(64)
     t1_nodes = t_skip + 0.5 * t_avg * (nodes + 1.0)
-    collapse = _collapse_matrix(detector)
+    collapse = detector.collapse
     v_nodes = [propagator(0.0, t1, segments) @ np.append(r0, 1.0) for t1 in t1_nodes]
     t_max = t_skip + t_avg + float(np.max(lags))
     if any(seg.t_start <= t_skip and seg.t_end >= t_max for seg in segments):
@@ -103,7 +102,7 @@ class TestCollapseStep:
             want = sum(s * outcome_probability(r, det.axis, s)
                        * np.append(collapsed_state(r, det.axis, det.k_phase, s), 1.0)
                        for s in (1, -1))
-            np.testing.assert_allclose(_collapse_matrix(det) @ np.append(r, 1.0), want,
+            np.testing.assert_allclose(det.collapse @ np.append(r, 1.0), want,
                                        rtol=0.0, atol=1e-15 * max(1.0, np.abs(want).max()))
 
 
@@ -344,6 +343,25 @@ def test_gcr_correlate_output_is_frozen(tmp_path, config, digest):
     path.write_text(json.dumps(cfg))
     assert main(["correlate", "--config", str(path), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_criterion_1_sweep_is_frozen():
+    """sha256 of the recursion's values over criterion 1's sweep: both drive
+    signs, each quadrature angle, x0 = +-1, lags 0.04 .. 4.0 us after
+    t1 = 0.28 us, one propagator cache per angle."""
+    values = []
+    for omega in (OMEGA, -OMEGA):
+        segments = (rabi_dephasing_generator(GAMMA, omega),)
+        for phi in (0.0, 40.0, 70.0, 80.0):
+            det = DetectorModel.from_quadrature_angle((0.0, 0.0, 1.0), 1.0, phi)
+            cache = {}
+            for x0 in (1.0, -1.0):
+                for tau in 0.04 * np.arange(1, 101):
+                    spec = CorrelatorSpec(times=(0.28, 0.28 + tau), detector_indices=(0, 0),
+                                          initial_state=(x0, 0.0, 0.0))
+                    values.append(correlator_recursive(spec, (det,), segments, cache))
+    assert hashlib.sha256(np.array(values, dtype="<f8").tobytes()).hexdigest() == (
+        "e07fedd25c713c8f4f0b9a6cb07dff8dc48d9e1a68840a320175c04806685f0b")
 
 
 class TestZxDemo:
