@@ -2,7 +2,10 @@
 
 The calibration protocol uses two ensembles of raw records taken with the
 qubit prepared in the two measurement-axis eigenstates (no drive, so each
-trajectory sits at its pole for the whole trace):
+trajectory sits at its pole for the whole trace). ``run_ensemble`` finds
+such a start stationary and does not step it, so a pole's record is its
+noise alone, offset + response (+-1 + sqrt(tau_m/dt) w), bit for bit what
+the stepper would give:
 
 * the response is the slope of the difference of the mean integrated
   records, which is the full pole separation Delta_I (twice the per-pole
@@ -11,8 +14,10 @@ trajectory sits at its pole for the whole trace):
   the across-trajectory variance of the integrated record, which grows
   linearly for white output noise;
 * with the independently known ensemble dephasing rate gamma, the quantum
-  efficiency is eta = 1/(2 gamma tau_min), tau_min the minimal (phi_a = 0)
-  measurement time.
+  efficiency is eta = 1/(2 gamma tau_min), tau_min = tau_m cos^2(phi_a) the
+  minimal (phi_a = 0) measurement time; ``estimate_tau_m`` returns
+  1/(2 gamma tau_m), and ``calibrate`` converts it with the configured
+  angle.
 
 The correlator estimator works on the raw records of one prepared state
 directly: it removes a per-block offset, normalizes by Delta_I/2 so pole

@@ -559,6 +559,9 @@ def cmd_calibrate(args) -> int:
         raise DiagnosticError(f"fitted pole separation delta_i {delta_i!r} is zero or "
                               "non-finite; check detectors[0].response")
     tau_m, eta = estimate_tau_m(run, delta_i, gamma=gamma)
+    # the efficiency is 1/(2 gamma tau_min), tau_min = tau_m cos^2(phi_a):
+    # estimate_tau_m's 1/(2 gamma tau_m) holds at phi_a = 0 only
+    eta /= math.cos(math.radians(config.detectors[0].phi_a_deg)) ** 2
     report = {
         "config_digest": config.digest,
         "delta_i": delta_i,
@@ -593,13 +596,29 @@ def _read_dk(path: str):
     return np.array(rows, dtype=np.float64).reshape(-1, 3).T.copy()
 
 
+def _weights(path: str, lags: np.ndarray, err: np.ndarray) -> np.ndarray | None:
+    """The err_dK column as the fit's error bars: None, an unweighted fit,
+    if every error is zero, as the gcr and analytic modes write them. A
+    negative error, or a zero among positive errors, is an error."""
+    if not err.any():
+        return None
+    for rows, what in ((np.flatnonzero(err < 0), "negative"),
+                       (np.flatnonzero(err == 0), "zero among positive errors")):
+        if rows.size:
+            i = int(rows[0])
+            raise ConfigError(f"{path}: err_dK {float(err[i])!r} in data row {i + 1} "
+                              f"(tau_us {float(lags[i])!r}) is {what}; the error bars "
+                              "must be all positive or all zero")
+    return err
+
+
 def cmd_fit_phase(args) -> int:
     config = load_config(args.config, "fit-phase")
     corr = config.correlator
     lags, dk, err = _read_dk(args.dk)
     gamma, omega_r = config.evolution.gamma, config.evolution.omega_r
     c = c_factor(gamma, corr.t_skip_us, corr.t_avg_us)
-    fit = fit_phase_angle(lags, dk, err if np.all(err > 0) else None,
+    fit = fit_phase_angle(lags, dk, _weights(args.dk, lags, err),
                           gamma=gamma, omega_r=omega_r, c=c)
     report = {
         "c_factor": c,

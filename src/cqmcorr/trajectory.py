@@ -21,6 +21,15 @@ the state. That correlation is the entire mechanism behind the correlator
 physics; drawing the signal noise separately would be a different (wrong)
 model, so the draw is made once and reused.
 
+Stationary starts: the measurement leaves its eigenstates r0 = +-n in
+place, and so does the step when no drive moves them: the drift returns r0
+and its kick direction K (n x r0) + n - (n.r0) r0 is zero, so every sample is
+n.r0 + sqrt(tau_m/dt) w. ``run_ensemble`` tests its start once per run, on
+the step's own matrices and in its own floating-point ops
+(``_pole_signals``), and a start that passes is not stepped: its signals
+come straight from the noise, bit for bit those of the stepper. Any other
+start, and every ``simulate_states`` call, is stepped.
+
 Reproducibility: noise is keyed per tile. The normal for (trajectory, step,
 detector) is a pure function of (seed, trajectory, step, detector), so
 results never depend on thread count, batch size, or evaluation order.
@@ -272,84 +281,87 @@ def _segment_table(segments, grid: TimeGrid):
 
 
 def _prepare(initial_state, grid: TimeGrid, detectors, segments):
-    """Checked preparation: the initial state, the detector and segment
-    models, and each step's segment index."""
+    """Checked preparation: the initial state, the detector models, the
+    segments' step matrices (``_step_matrices``) and each step's segment
+    index."""
     r0 = require_physical(initial_state)
     detectors = tuple(detectors)
     if not detectors:
         raise ConfigError("need at least one detector")
     segments, seg_idx = _segment_table(segments, grid)
-    return r0, detectors, segments, seg_idx
+    return r0, detectors, _step_matrices(detectors, segments, grid.dt), seg_idx
 
 
-def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise: _NoiseFeed,
-                    record_states: bool, traj_lo: int, traj_hi: int, decimate: int = 1):
-    """Euler-Maruyama on trajectories traj_lo..traj_hi-1, the next batch of
-    the feed ``noise``, for its blocks, each used as it arrives while the
-    feed's helper draws ahead; the caller closes the feed. Returns
-    step-major (signals (n_steps // decimate, n_det, B) normalized, states
-    (n_steps+1, 3, B) or None). The signals are a view of ``noise.signals``,
-    which holds at least n_steps // decimate * n_det * max(B, 2) values, so
-    the feed's batches reuse one buffer.
-
-    The batch state is the C-contiguous (4, B) block of columns (r, 1), and
-    one matmul per step applies every affine map of it. For the step's
-    segment s the stacked matrix is I + G_s dt, G_s the segment's augmented
-    generator, on top of row 3 of every detector's ``collapse``
-    [[K [n]x, n], [n^T, 0]], then rows 0-2 of each. Its product holds the
-    drifted state, the ones row, n.r and K (n x r) + n, so the signals are
-    n.r + sqrt(tau_m/dt) w and the kicks add
-    sqrt(dt/tau_m) w (K (n x r) + n - (n.r) r) to the drifted state in
-    place. Two such blocks alternate as input and output.
-
-    Step k writes its signals into row k // D of the
-    (n_steps // D, n_det, B) array, for ``decimate`` D, if it is the first
-    step of its group of D, and adds them into the row if not; for D > 1 the
-    array is divided by D after the last step. A sample is its D fine
-    samples summed in step order, divided by D, and with D = 1 the signals
-    are the fine samples themselves.
-    """
-    n_steps, n_det, batch = grid.n_steps, len(detectors), traj_hi - traj_lo
-    # numpy sends a one-column matmul to gemv, which rounds differently from
-    # gemm; stepping a lone trajectory as two equal columns keeps it on gemm,
-    # so its bits match the same trajectory inside any larger batch. Its
-    # (n_det, 1) draws broadcast over both columns.
-    width = max(batch, 2)
-    dt = grid.dt
-    max_norm2 = (1.0 + NORM_OVERSHOOT_TOL) ** 2
-
-    kick = np.array([[math.sqrt(dt / det.tau_m)] for det in detectors])
-    scale = np.array([[math.sqrt(det.tau_m / dt)] for det in detectors])
+def _step_matrices(detectors, segments, dt: float):
+    """Each segment's stacked step matrix: I + G_s dt, G_s the segment's
+    augmented generator, on top of row 3 of every detector's ``collapse``
+    [[K [n]x, n], [n^T, 0]], then rows 0-2 of each. On the columns (r, 1)
+    its product holds the drifted state, the ones row, n.r and
+    K (n x r) + n."""
     measured = ([det.collapse[3] for det in detectors]
                 + [det.collapse[:3] for det in detectors])
-    linear = [np.vstack([np.eye(4) + _augmented_generator(seg) * dt, *measured])
-              for seg in segments]
+    return [np.vstack([np.eye(4) + _augmented_generator(seg) * dt, *measured])
+            for seg in segments]
 
+
+def _pole_signals(r0, linear, n_det: int):
+    """n.r0 of each detector as an (n_det, 1) column if the start r0 is a
+    fixed point of every step, else None.
+
+    A probe of two (r0, 1) columns, two so that the product runs on gemm as
+    the stepper's does, is multiplied by each step matrix of ``linear``
+    (``_step_matrices``). r0 is fixed when the drift rows return (r0, 1)
+    exactly, every kick direction K (n x r0) + n - (n.r0) r0, formed as the
+    stepper forms it, is exactly zero, and every segment gives the same
+    n.r0. Then each step leaves each trajectory at r0, bit for bit, so its
+    signal is n.r0 + sqrt(tau_m/dt) w; its norm, at most 1 + 1e-9 by
+    ``require_physical``, can never trip the norm guard. Only a measured
+    eigenstate that the drift leaves in place passes, such as the poles
+    +-n of ``calibrate``."""
+    probe = np.empty((4, 2))
+    probe[:3] = r0[:, None]
+    probe[3] = 1.0
+    nr = None
+    for matrix in linear:
+        out = matrix @ probe
+        kicks = out[4 + n_det:].reshape(n_det, 3, 2) - out[4:4 + n_det, None] * probe[:3]
+        if not (np.array_equal(out[:4], probe) and not kicks.any()
+                and (nr is None or np.array_equal(out[4:4 + n_det], nr))):
+            return None
+        nr = out[4:4 + n_det]
+    return nr[:, :1]
+
+
+def _state_update(r0, dt: float, detectors, linear, seg_idx, width: int, traj_lo: int,
+                  states=None):
+    """The state half of the Euler-Maruyama step, on ``width`` columns that
+    start at r0: ``update(k, w)`` applies step k with the (n_det, width)
+    draws w and returns the (n_det, width) n.r of the state before it.
+
+    The batch state is the C-contiguous (4, width) block of columns (r, 1),
+    and one matmul per step with the step matrix of its segment
+    (``_step_matrices``) applies every affine map of it. The kicks add
+    sqrt(dt/tau_m) w (K (n x r) + n - (n.r) r) to the drifted state in
+    place, and the norm guard checks it. Two such blocks alternate as input
+    and output. ``states``, if given, an (n_steps + 1, 3, width) array,
+    gets the state at every step's end."""
+    n_det = len(detectors)
+    max_norm2 = (1.0 + NORM_OVERSHOOT_TOL) ** 2
+    kick = np.array([[math.sqrt(dt / det.tau_m)] for det in detectors])
     blocks = np.empty((2, 4 + 4 * n_det, width))
     blocks[0, :3] = r0[:, None]
     blocks[0, 3] = 1.0
-    states = np.empty((n_steps + 1, 3, width)) if record_states else None
-    if record_states:
+    if states is not None:
         states[0] = blocks[0, :3]
-    shape = (n_steps // decimate, n_det, width)
-    signals = noise.signals[:math.prod(shape)].reshape(shape)
-    sig = np.empty((n_det, width))
     quad = np.empty((3, width))
     gain = np.empty((n_det, width))
     norm2 = np.empty(width)
 
-    for k, w in enumerate(itertools.chain.from_iterable(noise.blocks(traj_lo, traj_hi))):
+    def update(k: int, w):
         cur, nxt = blocks[k % 2], blocks[(k + 1) % 2]
-        r, r_new, nr = cur[:3], nxt[:3], nxt[4:4 + n_det]
+        r, r_new = cur[:3], nxt[:3]
         np.matmul(linear[seg_idx[k]], cur[:4], out=nxt)
-        row = signals[k // decimate]
-        if k % decimate:
-            np.multiply(scale, w, out=sig)
-            sig += nr
-            row += sig
-        else:
-            np.multiply(scale, w, out=row)
-            row += nr
+        nr = nxt[4:4 + n_det]
         np.multiply(kick, w, out=gain)
         for ell in range(n_det):
             term = nxt[4 + n_det + 3 * ell:7 + n_det + 3 * ell]
@@ -364,8 +376,66 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, segments, seg_idx, noise: _No
                 f"trajectory {traj_lo + worst} norm {math.sqrt(float(norm2[worst])):.6g} "
                 f"at t = {(k + 1) * dt:.6g} overshoots the Bloch sphere "
                 f"by more than {NORM_OVERSHOOT_TOL}; reduce dt")
-        if record_states:
+        if states is not None:
             states[k + 1] = r_new
+        return nr
+
+    return update
+
+
+def _simulate_batch(r0, grid: TimeGrid, detectors, linear, seg_idx, noise: _NoiseFeed,
+                    record_states: bool, traj_lo: int, traj_hi: int, decimate: int = 1,
+                    pole=None):
+    """The signals of trajectories traj_lo..traj_hi-1, stepped by
+    Euler-Maruyama unless the start is stationary: the next batch of the
+    feed ``noise``, for its blocks, each used as it arrives while the
+    feed's helper draws ahead; the caller closes the feed. ``linear`` holds
+    the segments' step matrices (``_step_matrices``). Returns step-major
+    (signals (n_steps // decimate, n_det, B) normalized, states
+    (n_steps+1, 3, B) or None). The signals are a view of ``noise.signals``,
+    which holds at least n_steps // decimate * n_det * max(B, 2) values, so
+    the feed's batches reuse one buffer.
+
+    One loop runs over the steps. Step k's signals are n.r + sqrt(tau_m/dt) w,
+    r the state before the step: ``pole``, the n.r0 column of a stationary
+    start (``_pole_signals``), or else what ``_state_update`` returns as it
+    steps the batch. A stationary batch allocates no state and makes no
+    matmul, no kick and no norm check, so ``pole`` goes with
+    ``record_states`` False; ``simulate_states`` always steps.
+
+    Step k writes its signals into row k // D of the
+    (n_steps // D, n_det, B) array, for ``decimate`` D, if it is the first
+    step of its group of D, and adds them into the row if not; for D > 1 the
+    array is divided by D after the last step. A sample is its D fine
+    samples summed in step order, divided by D, and with D = 1 the signals
+    are the fine samples themselves.
+    """
+    n_steps, n_det, batch = grid.n_steps, len(detectors), traj_hi - traj_lo
+    # numpy sends a one-column matmul to gemv, which rounds differently from
+    # gemm; stepping a lone trajectory as two equal columns keeps it on gemm,
+    # so its bits match the same trajectory inside any larger batch. Its
+    # (n_det, 1) draws broadcast over both columns.
+    width = max(batch, 2)
+    scale = np.array([[math.sqrt(det.tau_m / grid.dt)] for det in detectors])
+    states = np.empty((n_steps + 1, 3, width)) if record_states else None
+    update = None if pole is not None else _state_update(
+        r0, grid.dt, detectors, linear, seg_idx, width, traj_lo, states)
+    nr = pole
+    shape = (n_steps // decimate, n_det, width)
+    signals = noise.signals[:math.prod(shape)].reshape(shape)
+    sig = np.empty((n_det, width)) if decimate > 1 else None
+
+    for k, w in enumerate(itertools.chain.from_iterable(noise.blocks(traj_lo, traj_hi))):
+        if update is not None:
+            nr = update(k, w)
+        row = signals[k // decimate]
+        if k % decimate:
+            np.multiply(scale, w, out=sig)
+            sig += nr
+            row += sig
+        else:
+            np.multiply(scale, w, out=row)
+            row += nr
     if decimate > 1:
         signals /= decimate
     return (signals[:, :, :batch],
@@ -382,12 +452,12 @@ def simulate_states(initial_state, grid: TimeGrid, detectors, segments, plan: No
     on the same arguments, before the raw-units map."""
     if not 0 <= traj_lo < traj_hi:
         raise ConfigError(f"need 0 <= traj_lo < traj_hi, got {traj_lo!r}, {traj_hi!r}")
-    r0, detectors, segments, seg_idx = _prepare(initial_state, grid, detectors, segments)
+    r0, detectors, linear, seg_idx = _prepare(initial_state, grid, detectors, segments)
     n_signals = grid.n_steps * len(detectors) * max(traj_hi - traj_lo, 2)
     # closed now, not when a traceback is freed
     with contextlib.closing(_NoiseFeed(plan, grid.n_steps, len(detectors),
                                        [(traj_lo, traj_hi)], signals=n_signals)) as noise:
-        signals, states = _simulate_batch(r0, grid, detectors, segments, seg_idx, noise,
+        signals, states = _simulate_batch(r0, grid, detectors, linear, seg_idx, noise,
                                           record_states=True, traj_lo=traj_lo, traj_hi=traj_hi)
     return (np.ascontiguousarray(states.transpose(2, 0, 1)),
             np.ascontiguousarray(signals.transpose(2, 1, 0)))
@@ -508,23 +578,28 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     thread maps a batch's step-major signals to raw units, one slice at a
     time and row by step-major row, into one slice buffer per batch. States
     are not kept; use ``simulate_states`` for a state history.
+
+    Before any feed is made, a two-column probe (``_pole_signals``) decides
+    whether the start is stationary; if it is, every batch writes its
+    signals from the noise alone, with no state update.
     """
     if n_traj < 1:
         raise ConfigError(f"n_traj must be >= 1, got {n_traj!r}")
     if threads < 1 or batch_size < 1:
         raise ConfigError("threads and batch_size must be >= 1")
     n_samples = grid.decimated(decimate).n_steps
-    r0, detectors, segments, seg_idx = _prepare(initial_state, grid, detectors, segments)
+    r0, detectors, linear, seg_idx = _prepare(initial_state, grid, detectors, segments)
     n_det = len(detectors)
     offsets = np.array([det.offset for det in detectors])
     responses = np.array([det.response for det in detectors])
     n_signals = n_samples * n_det * max(min(batch_size, n_traj), 2)
+    pole = _pole_signals(r0, linear, n_det)
 
     def run_batch(i: int):
         lo, hi = spans[i]
-        signals, _ = _simulate_batch(r0, grid, detectors, segments, seg_idx,
+        signals, _ = _simulate_batch(r0, grid, detectors, linear, seg_idx,
                                      feeds[i % workers], record_states=False, traj_lo=lo,
-                                     traj_hi=hi, decimate=decimate)
+                                     traj_hi=hi, decimate=decimate, pole=pole)
         return lo, signals
 
     def hand_over(lo: int, signals) -> None:

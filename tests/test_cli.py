@@ -24,6 +24,7 @@ from cqmcorr import (
     stream_ensemble,
     write_archive,
 )
+from cqmcorr import trajectory
 from cqmcorr.cli import (
     CSV_HEADER,
     MAX_RECORD_VALUES,
@@ -360,6 +361,34 @@ class TestCalibrateCommand:
             tracemalloc.stop()
         assert peak <= 17e6
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_poles_never_step(self, tmp_path, monkeypatch, threads):
+        """Both preparations of the sample config start at a pole, so no
+        batch enters the state update, and the output keeps its digest."""
+        stepped = []
+        monkeypatch.setattr(trajectory, "_state_update",
+                            lambda *args, **kwargs: stepped.append(args))
+        out = tmp_path / "cal.json"
+        assert main(["calibrate", "--config", str(CONFIGS / "calibrate_0deg.json"),
+                     "--threads", threads, "--out", str(out)]) == 0
+        assert stepped == []
+        assert (hashlib.sha256(out.read_bytes()).hexdigest()
+                == MC_OUTPUT_DIGESTS["calibrate", "calibrate_0deg.json"])
+
+    def test_eta_follows_the_quadrature_angle(self, tmp_path):
+        """At 70 degrees tau_m is tau_min / cos^2, and the efficiency comes
+        from tau_min: the configured 0.44, not 0.44 cos^2(70) = 0.051."""
+        cfg = json.loads((CONFIGS / "calibrate_0deg.json").read_text())
+        cfg["detectors"][0]["phi_a_deg"] = 70.0
+        cfg["ensemble"]["n_traj"] = 4000
+        out = tmp_path / "cal.json"
+        assert main(["calibrate", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["tau_m_us"] == pytest.approx(2.04 / math.cos(math.radians(70.0)) ** 2,
+                                                   rel=0.1)
+        assert report["eta"] == pytest.approx(0.44, rel=0.1)
+
     def test_requires_zero_drive_and_one_detector(self, tmp_path):
         cfg = base_config()  # has a drive
         assert main(["calibrate", "--config", write_config(tmp_path, cfg),
@@ -402,6 +431,38 @@ class TestFitPhaseCommand:
                      "--out", str(out)]) == 2
         assert "non-finite value in row" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("errors, bad_row", [
+        ({}, None), ({"all": 0.01}, None), ({"all": 0.01, 3: 0.0}, 3),
+        ({"all": 0.01, 7: -0.02}, 7), ({"all": -0.01}, 1), ({4: -0.02}, 4),
+        ({1: 0.01}, 2)],
+        ids=["all-zero", "all-positive", "zero-among-positive", "one-negative",
+             "all-negative", "negative-among-zeros", "positive-among-zeros"])
+    def test_error_bars_all_positive_or_all_zero(self, tmp_path, capsys, errors, bad_row):
+        """err_dK weights the fit when every error is positive and is left
+        out when every error is zero; any other column ends with exit 2,
+        naming err_dK and the first data row at fault."""
+        cfg = base_config()
+        cfg["correlator"]["max_lag_us"] = 2.0
+        path = write_config(tmp_path, cfg)
+        csv_path = tmp_path / "dk.csv"
+        main(["correlate", "--config", path, "--out", str(csv_path)])
+        lines = csv_path.read_text().split("\n")
+        for i in range(2, len(lines) - 1):
+            parts = lines[i].split(",")
+            parts[6] = str(errors.get(i - 1, errors.get("all", 0.0)))
+            lines[i] = ",".join(parts)
+        csv_path.write_text("\n".join(lines))
+        out = tmp_path / "fit.json"
+        code = main(["fit-phase", "--config", path, "--dk", str(csv_path), "--out", str(out)])
+        if bad_row is None:
+            assert code == 0
+            assert json.loads(out.read_text())["phi_a_deg"] == pytest.approx(70.0, abs=1e-6)
+        else:
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "err_dK" in err and f"data row {bad_row} " in err
+            assert not out.exists()
 
     def test_non_finite_report_is_diagnostic(self, tmp_path):
         from cqmcorr.cli import _write_json

@@ -764,6 +764,92 @@ class TestRunEnsemble:
                          consumer=lambda records: None)
 
 
+def undriven(*detectors):
+    """The one segment of an undriven qubit under ``detectors``: their
+    measurement dephasing and nothing else."""
+    matrix = sum(dephasing_matrix(det.axis, det.gamma_m) for det in detectors)
+    return (EnsembleGenerator(matrix=matrix, r_st=np.zeros(3)),)
+
+
+@pytest.fixture
+def stepped(monkeypatch):
+    """The batches that entered the state update, by their first trajectory."""
+    calls, update = [], trajectory._state_update
+
+    def spy(*args, **kwargs):
+        calls.append(args[6])
+        return update(*args, **kwargs)
+
+    monkeypatch.setattr(trajectory, "_state_update", spy)
+    return calls
+
+
+class TestStationaryStart:
+    """A start that every step leaves in place, a measured pole under no
+    drive, is not stepped: its records come straight from the noise."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("decimate", [1, 3])
+    @pytest.mark.parametrize("phi_a_deg", [0.0, 70.0], ids=["K0", "tan70"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    def test_pole_records_are_the_noise(self, stepped, sign, phi_a_deg, decimate, threads):
+        """offset + response (n.r0 + sqrt(tau_m/dt) w), the D fine samples
+        summed in step order and divided by D, bit for bit, from
+        ``NoisePlan.normals``; batches of 16, 16 and a lone trajectory."""
+        det = reference_detector(phi_a_deg, response=0.7, offset=-0.3)
+        grid, plan, n_traj = TimeGrid(0.04, 30), NoisePlan(seed=17), 33
+        r0 = sign * det.axis
+        got = gather(stream_ensemble(n_traj, plan, r0, grid, (det,), undriven(det),
+                                     decimate=decimate, threads=threads, batch_size=16))
+        fine = float(det.axis @ r0) + math.sqrt(det.tau_m / grid.dt) * np.stack(
+            [plan.normals(j, grid.n_steps)[:, 0] for j in range(n_traj)])
+        total = fine[:, ::decimate]
+        for i in range(1, decimate):
+            total = total + fine[:, i::decimate]
+        if decimate > 1:
+            total = total / decimate
+        np.testing.assert_array_equal(got[:, 0], det.offset + det.response * total)
+        assert stepped == []
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    def test_pole_records_equal_the_stepped_ones(self, stepped, sign):
+        det = reference_detector(70.0)
+        grid, plan = TimeGrid(0.04, 60), NoisePlan(seed=5)
+        got = gather(stream_ensemble(300, plan, sign * det.axis, grid, (det,), undriven(det),
+                                     batch_size=128))
+        _, want = simulate_states(sign * det.axis, grid, (det,), undriven(det), plan, 0, 300)
+        np.testing.assert_array_equal(got, want)
+        assert stepped == [0]  # simulate_states' one batch
+
+    @staticmethod
+    def moving_starts():
+        det_z, det_x = reference_detector(70.0), DetectorModel(axis=(1, 0, 0), tau_m=2.0)
+        still = (EnsembleGenerator(matrix=np.zeros((3, 3)), r_st=np.zeros(3)),)
+        later = (EnsembleGenerator(matrix=undriven(det_z)[0].matrix, r_st=np.zeros(3),
+                                   t_start=0.0, t_end=0.08),
+                 EnsembleGenerator(matrix=drive_segments()[0].matrix, r_st=np.zeros(3),
+                                   t_start=0.08, t_end=1.0))
+        return {
+            # no drift at all, so only the kick direction tells it from the pole
+            "1e-9 off the pole": ([0.0, 0.0, 1.0 - 1e-9], (det_z,), still),
+            "driven pole": ([0.0, 0.0, 1.0], (det_z,), drive_segments()),
+            "pole driven later": ([0.0, 0.0, -1.0], (det_z,), later),
+            "z/x pole": ([0.0, 0.0, 1.0], (det_z, det_x), undriven(det_z, det_x)),
+        }
+
+    @pytest.mark.parametrize("start", ["1e-9 off the pole", "driven pole", "pole driven later",
+                                       "z/x pole"])
+    def test_moving_starts_step(self, stepped, start):
+        """Each batch of a moving start enters the state update, and its
+        records are simulate_states' signals, bit for bit."""
+        r0, detectors, segments = self.moving_starts()[start]
+        grid, plan = TimeGrid(0.004, 40), NoisePlan(seed=9)
+        got = gather(stream_ensemble(100, plan, r0, grid, detectors, segments, batch_size=64))
+        assert stepped == [0, 64]
+        _, want = simulate_states(r0, grid, detectors, segments, plan, 0, 100)
+        np.testing.assert_array_equal(got, want)
+
+
 class TestRecordSlices:
     """The calling thread maps each batch to raw units and hands it over in
     slices of at most RECORD_SLICE records, cut at multiples of RECORD_SLICE
