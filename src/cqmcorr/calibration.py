@@ -5,7 +5,9 @@ qubit prepared in the two measurement-axis eigenstates (no drive, so each
 trajectory sits at its pole for the whole trace). ``run_ensemble`` finds
 such a start stationary and does not step it, so a pole's record is its
 noise alone, offset + response (+-1 + sqrt(tau_m/dt) w), bit for bit what
-the stepper would give:
+the stepper would give; it builds the records one slice of RECORD_SLICE
+trajectories at a time from that slice's noise tiles, which a helper thread
+draws a slice ahead, and ``--threads`` changes nothing in such a run:
 
 * the response is the slope of the difference of the mean integrated
   records, which is the full pole separation Delta_I (twice the per-pole

@@ -26,19 +26,24 @@ place, and so does the step when no drive moves them: the drift returns r0
 and its kick direction K (n x r0) + n - (n.r0) r0 is zero, so every sample is
 n.r0 + sqrt(tau_m/dt) w. ``run_ensemble`` tests its start once per run, on
 the step's own matrices and in its own floating-point ops
-(``_pole_signals``), and a start that passes is not stepped: its signals
-come straight from the noise, bit for bit those of the stepper. Any other
-start, and every ``simulate_states`` call, is stepped.
+(``_pole_signals``), and a start that passes is not stepped: its records
+come straight from the noise, slice by slice, bit for bit those of the
+stepper (``_run_poles``). Any other start, and every ``simulate_states``
+call, is stepped.
 
 Reproducibility: noise is keyed per tile. The normal for (trajectory, step,
 detector) is a pure function of (seed, trajectory, step, detector), so
 results never depend on thread count, batch size, or evaluation order.
 
-Threads: a noise feed (``_NoiseFeed``) draws the noise of its batches on one
-helper thread, ahead of the stepper, and holds the signals buffer they step
-into. A run makes W = min(``threads``, batches) feeds, one per worker, and
-batch i steps from feed i % W, so each feed's next batch is drawn while its
-last is handed over. At W = 1 the batches step on the calling thread.
+Threads: a noise feed (``_NoiseFeed``) draws its spans' noise on one helper
+thread, ahead of its consumer, and holds the buffer their signals are
+written into. A stepped run makes W = min(``threads``, batches) feeds, one
+per worker, and batch i steps from feed i % W, so each feed's next batch is
+drawn while its last is handed over; at W = 1 the batches step on the
+calling thread. A stationary run makes one feed, whatever ``threads``: its
+spans are record slices of RECORD_SLICE trajectories, cut at multiples of
+RECORD_SLICE only, and the helper draws slice i + 1's tiles while the
+calling thread builds and hands over slice i.
 """
 
 from __future__ import annotations
@@ -174,79 +179,105 @@ def _noise_chunks(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int, s
         yield block
 
 
-def _noise_buffers(n_steps: int, n_det: int, spans, signals: int = 0):
-    """Buffers of ``_noise_chunks`` for the batches [lo, hi) of ``spans``:
-    two flat block buffers at the widest batch's width and a flat buffer of
-    ``signals`` values, in one allocation, and the tile buffer. Allocated
-    apart, the two blocks coincided with a 7.5 MB higher peak RSS in some
-    benchmark runs of calibrate. With the signals buffer inside it, the
-    allocation is a run's largest, so glibc's heap-trim threshold, twice
-    the largest mmapped chunk freed, sits about 5 MB above the free space
-    a run leaves at the top of the heap. With the signals buffer apart the
-    margin was 0.13 MB (7.74 MB free against 7.87 MB), and a process on
-    the wrong side of it had about 7.3 MB trimmed and faulted in again per
-    run: 3750 minor faults per calibrate op instead of 3."""
+def _noise_buffers(n_steps: int, n_det: int, spans):
+    """The buffers of ``_noise_chunks`` for the batches [lo, hi) of
+    ``spans``: the size of a block at the widest batch's width, and the
+    tile buffer."""
     chunk = min(NOISE_CHUNK, n_steps)
     width = max(hi - lo for lo, hi in spans)
     tiles = min(TILES_PER_COPY,
                 max((hi - 1) // NOISE_TILE - lo // NOISE_TILE + 1 for lo, hi in spans))
-    block = chunk * n_det * width
-    flat = np.empty(2 * block + signals)
-    return (flat[:2 * block].reshape(2, block), flat[2 * block:],
-            np.empty((tiles, chunk, n_det, NOISE_TILE)))
+    return chunk * n_det * width, np.empty((tiles, chunk, n_det, NOISE_TILE))
+
+
+def _slice_steps(n_steps: int, n_det: int) -> int:
+    """Steps per block of ``_slice_tiles``: as many as keep the block of a
+    whole slice within one block of ``_noise_chunks`` at DEFAULT_BATCH_SIZE,
+    NOISE_CHUNK x DEFAULT_BATCH_SIZE values; 160 at one detector."""
+    return min(n_steps, max(1, NOISE_CHUNK * DEFAULT_BATCH_SIZE // (RECORD_SLICE * n_det)))
+
+
+def _slice_tiles(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int, slots):
+    """Normals for the record slice lo..hi-1, lo a multiple of NOISE_TILE,
+    in step order: tile-major (tiles, m, n_det, NOISE_TILE) blocks of
+    m <= ``_slice_steps`` steps, one per tile that meets the slice. Each
+    block is carved from the next flat buffer of the iterator ``slots`` and
+    drawn into it with one ``standard_normal`` call per tile, the next m
+    steps of the tile's (n_steps, n_det, NOISE_TILE) array; the blocks stop
+    early if ``slots`` ends. A tile is drawn whole, so the lanes of the last
+    tile past hi are drawn and not used."""
+    gens = [_tile_generator(plan.seed, tile)
+            for tile in range(lo // NOISE_TILE, (hi - 1) // NOISE_TILE + 1)]
+    steps = _slice_steps(n_steps, n_det)
+    for start, slot in zip(range(0, n_steps, steps), slots):
+        m = min(steps, n_steps - start)
+        block = slot[:len(gens) * m * n_det * NOISE_TILE].reshape(len(gens), m, n_det,
+                                                                  NOISE_TILE)
+        for gen, out in zip(gens, block):
+            gen.standard_normal(out=out)
+        yield block
 
 
 class _NoiseFeed:
-    """The noise of the batches [lo, hi) of ``spans``, in that order, drawn
-    ahead on one helper thread: the ``_noise_chunks`` blocks of batch after
-    batch, into the two block buffers of ``_noise_buffers``. A buffer is
-    drawn into as soon as the stepper releases it, so while the caller hands
-    over batch b the helper is already up to two blocks into batch b + 1.
-    numpy's draws, like the stepper's matmul and ufuncs, release the GIL, so
-    the two share the host's cores. One draw runs at a time, in trajectory
-    order, so the helper shapes no bit.
+    """The noise of the spans [lo, hi) of ``spans``, in that order, drawn
+    ahead on one helper thread. ``draw(lo, hi, slots)`` yields a span's
+    blocks, each carved from the next flat buffer of the iterator ``slots``
+    (``_noise_chunks`` for the batches of the stepper, ``_batch_feed``;
+    ``_slice_tiles`` for the record slices of a stationary run), and the
+    feed gives it two buffers of ``size`` values that alternate. A buffer
+    is drawn into as soon as the caller releases it, so while the caller
+    hands over span s the helper is already up to two blocks into span
+    s + 1. numpy's draws, like the stepper's matmul and ufuncs, release the
+    GIL, so the two share the host's cores. One draw runs at a time, in
+    trajectory order, so the helper shapes no bit.
 
     The buffers are allocated on the thread that makes the feed: allocated
     on the helper, most likely in a malloc arena of its own, they raised
-    ``calibrate``'s peak RSS. ``signals`` > 0 adds a flat signals buffer of
-    that many values to the blocks' allocation, as ``feed.signals``, which
-    the stepper writes each of the feed's batches into. An error on the
-    helper reaches the caller when it asks for the block that failed.
-    ``close`` stops and joins the helper on every exit."""
+    ``calibrate``'s peak RSS. ``signals`` > 0 adds a flat buffer of that
+    many values to the same allocation, as ``feed.signals``, which the
+    caller writes each span's signals or records into. With it inside, the
+    allocation is a run's largest, so glibc's heap-trim threshold, twice the
+    largest mmapped chunk freed, sits above the free space a run leaves at
+    the top of the heap. With the signals buffer apart the margin was
+    0.13 MB (7.74 MB free against 7.87 MB), and a process on the wrong side
+    of it had about 7.3 MB trimmed and faulted in again per run: 3750 minor
+    faults per calibrate op instead of 3. An error on the helper reaches
+    the caller when it asks for the block that failed. ``close`` stops and
+    joins the helper on every exit."""
 
-    def __init__(self, plan: NoisePlan, n_steps: int, n_det: int, spans, signals: int = 0):
+    def __init__(self, draw, size: int, spans, signals: int = 0):
         self._spans = collections.deque(spans)
-        self._n_blocks = len(range(0, n_steps, min(NOISE_CHUNK, n_steps)))
-        self._buffers, self.signals, tiles = _noise_buffers(n_steps, n_det, self._spans,
-                                                            signals)
-        # a token per released buffer, None once closed; blocks or an error
+        flat = np.empty(2 * size + signals)
+        self._buffers, self.signals = flat[:2 * size].reshape(2, size), flat[2 * size:]
+        # a token per released buffer, None once closed; blocks, None at the
+        # end of each span, or an error
         self._free, self._ready = queue.SimpleQueue(), queue.SimpleQueue()
         for _ in self._buffers:
             self._free.put(True)
         self._closed = False
         self._helper = threading.Thread(target=self._draw, name="cqmcorr-noise", daemon=True,
-                                        args=(plan, n_steps, n_det, list(self._spans), tiles))
+                                        args=(draw, list(self._spans)))
         self._helper.start()
 
-    def _draw(self, plan, n_steps, n_det, spans, tiles) -> None:
-        # the stepper releases blocks in order, so the two buffers alternate
+    def _draw(self, draw, spans) -> None:
+        # the caller releases blocks in order, so the two buffers alternate
         slots = (self._buffers[i % 2] for i, _ in enumerate(iter(self._free.get, None)))
         try:
             for lo, hi in spans:
                 if self._closed:
                     return
-                for block in _noise_chunks(plan, lo, hi, n_steps, n_det, slots, tiles):
+                for block in draw(lo, hi, slots):
                     self._ready.put(block)
+                self._ready.put(None)
         except BaseException as exc:
             self._ready.put(exc)
 
     def blocks(self, lo: int, hi: int):
-        """The blocks of batch [lo, hi), the feed's next batch. A block stays
+        """The blocks of span [lo, hi), the feed's next span. A block stays
         valid until the block after it is asked for."""
         if self._spans.popleft() != (lo, hi):
-            raise ValueError(f"batch [{lo}, {hi}) is not the noise feed's next")
-        for _ in range(self._n_blocks):
-            block = self._ready.get()
+            raise ValueError(f"span [{lo}, {hi}) is not the noise feed's next")
+        while (block := self._ready.get()) is not None:
             if isinstance(block, BaseException):
                 raise block
             yield block
@@ -258,11 +289,21 @@ class _NoiseFeed:
         self._helper.join()
 
 
+def _batch_feed(plan: NoisePlan, n_steps: int, n_det: int, spans, signals: int = 0) -> _NoiseFeed:
+    """The noise feed of the stepper's batches [lo, hi) of ``spans``: their
+    ``_noise_chunks`` blocks, in two buffers at the widest batch's width."""
+    size, tiles = _noise_buffers(n_steps, n_det, spans)
+    return _NoiseFeed(lambda lo, hi, slots: _noise_chunks(plan, lo, hi, n_steps, n_det, slots,
+                                                          tiles),
+                      size, spans, signals)
+
+
 def _batch_normals(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int) -> np.ndarray:
     """Normals for trajectories lo..hi-1, shape (hi-lo, n_steps, n_det): the
     blocks of ``_noise_chunks``, drawn on the calling thread and joined, as a
     transposed view of a C-contiguous (n_steps, n_det, hi-lo) array."""
-    slots, _, tiles = _noise_buffers(n_steps, n_det, [(lo, hi)])
+    size, tiles = _noise_buffers(n_steps, n_det, [(lo, hi)])
+    slots = np.empty((2, size))
     blocks = [block.copy() for block in
               _noise_chunks(plan, lo, hi, n_steps, n_det, itertools.cycle(slots), tiles)]
     return np.concatenate(blocks).transpose(2, 0, 1)
@@ -384,26 +425,19 @@ def _state_update(r0, dt: float, detectors, linear, seg_idx, width: int, traj_lo
 
 
 def _simulate_batch(r0, grid: TimeGrid, detectors, linear, seg_idx, noise: _NoiseFeed,
-                    record_states: bool, traj_lo: int, traj_hi: int, decimate: int = 1,
-                    pole=None):
-    """The signals of trajectories traj_lo..traj_hi-1, stepped by
-    Euler-Maruyama unless the start is stationary: the next batch of the
-    feed ``noise``, for its blocks, each used as it arrives while the
-    feed's helper draws ahead; the caller closes the feed. ``linear`` holds
-    the segments' step matrices (``_step_matrices``). Returns step-major
-    (signals (n_steps // decimate, n_det, B) normalized, states
-    (n_steps+1, 3, B) or None). The signals are a view of ``noise.signals``,
-    which holds at least n_steps // decimate * n_det * max(B, 2) values, so
-    the feed's batches reuse one buffer.
+                    record_states: bool, traj_lo: int, traj_hi: int, decimate: int = 1):
+    """Euler-Maruyama on trajectories traj_lo..traj_hi-1, the next batch of
+    the feed ``noise`` (``_batch_feed``), for its blocks, each used as it
+    arrives while the feed's helper draws ahead; the caller closes the feed.
+    ``linear`` holds the segments' step matrices (``_step_matrices``).
+    Returns step-major (signals (n_steps // decimate, n_det, B) normalized,
+    states (n_steps+1, 3, B) or None). The signals are a view of
+    ``noise.signals``, which holds at least n_steps // decimate * n_det *
+    max(B, 2) values, so the feed's batches reuse one buffer.
 
     One loop runs over the steps. Step k's signals are n.r + sqrt(tau_m/dt) w,
-    r the state before the step: ``pole``, the n.r0 column of a stationary
-    start (``_pole_signals``), or else what ``_state_update`` returns as it
-    steps the batch. A stationary batch allocates no state and makes no
-    matmul, no kick and no norm check, so ``pole`` goes with
-    ``record_states`` False; ``simulate_states`` always steps.
-
-    Step k writes its signals into row k // D of the
+    r the state before the step, whose n.r ``_state_update`` returns as it
+    steps the batch. Step k writes its signals into row k // D of the
     (n_steps // D, n_det, B) array, for ``decimate`` D, if it is the first
     step of its group of D, and adds them into the row if not; for D > 1 the
     array is divided by D after the last step. A sample is its D fine
@@ -416,18 +450,15 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, linear, seg_idx, noise: _Nois
     # so its bits match the same trajectory inside any larger batch. Its
     # (n_det, 1) draws broadcast over both columns.
     width = max(batch, 2)
-    scale = np.array([[math.sqrt(det.tau_m / grid.dt)] for det in detectors])
+    scale = _noise_scale(grid, detectors)
     states = np.empty((n_steps + 1, 3, width)) if record_states else None
-    update = None if pole is not None else _state_update(
-        r0, grid.dt, detectors, linear, seg_idx, width, traj_lo, states)
-    nr = pole
+    update = _state_update(r0, grid.dt, detectors, linear, seg_idx, width, traj_lo, states)
     shape = (n_steps // decimate, n_det, width)
     signals = noise.signals[:math.prod(shape)].reshape(shape)
     sig = np.empty((n_det, width)) if decimate > 1 else None
 
     for k, w in enumerate(itertools.chain.from_iterable(noise.blocks(traj_lo, traj_hi))):
-        if update is not None:
-            nr = update(k, w)
+        nr = update(k, w)
         row = signals[k // decimate]
         if k % decimate:
             np.multiply(scale, w, out=sig)
@@ -440,6 +471,87 @@ def _simulate_batch(r0, grid: TimeGrid, detectors, linear, seg_idx, noise: _Nois
         signals /= decimate
     return (signals[:, :, :batch],
             states[:, :, :batch] if record_states else None)
+
+
+def _noise_scale(grid: TimeGrid, detectors) -> np.ndarray:
+    """sqrt(tau_m/dt) of each detector, the weight of its draw in its
+    signal, as an (n_det, 1) column."""
+    return np.array([[math.sqrt(det.tau_m / grid.dt)] for det in detectors])
+
+
+def _pole_rows(records, block, k: int, scale, nr, decimate: int) -> None:
+    """Fold the tile-major ``block`` of ``_slice_tiles``, the draws w of
+    fine steps k.., into the step-major (n_samples, n_det, n) ``records`` of
+    a stationary slice, whose trajectories sit at r0 with n.r0 the column
+    ``nr``. Each fine sample is scale w + n.r0, the stepper's signal in the
+    stepper's ops and order (``_simulate_batch``). With D = ``decimate`` = 1
+    the records are written straight from the tiles; otherwise the fine
+    samples are formed in place in ``block`` and summed into row k // D in
+    step order, written at a group's first step and added at the others
+    (a group may span blocks), and the caller divides by D."""
+    m, n = block.shape[1], records.shape[2]
+    if decimate == 1:
+        rows = records[k:k + m]
+        for t, tile in enumerate(block):
+            a = t * NOISE_TILE
+            np.multiply(scale, tile[..., :n - a], out=rows[..., a:a + NOISE_TILE])
+        rows += nr
+        return
+    np.multiply(scale, block, out=block)
+    block += nr
+    # phase p holds the steps j of this block with j % D == p; taking the
+    # phases in order adds each row's steps in step order
+    for p in sorted({(k + i) % decimate for i in range(min(m, decimate))}):
+        first = k + (p - k) % decimate
+        for t, tile in enumerate(block):
+            a = t * NOISE_TILE
+            fine = tile[first - k::decimate, :, :n - a]
+            rows = records[first // decimate:first // decimate + len(fine), :,
+                           a:a + NOISE_TILE]
+            if p:
+                rows += fine
+            else:
+                rows[...] = fine
+
+
+def _run_poles(n_traj: int, plan: NoisePlan, grid: TimeGrid, detectors, nr, decimate: int,
+               consumer) -> None:
+    """``run_ensemble`` of a stationary start, whose signals are n.r0 +
+    sqrt(tau_m/dt) w, ``nr`` the n.r0 column of ``_pole_signals``: no batch,
+    no pool and no batch of signals, only record slices of RECORD_SLICE
+    trajectories, cut at its multiples. One noise feed (``_NoiseFeed``)
+    draws each slice's tiles (``_slice_tiles``) on its helper, so slice
+    i + 1 is drawn while slice i is built and handed over. The calling
+    thread builds a slice's step-major (n_samples, n_det, n) records in
+    place (``_pole_rows``) in the feed's ``signals``, one slice wide,
+    divides them by D, maps them to raw units and hands over their
+    (n, n_det, n_samples) transposed view."""
+    n_steps, n_det = grid.n_steps, len(detectors)
+    n_samples = n_steps // decimate
+    scale = _noise_scale(grid, detectors)
+    responses = np.array([[det.response] for det in detectors])
+    offsets = np.array([[det.offset] for det in detectors])
+    spans = [(lo, min(lo + RECORD_SLICE, n_traj)) for lo in range(0, n_traj, RECORD_SLICE)]
+    width = spans[0][1]
+    size = -(-width // NOISE_TILE) * _slice_steps(n_steps, n_det) * n_det * NOISE_TILE
+    feed = _NoiseFeed(lambda lo, hi, slots: _slice_tiles(plan, lo, hi, n_steps, n_det, slots),
+                      size, spans, signals=n_samples * n_det * width)
+    with contextlib.closing(feed) as noise:
+        for lo, hi in spans:
+            records = noise.signals[:n_samples * n_det * (hi - lo)].reshape(
+                n_samples, n_det, hi - lo)
+            k = 0
+            for block in noise.blocks(lo, hi):
+                _pole_rows(records, block, k, scale, nr, decimate)
+                k += block.shape[1]
+            if decimate > 1:
+                records /= decimate
+            # as in run_ensemble's hand-over, a huge response or offset
+            # overflows to inf, which the consumer reports
+            with np.errstate(over="ignore"):
+                records *= responses
+                records += offsets
+            consumer(records.transpose(2, 1, 0))
 
 
 def simulate_states(initial_state, grid: TimeGrid, detectors, segments, plan: NoisePlan,
@@ -455,8 +567,8 @@ def simulate_states(initial_state, grid: TimeGrid, detectors, segments, plan: No
     r0, detectors, linear, seg_idx = _prepare(initial_state, grid, detectors, segments)
     n_signals = grid.n_steps * len(detectors) * max(traj_hi - traj_lo, 2)
     # closed now, not when a traceback is freed
-    with contextlib.closing(_NoiseFeed(plan, grid.n_steps, len(detectors),
-                                       [(traj_lo, traj_hi)], signals=n_signals)) as noise:
+    with contextlib.closing(_batch_feed(plan, grid.n_steps, len(detectors),
+                                        [(traj_lo, traj_hi)], signals=n_signals)) as noise:
         signals, states = _simulate_batch(r0, grid, detectors, linear, seg_idx, noise,
                                           record_states=True, traj_lo=traj_lo, traj_hi=traj_hi)
     return (np.ascontiguousarray(states.transpose(2, 0, 1)),
@@ -509,8 +621,9 @@ class RecordStream:
     slices, each an (n, n_detectors, n_samples) array of n <= RECORD_SLICE
     trajectories, in trajectory order; the consumer must copy what it keeps
     before it returns. A slice may be a view of any layout: those of
-    ``run_ensemble`` are transposed views of step-major memory. Each feed
-    runs the ensemble again, with the same bits. ``grid`` is the
+    ``run_ensemble`` are transposed views of step-major memory, cut at
+    multiples of RECORD_SLICE and, for a stepped start, at batch ends. Each
+    feed runs the ensemble again, with the same bits. ``grid`` is the
     acquisition grid."""
 
     grid: TimeGrid
@@ -532,7 +645,9 @@ def stream_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     ``RecordStream``: each feed calls ``run_ensemble`` with the consumer,
     which gets slices of at most RECORD_SLICE records, so the ensemble is
     never held and no batch of records is either. ``options`` are
-    ``run_ensemble``'s ``threads`` and ``batch_size``."""
+    ``run_ensemble``'s ``threads`` and ``batch_size``, which shape no bit;
+    a stationary start ignores them, and its slices are cut at multiples of
+    RECORD_SLICE only."""
     detectors = tuple(detectors)
     return RecordStream(
         grid=grid.decimated(decimate), seed=plan.seed, n_traj=n_traj,
@@ -553,35 +668,39 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
                  detectors, segments, *, threads: int = 1,
                  batch_size: int = DEFAULT_BATCH_SIZE, decimate: int = 1,
                  consumer: Callable[[np.ndarray], None]) -> None:
-    """Simulate n_traj trajectories in batches of ``batch_size`` and hand
-    their raw output records to ``consumer`` in slices, each an
-    (n, n_detectors, n_samples) array of n <= RECORD_SLICE trajectories, cut
-    at multiples of RECORD_SLICE and at batch ends, in trajectory order and
-    on the calling thread. A slice is the transposed view of a C-contiguous
-    step-major (n_samples, n_detectors, n) array, the stepper's order, and
-    its memory is reused for the batch's next slice once ``consumer``
-    returns, so the consumer copies what it keeps. ``stream_ensemble`` wraps
-    the run as a ``RecordStream``.
+    """Simulate n_traj trajectories and hand their raw output records to
+    ``consumer`` in slices, each an (n, n_detectors, n_samples) array of
+    n <= RECORD_SLICE trajectories, in trajectory order and on the calling
+    thread. A slice is the transposed view of a C-contiguous step-major
+    (n_samples, n_detectors, n) array, the stepper's order, and its memory
+    is reused for the next slice once ``consumer`` returns, so the consumer
+    copies what it keeps. ``stream_ensemble`` wraps the run as a
+    ``RecordStream``.
 
     Trajectory j uses noise stream (plan.seed, j), so the records are a pure
     function of the arguments. ``decimate`` averages each group of that many
     consecutive samples into one (dt grows accordingly), which is how a fine
     integration grid turns into a coarse acquisition grid. Every output bit
-    is independent of ``threads``.
+    is independent of ``threads`` and ``batch_size``.
 
-    The calling thread makes W = min(``threads``, batches) noise feeds
-    (``_NoiseFeed``), and batch i steps into the signals buffer of feed
-    i % W, whose helper draws the feed's batches ahead. At W = 1 the batches
-    step on the calling thread. At W > 1 a pool of W workers steps them, and
-    batch i + W is submitted once batch i is handed over, when its feed is
-    free: at most W batches are in flight, beside W helpers. The calling
-    thread maps a batch's step-major signals to raw units, one slice at a
-    time and row by step-major row, into one slice buffer per batch. States
-    are not kept; use ``simulate_states`` for a state history.
+    Before anything is allocated, a two-column probe (``_pole_signals``)
+    decides whether the start is stationary. A stationary run
+    (``_run_poles``) has no batches, no pool and no signals buffer: its
+    slices are cut at multiples of RECORD_SLICE only, whatever ``threads``
+    and ``batch_size``, and one noise feed draws each slice's tiles while
+    the calling thread builds the slice before it from the noise alone.
 
-    Before any feed is made, a two-column probe (``_pole_signals``) decides
-    whether the start is stationary; if it is, every batch writes its
-    signals from the noise alone, with no state update.
+    Any other start is stepped in batches of ``batch_size``, and its slices
+    are cut at multiples of RECORD_SLICE and at batch ends. The calling
+    thread makes W = min(``threads``, batches) noise feeds (``_batch_feed``),
+    and batch i steps into the signals buffer of feed i % W, whose helper
+    draws the feed's batches ahead. At W = 1 the batches step on the calling
+    thread. At W > 1 a pool of W workers steps them, and batch i + W is
+    submitted once batch i is handed over, when its feed is free: at most W
+    batches are in flight, beside W helpers. The calling thread maps a
+    batch's step-major signals to raw units, one slice at a time and row by
+    step-major row, into one slice buffer per batch. States are not kept;
+    use ``simulate_states`` for a state history.
     """
     if n_traj < 1:
         raise ConfigError(f"n_traj must be >= 1, got {n_traj!r}")
@@ -590,16 +709,19 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     n_samples = grid.decimated(decimate).n_steps
     r0, detectors, linear, seg_idx = _prepare(initial_state, grid, detectors, segments)
     n_det = len(detectors)
+    pole = _pole_signals(r0, linear, n_det)
+    if pole is not None:
+        _run_poles(n_traj, plan, grid, detectors, pole, decimate, consumer)
+        return
     offsets = np.array([det.offset for det in detectors])
     responses = np.array([det.response for det in detectors])
     n_signals = n_samples * n_det * max(min(batch_size, n_traj), 2)
-    pole = _pole_signals(r0, linear, n_det)
 
     def run_batch(i: int):
         lo, hi = spans[i]
         signals, _ = _simulate_batch(r0, grid, detectors, linear, seg_idx,
                                      feeds[i % workers], record_states=False, traj_lo=lo,
-                                     traj_hi=hi, decimate=decimate, pole=pole)
+                                     traj_hi=hi, decimate=decimate)
         return lo, signals
 
     def hand_over(lo: int, signals) -> None:
@@ -632,7 +754,7 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     workers = min(threads, len(spans))
     # the pool is closed, its batches done, before the feeds it steps from
     with contextlib.ExitStack() as stack:
-        feeds = [stack.enter_context(contextlib.closing(_NoiseFeed(
+        feeds = [stack.enter_context(contextlib.closing(_batch_feed(
             plan, grid.n_steps, n_det, spans[w::workers], signals=n_signals)))
             for w in range(workers)]
         if workers == 1:

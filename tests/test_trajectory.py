@@ -1,5 +1,6 @@
 """Stochastic trajectory engine: noise plan, stepper, ensembles, archives."""
 
+import concurrent.futures
 import contextlib
 import functools
 import hashlib
@@ -31,7 +32,7 @@ from cqmcorr import (
 )
 from cqmcorr import calibration, trajectory
 from cqmcorr.calibration import MOMENT_UNIT
-from cqmcorr.trajectory import NOISE_TILE, RECORD_SLICE, _batch_normals, _NoiseFeed
+from cqmcorr.trajectory import NOISE_TILE, RECORD_SLICE, _batch_feed, _batch_normals
 from conftest import fed_whole, gather
 
 GAMMA = 1.0 / 1.8
@@ -195,7 +196,7 @@ class TestNoiseChunks:
     @pytest.mark.parametrize("lo, hi", [(0, 1), (3, 70), (64, 200), (250, 1100)])
     def test_blocks_are_c_contiguous_and_step_ordered(self, lo, hi):
         chunk = trajectory.NOISE_CHUNK
-        with contextlib.closing(_NoiseFeed(NoisePlan(5), 70, 2, [(lo, hi)])) as feed:
+        with contextlib.closing(_batch_feed(NoisePlan(5), 70, 2, [(lo, hi)])) as feed:
             blocks = [b.copy() for b in feed.blocks(lo, hi)]
         assert [len(b) for b in blocks] == [min(chunk, 70 - s) for s in range(0, 70, chunk)]
         assert all(b.flags.c_contiguous and b.shape[1:] == (2, hi - lo) for b in blocks)
@@ -215,8 +216,8 @@ class TestNoiseChunks:
 
 class TestNoiseHelper:
     """Each run of the stepper draws its noise on one helper thread per batch
-    worker, each helper the batches of its worker, and every exit joins
-    them."""
+    worker, each helper the batches of its worker, a stationary run on one
+    helper for all its slices, and every exit joins them."""
 
     # write_archive(stream_ensemble(**args())) under noise stream v3, taken with
     # NOISE_CHUNK = 70, so that the helper draws the whole record as one block
@@ -308,7 +309,8 @@ class TestNoiseHelper:
                          consumer=lambda records: None)
 
     @pytest.mark.parametrize("run", ["run_ensemble threads 1", "run_ensemble threads 2",
-                                     "simulate_states"])
+                                     "simulate_states", "stationary, consumer raises",
+                                     "stationary, draw raises"])
     def test_no_thread_outlives_a_run(self, monkeypatch, run):
         started = []
         start = threading.Thread.start
@@ -319,7 +321,39 @@ class TestNoiseHelper:
 
         monkeypatch.setattr(threading.Thread, "start", counted)
         before = threading.active_count()
-        if run == "simulate_states":
+        if run.startswith("stationary"):
+            # three slices; the error comes in the second, while the helper
+            # draws ahead
+            det, handed = reference_detector(40.0), []
+            error = (DiagnosticError, "stop") if run.endswith("consumer raises") else (
+                RuntimeError, "draw failed")
+            if error[0] is RuntimeError:
+                tile_generator = trajectory._tile_generator
+
+                class FailsInSlice1:
+                    """A tile generator whose draws fail in the second slice."""
+
+                    def __init__(self, seed, tile):
+                        self.gen, self.tile = tile_generator(seed, tile), tile
+
+                    def standard_normal(self, out):
+                        if self.tile == RECORD_SLICE // NOISE_TILE:
+                            raise RuntimeError("draw failed")
+                        return self.gen.standard_normal(out=out)
+
+                monkeypatch.setattr(trajectory, "_tile_generator", FailsInSlice1)
+
+            def consumer(records):
+                handed.append(len(records))
+                if error[0] is DiagnosticError and len(handed) == 2:
+                    raise DiagnosticError("stop")
+
+            with pytest.raises(error[0], match=error[1]):
+                run_ensemble(2 * RECORD_SLICE + 5, NoisePlan(3), det.axis, TimeGrid(0.004, 70),
+                             (det,), undriven(det), threads=2, consumer=consumer)
+            assert handed == [RECORD_SLICE] * (2 if error[0] is DiagnosticError else 1)
+            assert [thread.name for thread in started] == ["cqmcorr-noise"]
+        elif run == "simulate_states":
             simulate_states([1, 0, 0], TimeGrid(0.004, 70), [reference_detector(40.0)],
                             drive_segments(), NoisePlan(3), 3, 70)
             assert len(started) == 1
@@ -850,6 +884,116 @@ class TestStationaryStart:
         np.testing.assert_array_equal(got, want)
 
 
+    @staticmethod
+    def pole_oracle(plan, grid, detectors, r0, n_traj, decimate):
+        """offset + response (n.r0 + sqrt(tau_m/dt) w) per detector, the D
+        fine samples summed in step order and divided by D, from
+        ``NoisePlan.normals``: shape (n_traj, n_det, n_samples)."""
+        n_det = len(detectors)
+        w = np.stack([plan.normals(j, grid.n_steps, n_det) for j in range(n_traj)])
+        fine = np.stack([float(det.axis @ r0) + math.sqrt(det.tau_m / grid.dt) * w[:, :, i]
+                         for i, det in enumerate(detectors)], axis=1)
+        total = fine[..., ::decimate]
+        for i in range(1, decimate):
+            total = total + fine[..., i::decimate]
+        if decimate > 1:
+            total = total / decimate
+        return (np.array([det.offset for det in detectors])[:, None]
+                + np.array([det.response for det in detectors])[:, None] * total)
+
+    @pytest.mark.parametrize("chunk", [None, 1], ids=["default-blocks", "8-step-blocks"])
+    @pytest.mark.parametrize("decimate", [1, 3])
+    def test_partial_last_tile(self, monkeypatch, stepped, decimate, chunk):
+        """2 RECORD_SLICE + 300 trajectories: two whole slices and one of a
+        whole tile and a cut one. At NOISE_CHUNK = 1 a slice's tiles are
+        drawn 8 steps at a time, so groups of 3 fine samples span blocks."""
+        if chunk is not None:
+            monkeypatch.setattr(trajectory, "NOISE_CHUNK", chunk)
+        det = reference_detector(70.0, response=0.7, offset=-0.3)
+        grid, plan, n_traj = TimeGrid(0.04, 30), NoisePlan(seed=23), 2 * RECORD_SLICE + 300
+        r0 = -det.axis
+        got = gather(stream_ensemble(n_traj, plan, r0, grid, (det,), undriven(det),
+                                     decimate=decimate))
+        np.testing.assert_array_equal(
+            got, self.pole_oracle(plan, grid, (det,), r0, n_traj, decimate))
+        assert stepped == []
+        if decimate == 1:
+            _, want = simulate_states(r0, grid, (det,), undriven(det), plan, 0, n_traj)
+            np.testing.assert_array_equal(got, det.offset + det.response * want)
+
+    @pytest.mark.parametrize("decimate", [1, 3])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus", "minus"])
+    def test_two_detector_pole(self, stepped, sign, decimate):
+        """Two z-axis detectors with different tau_m and K share the poles
+        +-z, so the start is stationary and each detector's records are its
+        own noise."""
+        dets = (DetectorModel(axis=(0, 0, 1), tau_m=1.2, k_phase=0.9),
+                DetectorModel(axis=(0, 0, 1), tau_m=3.1, k_phase=-2.7, response=1.3,
+                              offset=0.2))
+        grid, plan, n_traj = TimeGrid(0.04, 30), NoisePlan(seed=8), 300
+        r0 = np.array([0.0, 0.0, sign])
+        got = gather(stream_ensemble(n_traj, plan, r0, grid, dets, undriven(*dets),
+                                     decimate=decimate))
+        np.testing.assert_array_equal(got, self.pole_oracle(plan, grid, dets, r0, n_traj,
+                                                            decimate))
+        assert stepped == []
+        if decimate == 1:
+            _, want = simulate_states(r0, grid, dets, undriven(*dets), plan, 0, n_traj)
+            np.testing.assert_array_equal(got, np.array([0.0, 0.2])[:, None]
+                                          + np.array([1.0, 1.3])[:, None] * want)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_helper_and_no_batches(self, monkeypatch, threads):
+        """A stationary run neither steps a batch nor makes a pool, whatever
+        ``threads`` and ``batch_size``: one noise helper feeds its slices,
+        which are cut at multiples of RECORD_SLICE only."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("entered")
+
+        started, start = [], threading.Thread.start
+
+        def counted(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(trajectory, "_simulate_batch", refuse)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        det = reference_detector(0.0)
+        lengths = []
+        run_ensemble(2 * RECORD_SLICE + 300, NoisePlan(seed=4), det.axis, TimeGrid(0.04, 12),
+                     (det,), undriven(det), threads=threads, batch_size=100,
+                     consumer=lambda records: lengths.append(len(records)))
+        assert lengths == [RECORD_SLICE, RECORD_SLICE, 300]
+        assert started == ["cqmcorr-noise"]
+
+    def test_memory_stays_within_a_slice(self):
+        """2048 trajectories of 2000 fine steps, decimated by 10, peak below
+        one 200-sample slice of records (1.64 MB) and two tile buffers of at
+        most one stepped noise block each (1.31 MB), plus 10%: 4.69 MB.
+        Traced peak: 4.39 MB. Drawing each tile's whole record at once would
+        take 16.4 MB per buffer."""
+        det = reference_detector(0.0)
+        grid = TimeGrid(0.004, 2000)
+        block = trajectory.NOISE_CHUNK * trajectory.DEFAULT_BATCH_SIZE
+        bound = 8 * (RECORD_SLICE * grid.n_steps // 10 + 2 * block) * 1.1
+
+        def run(n_traj):
+            run_ensemble(n_traj, NoisePlan(seed=3), det.axis, grid, (det,), undriven(det),
+                         decimate=10, consumer=lambda records: None)
+
+        # the first run imports numpy.random, which is not the run's memory
+        run(2)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run(2 * RECORD_SLICE)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+
 class TestRecordSlices:
     """The calling thread maps each batch to raw units and hands it over in
     slices of at most RECORD_SLICE records, cut at multiples of RECORD_SLICE
@@ -955,7 +1099,9 @@ class TestRecordSlices:
         (2.62 MB) and the stepper's two (8, 8192) state blocks (1.05 MB),
         plus 10%: 8.90 MB. Traced peak: 12.14 MB when each batch also kept a
         records buffer as large as its signals; 8.20 MB with slices, whose
-        buffer is allocated once the noise blocks are freed."""
+        buffer is allocated once the noise blocks are freed. The start sits
+        1e-9 below the pole, so the batch is stepped; the pole itself streams
+        slices (``TestStationaryStart.test_memory_stays_within_a_slice``)."""
         det = reference_detector(0.0, response=1.005, offset=-0.4)
         segments = (EnsembleGenerator(matrix=dephasing_matrix((0, 0, 1), GAMMA),
                                       r_st=np.zeros(3)),)
@@ -964,7 +1110,7 @@ class TestRecordSlices:
                      + 2 * trajectory.NOISE_CHUNK * batch + 2 * 8 * batch) * 1.1
 
         def run(n_traj):
-            run_ensemble(n_traj, NoisePlan(seed=3), [0, 0, 1], TimeGrid(0.04, n_samples),
+            run_ensemble(n_traj, NoisePlan(seed=3), [0, 0, 1 - 1e-9], TimeGrid(0.04, n_samples),
                          (det,), segments, consumer=lambda records: None)
 
         # the first run imports numpy.random, which is not the run's memory
