@@ -176,7 +176,8 @@ def fit_phase_angle(lags, dk, dk_err=None, *, gamma: float, omega_r: float,
     tan_hat = sum(w g dk) / sum(w g^2), var(tan_hat) = 1 / sum(w g^2) for
     w = 1/err^2. Without errors, unit weights are used and the variance is
     scaled by the residual mean square. The interval for phi_a comes from
-    the delta method, sigma_phi = sigma_tan / (1 + tan_hat^2).
+    the delta method, sigma_phi = sigma_tan / (1 + tan_hat^2), computed as
+    sigma_tan cos^2(phi_hat) so that a huge tan_hat does not overflow.
 
     Requires at least 3 samples spanning at least half a Rabi period
     pi/|omega_r| so the template amplitude is actually constrained.
@@ -216,7 +217,7 @@ def fit_phase_angle(lags, dk, dk_err=None, *, gamma: float, omega_r: float,
 
     sigma_tan = math.sqrt(var_tan)
     phi_hat = math.atan(tan_hat)
-    sigma_phi = sigma_tan / (1.0 + tan_hat**2)
+    sigma_phi = sigma_tan * math.cos(phi_hat) ** 2
     half = 1.959963984540054 * sigma_phi
     return PhaseFit(phi_a=phi_hat, ci=(phi_hat - half, phi_hat + half),
                     tan_phi=tan_hat, tan_sigma=sigma_tan)

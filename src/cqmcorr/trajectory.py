@@ -37,7 +37,9 @@ results never depend on thread count, batch size, or evaluation order.
 
 Threads: a noise feed (``_NoiseFeed``) draws its spans' noise on one helper
 thread, ahead of its consumer, and holds the buffer their signals are
-written into. A stepped run makes W = min(``threads``, batches) feeds, one
+written into. Every span, a batch or a slice, is drawn by one routine
+(``_tile_blocks``) as whole tiles, tile-major, and read in place. A stepped
+run makes W = min(``threads``, batches) feeds, one
 per worker, and batch i steps from feed i % W, so each feed's next batch is
 drawn while its last is handed over; at W = 1 the batches step on the
 calling thread. A stationary run makes one feed, whatever ``threads``: its
@@ -103,7 +105,8 @@ class NoisePlan:
     numpy's ziggurat. The draws of a tile run step-major, so a longer record
     extends the stream without changing its start. No state is carried
     between calls, so any trajectory's noise can be regenerated in
-    isolation, by drawing its whole 256-lane tile on the calling thread.
+    isolation, by drawing its whole 256-lane tile on the calling thread
+    with the routine that draws every run's noise (``_tile_blocks``).
     """
 
     seed: int
@@ -124,13 +127,11 @@ class NoisePlan:
         return _batch_normals(self, traj_index, traj_index + 1, n_steps, n_detectors)[0]
 
 
-# steps per block of streamed noise: a tile drawn in pieces equals the tile
-# drawn at once, so this sets only the memory of a batch's noise, never a bit
+# steps per block of streamed noise at DEFAULT_BATCH_SIZE trajectories: a
+# block holds at most NOISE_CHUNK x DEFAULT_BATCH_SIZE values
+# (``_block_shape``). A tile drawn in pieces equals the tile drawn at once,
+# so this sets only the memory of a run's noise, never a bit
 NOISE_CHUNK = 20
-# tiles drawn into a block between two copies: one numpy call moves all of
-# their lanes, so the drawing thread takes the GIL less often (a copy per
-# tile made mc_correlate 4% slower); like NOISE_CHUNK it shapes no bit
-TILES_PER_COPY = 4
 # trajectories per hand-over of raw records: a batch is mapped to raw units
 # and handed to the consumer in slices cut at multiples of this, so a run
 # keeps one slice of records, not a batch of them. Like NOISE_CHUNK it shapes
@@ -138,77 +139,36 @@ TILES_PER_COPY = 4
 RECORD_SLICE = 1024
 
 
-def _noise_chunks(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int, slots, tiles):
-    """Normals for trajectories lo..hi-1, in step order: C-contiguous
-    (m, n_det, hi-lo) blocks of m <= NOISE_CHUNK steps, each the next m
-    steps' draws for the whole batch. Each block is carved from the next
-    flat buffer of the iterator ``slots`` and drawn into it once that buffer
-    is taken; the blocks stop early if ``slots`` ends. ``tiles`` is a
-    reused (k, NOISE_CHUNK, n_det, NOISE_TILE) buffer of
-    k >= min(TILES_PER_COPY, tiles met) tiles (``_noise_buffers``).
+def _tiles(lo: int, hi: int) -> range:
+    """The noise tiles that trajectories lo..hi-1 meet."""
+    return range(lo // NOISE_TILE, (hi - 1) // NOISE_TILE + 1)
 
-    Each tile that meets [lo, hi) gets its own ``_tile_generator`` and draws
-    NOISE_CHUNK steps of its (n_steps, n_det, NOISE_TILE) array per block.
-    Runs of tiles are drawn into ``tiles`` and their lanes inside [lo, hi)
-    copied into the block in one call: a tile that lo or hi cuts on its own,
-    whole tiles TILES_PER_COPY at a time. The ziggurat keeps no state
-    outside the bit generator, so the pieces are the tile drawn at once."""
-    first_tile = lo // NOISE_TILE
-    met = range(first_tile, (hi - 1) // NOISE_TILE + 1)
-    # runs [t0, t1) of tiles that reach a block in one copy
-    whole = range(-(-lo // NOISE_TILE), hi // NOISE_TILE)
-    edges = sorted({met.start, met.stop, whole.start, whole.stop,
-                    *range(whole.start, whole.stop, TILES_PER_COPY)})
-    runs = list(zip(edges, edges[1:]))
-    gens = [_tile_generator(plan.seed, tile) for tile in met]
-    chunk = min(NOISE_CHUNK, n_steps)
+
+def _block_shape(lo: int, hi: int, n_steps: int, n_det: int) -> tuple[int, int, int, int]:
+    """The shape of a full block of ``_tile_blocks`` for [lo, hi): (tiles,
+    m, n_det, NOISE_TILE), m the most steps that keep it within
+    NOISE_CHUNK x DEFAULT_BATCH_SIZE values, and at least one: at one
+    detector, 20 for a batch of 32 tiles and 160 for a slice of 4."""
+    tiles = len(_tiles(lo, hi))
+    steps = NOISE_CHUNK * DEFAULT_BATCH_SIZE // (tiles * n_det * NOISE_TILE)
+    return tiles, min(n_steps, max(1, steps)), n_det, NOISE_TILE
+
+
+def _tile_blocks(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int, slots):
+    """Normals for trajectories lo..hi-1, in step order: tile-major
+    (tiles, m, n_det, NOISE_TILE) blocks of the steps of ``_block_shape``,
+    each holding the next m steps of every tile that meets [lo, hi), whole,
+    so trajectory j sits in lane j % NOISE_TILE of tile
+    j // NOISE_TILE - lo // NOISE_TILE and the lanes outside [lo, hi) are
+    drawn and not used. Each block is carved from the next flat buffer of
+    the iterator ``slots`` and drawn into it with one ``standard_normal``
+    call per tile, the next m steps of the tile's (n_steps, n_det,
+    NOISE_TILE) array; the ziggurat keeps no state outside the bit
+    generator, so the pieces are the tile drawn at once. The blocks stop
+    early if ``slots`` ends."""
+    gens = [_tile_generator(plan.seed, tile) for tile in _tiles(lo, hi)]
+    steps = _block_shape(lo, hi, n_steps, n_det)[1]
     # steps first, so that no buffer is taken after the last block
-    for start, slot in zip(range(0, n_steps, chunk), slots):
-        m = min(chunk, n_steps - start)
-        block = slot[:m * n_det * (hi - lo)].reshape(m, n_det, hi - lo)
-        for t0, t1 in runs:
-            drawn = tiles[:t1 - t0, :m]
-            for gen, out in zip(gens[t0 - first_tile:t1 - first_tile], drawn):
-                gen.standard_normal(out=out)
-            a, b = max(lo, t0 * NOISE_TILE), min(hi, t1 * NOISE_TILE)
-            lane = a - t0 * NOISE_TILE
-            lanes = drawn[..., lane:lane + (b - a) // (t1 - t0)]
-            # the block's lane axis is contiguous, so the reshape is a view
-            block[:, :, a - lo:b - lo].reshape(m, n_det, t1 - t0, -1)[...] = \
-                lanes.transpose(1, 2, 0, 3)
-        yield block
-
-
-def _noise_buffers(n_steps: int, n_det: int, spans):
-    """The buffers of ``_noise_chunks`` for the batches [lo, hi) of
-    ``spans``: the size of a block at the widest batch's width, and the
-    tile buffer."""
-    chunk = min(NOISE_CHUNK, n_steps)
-    width = max(hi - lo for lo, hi in spans)
-    tiles = min(TILES_PER_COPY,
-                max((hi - 1) // NOISE_TILE - lo // NOISE_TILE + 1 for lo, hi in spans))
-    return chunk * n_det * width, np.empty((tiles, chunk, n_det, NOISE_TILE))
-
-
-def _slice_steps(n_steps: int, n_det: int) -> int:
-    """Steps per block of ``_slice_tiles``: as many as keep the block of a
-    whole slice within one block of ``_noise_chunks`` at DEFAULT_BATCH_SIZE,
-    NOISE_CHUNK x DEFAULT_BATCH_SIZE values; 160 at one detector."""
-    return min(n_steps, max(1, NOISE_CHUNK * DEFAULT_BATCH_SIZE // (RECORD_SLICE * n_det)))
-
-
-def _slice_tiles(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int, slots):
-    """Normals for the record slice lo..hi-1, lo a multiple of NOISE_TILE,
-    in step order: tile-major (tiles, m, n_det, NOISE_TILE) blocks of
-    m <= ``_slice_steps`` steps, one per tile that meets the slice. Each
-    block is carved from the next flat buffer of the iterator ``slots`` and
-    drawn into it with one ``standard_normal`` call per tile, the next m
-    steps of the tile's (n_steps, n_det, NOISE_TILE) array; the blocks stop
-    early if ``slots`` ends. A tile is drawn whole, so the lanes of the last
-    tile past hi are drawn and not used."""
-    gens = [_tile_generator(plan.seed, tile)
-            for tile in range(lo // NOISE_TILE, (hi - 1) // NOISE_TILE + 1)]
-    steps = _slice_steps(n_steps, n_det)
     for start, slot in zip(range(0, n_steps, steps), slots):
         m = min(steps, n_steps - start)
         block = slot[:len(gens) * m * n_det * NOISE_TILE].reshape(len(gens), m, n_det,
@@ -220,34 +180,35 @@ def _slice_tiles(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int, sl
 
 class _NoiseFeed:
     """The noise of the spans [lo, hi) of ``spans``, in that order, drawn
-    ahead on one helper thread. ``draw(lo, hi, slots)`` yields a span's
-    blocks, each carved from the next flat buffer of the iterator ``slots``
-    (``_noise_chunks`` for the batches of the stepper, ``_batch_feed``;
-    ``_slice_tiles`` for the record slices of a stationary run), and the
-    feed gives it two buffers of ``size`` values that alternate. A buffer
-    is drawn into as soon as the caller releases it, so while the caller
-    hands over span s the helper is already up to two blocks into span
-    s + 1. numpy's draws, like the stepper's matmul and ufuncs, release the
-    GIL, so the two share the host's cores. One draw runs at a time, in
-    trajectory order, so the helper shapes no bit.
+    ahead on one helper thread: each span's ``_tile_blocks``, the batches
+    of the stepper or the record slices of a stationary run, in two
+    buffers that alternate, each as large as the largest block of any
+    span. A buffer is drawn into as soon as the caller releases it, so
+    while the caller hands over span s the helper is already up to two
+    blocks into span s + 1. numpy's draws, like the stepper's matmul and
+    ufuncs, release the GIL, so the two share the host's cores. One draw
+    runs at a time, in trajectory order, so the helper shapes no bit.
 
     The buffers are allocated on the thread that makes the feed: allocated
     on the helper, most likely in a malloc arena of its own, they raised
-    ``calibrate``'s peak RSS. ``signals`` > 0 adds a flat buffer of that
-    many values to the same allocation, as ``feed.signals``, which the
-    caller writes each span's signals or records into. With it inside, the
-    allocation is a run's largest, so glibc's heap-trim threshold, twice the
-    largest mmapped chunk freed, sits above the free space a run leaves at
-    the top of the heap. With the signals buffer apart the margin was
-    0.13 MB (7.74 MB free against 7.87 MB), and a process on the wrong side
-    of it had about 7.3 MB trimmed and faulted in again per run: 3750 minor
-    faults per calibrate op instead of 3. An error on the helper reaches
-    the caller when it asks for the block that failed. ``close`` stops and
-    joins the helper on every exit."""
+    ``calibrate``'s peak RSS. ``n_samples`` > 0 adds to the same allocation
+    a flat buffer of n_samples x n_det values for every lane of the widest
+    span's tiles, as ``feed.signals``, which the caller writes each span's
+    signals or records into. With it inside, the allocation is a run's
+    largest, so glibc's heap-trim threshold, twice the largest mmapped
+    chunk freed, sits above the free space a run leaves at the top of the
+    heap. With the signals buffer apart the margin was 0.13 MB (7.74 MB
+    free against 7.87 MB), and a process on the wrong side of it had about
+    7.3 MB trimmed and faulted in again per run: 3750 minor faults per
+    calibrate op instead of 3. An error on the helper reaches the caller
+    when it asks for the block that failed. ``close`` stops and joins the
+    helper on every exit."""
 
-    def __init__(self, draw, size: int, spans, signals: int = 0):
+    def __init__(self, plan: NoisePlan, n_steps: int, n_det: int, spans, n_samples: int):
         self._spans = collections.deque(spans)
-        flat = np.empty(2 * size + signals)
+        size = max(math.prod(_block_shape(lo, hi, n_steps, n_det)) for lo, hi in spans)
+        lanes = max(len(_tiles(lo, hi)) for lo, hi in spans) * NOISE_TILE
+        flat = np.empty(2 * size + n_samples * n_det * lanes)
         self._buffers, self.signals = flat[:2 * size].reshape(2, size), flat[2 * size:]
         # a token per released buffer, None once closed; blocks, None at the
         # end of each span, or an error
@@ -256,17 +217,17 @@ class _NoiseFeed:
             self._free.put(True)
         self._closed = False
         self._helper = threading.Thread(target=self._draw, name="cqmcorr-noise", daemon=True,
-                                        args=(draw, list(self._spans)))
+                                        args=(plan, n_steps, n_det, list(self._spans)))
         self._helper.start()
 
-    def _draw(self, draw, spans) -> None:
+    def _draw(self, plan: NoisePlan, n_steps: int, n_det: int, spans) -> None:
         # the caller releases blocks in order, so the two buffers alternate
         slots = (self._buffers[i % 2] for i, _ in enumerate(iter(self._free.get, None)))
         try:
             for lo, hi in spans:
                 if self._closed:
                     return
-                for block in draw(lo, hi, slots):
+                for block in _tile_blocks(plan, lo, hi, n_steps, n_det, slots):
                     self._ready.put(block)
                 self._ready.put(None)
         except BaseException as exc:
@@ -289,24 +250,17 @@ class _NoiseFeed:
         self._helper.join()
 
 
-def _batch_feed(plan: NoisePlan, n_steps: int, n_det: int, spans, signals: int = 0) -> _NoiseFeed:
-    """The noise feed of the stepper's batches [lo, hi) of ``spans``: their
-    ``_noise_chunks`` blocks, in two buffers at the widest batch's width."""
-    size, tiles = _noise_buffers(n_steps, n_det, spans)
-    return _NoiseFeed(lambda lo, hi, slots: _noise_chunks(plan, lo, hi, n_steps, n_det, slots,
-                                                          tiles),
-                      size, spans, signals)
-
-
 def _batch_normals(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int) -> np.ndarray:
     """Normals for trajectories lo..hi-1, shape (hi-lo, n_steps, n_det): the
-    blocks of ``_noise_chunks``, drawn on the calling thread and joined, as a
-    transposed view of a C-contiguous (n_steps, n_det, hi-lo) array."""
-    size, tiles = _noise_buffers(n_steps, n_det, [(lo, hi)])
-    slots = np.empty((2, size))
-    blocks = [block.copy() for block in
-              _noise_chunks(plan, lo, hi, n_steps, n_det, itertools.cycle(slots), tiles)]
-    return np.concatenate(blocks).transpose(2, 0, 1)
+    blocks of ``_tile_blocks``, drawn on the calling thread and joined into
+    their tiles' (tiles, n_steps, n_det, NOISE_TILE) draws, cut to the
+    lanes of [lo, hi)."""
+    slot = np.empty(math.prod(_block_shape(lo, hi, n_steps, n_det)))
+    tiles = np.concatenate([block.copy() for block in
+                            _tile_blocks(plan, lo, hi, n_steps, n_det, itertools.repeat(slot))],
+                           axis=1)
+    lanes = np.moveaxis(tiles, 3, 1).reshape(-1, n_steps, n_det)
+    return lanes[lo % NOISE_TILE:lo % NOISE_TILE + hi - lo]
 
 
 def _segment_table(segments, grid: TimeGrid):
@@ -373,22 +327,28 @@ def _pole_signals(r0, linear, n_det: int):
     return nr[:, :1]
 
 
-def _state_update(r0, dt: float, detectors, linear, seg_idx, width: int, traj_lo: int,
-                  states=None):
-    """The state half of the Euler-Maruyama step, on ``width`` columns that
-    start at r0: ``update(k, w)`` applies step k with the (n_det, width)
-    draws w and returns the (n_det, width) n.r of the state before it.
+def _state_update(r0, dt: float, detectors, linear, seg_idx, tiles: int, traj_lo: int,
+                  traj_hi: int, states=None):
+    """The state half of the Euler-Maruyama step, on the lanes of ``tiles``
+    whole noise tiles, all starting at r0, of which lanes
+    traj_lo % NOISE_TILE.. are trajectories traj_lo..traj_hi-1:
+    ``update(k, w)`` applies step k with the (n_det, tiles, NOISE_TILE)
+    draws w and returns the (n_det, tiles, NOISE_TILE) n.r of the state
+    before it.
 
-    The batch state is the C-contiguous (4, width) block of columns (r, 1),
-    and one matmul per step with the step matrix of its segment
-    (``_step_matrices``) applies every affine map of it. The kicks add
-    sqrt(dt/tau_m) w (K (n x r) + n - (n.r) r) to the drifted state in
-    place, and the norm guard checks it. Two such blocks alternate as input
-    and output. ``states``, if given, an (n_steps + 1, 3, width) array,
-    gets the state at every step's end."""
-    n_det = len(detectors)
+    The state is the C-contiguous (4, width) block of columns (r, 1), width
+    tiles x NOISE_TILE, and one matmul per step with the step matrix of its
+    segment (``_step_matrices``) applies every affine map of it. The kicks
+    add sqrt(dt/tau_m) w (K (n x r) + n - (n.r) r) to the drifted state in
+    place, and the norm guard checks trajectories traj_lo..traj_hi-1: the
+    other lanes, stepped only because tiles are drawn whole, belong to
+    other batches or to no run, and are never read. Two such blocks
+    alternate as input and output. ``states``, if given, an
+    (n_steps + 1, 3, width) array, gets the state at every step's end."""
+    n_det, width = len(detectors), tiles * NOISE_TILE
+    own = slice(traj_lo % NOISE_TILE, traj_lo % NOISE_TILE + traj_hi - traj_lo)
     max_norm2 = (1.0 + NORM_OVERSHOOT_TOL) ** 2
-    kick = np.array([[math.sqrt(dt / det.tau_m)] for det in detectors])
+    kick = np.array([[[math.sqrt(dt / det.tau_m)]] for det in detectors])
     blocks = np.empty((2, 4 + 4 * n_det, width))
     blocks[0, :3] = r0[:, None]
     blocks[0, 3] = 1.0
@@ -396,21 +356,25 @@ def _state_update(r0, dt: float, detectors, linear, seg_idx, width: int, traj_lo
         states[0] = blocks[0, :3]
     quad = np.empty((3, width))
     gain = np.empty((n_det, width))
-    norm2 = np.empty(width)
+    norm2 = np.empty(traj_hi - traj_lo)
+    tiled = (n_det, tiles, NOISE_TILE)
+    # each block's batch columns and its n.r rows as tiles, made once
+    views = [(block[:3, own], block[4:4 + n_det].reshape(tiled)) for block in blocks]
 
     def update(k: int, w):
         cur, nxt = blocks[k % 2], blocks[(k + 1) % 2]
         r, r_new = cur[:3], nxt[:3]
+        r_own, nr_tiles = views[(k + 1) % 2]
         np.matmul(linear[seg_idx[k]], cur[:4], out=nxt)
         nr = nxt[4:4 + n_det]
-        np.multiply(kick, w, out=gain)
+        np.multiply(kick, w, out=gain.reshape(tiled))
         for ell in range(n_det):
             term = nxt[4 + n_det + 3 * ell:7 + n_det + 3 * ell]
             np.multiply(nr[ell], r, out=quad)
             term -= quad
             term *= gain[ell]
             r_new += term
-        np.einsum("ib,ib->b", r_new, r_new, out=norm2)
+        np.einsum("ib,ib->b", r_own, r_own, out=norm2)
         if norm2.max() > max_norm2:
             worst = int(np.argmax(norm2))
             raise DiagnosticError(
@@ -419,7 +383,7 @@ def _state_update(r0, dt: float, detectors, linear, seg_idx, width: int, traj_lo
                 f"by more than {NORM_OVERSHOOT_TOL}; reduce dt")
         if states is not None:
             states[k + 1] = r_new
-        return nr
+        return nr_tiles
 
     return update
 
@@ -427,50 +391,60 @@ def _state_update(r0, dt: float, detectors, linear, seg_idx, width: int, traj_lo
 def _simulate_batch(r0, grid: TimeGrid, detectors, linear, seg_idx, noise: _NoiseFeed,
                     record_states: bool, traj_lo: int, traj_hi: int, decimate: int = 1):
     """Euler-Maruyama on trajectories traj_lo..traj_hi-1, the next batch of
-    the feed ``noise`` (``_batch_feed``), for its blocks, each used as it
-    arrives while the feed's helper draws ahead; the caller closes the feed.
-    ``linear`` holds the segments' step matrices (``_step_matrices``).
-    Returns step-major (signals (n_steps // decimate, n_det, B) normalized,
-    states (n_steps+1, 3, B) or None). The signals are a view of
-    ``noise.signals``, which holds at least n_steps // decimate * n_det *
-    max(B, 2) values, so the feed's batches reuse one buffer.
+    the feed ``noise``, for its blocks, each used as it arrives while the
+    feed's helper draws ahead; the caller closes the feed. ``linear`` holds
+    the segments' step matrices (``_step_matrices``). Returns step-major
+    (signals (n_steps // decimate, n_det, B) normalized, states
+    (n_steps+1, 3, B) or None). The signals are a view of
+    ``noise.signals``, so the feed's batches reuse one buffer.
+
+    Every whole tile that the batch meets is stepped, so the draws are read
+    in place: step j of a (tiles, m, n_det, NOISE_TILE) block is its
+    (n_det, tiles, NOISE_TILE) view ``block[:, j].transpose(1, 0, 2)``, and
+    trajectory i sits at column i - traj_lo + traj_lo % NOISE_TILE of the
+    batch's tiles x NOISE_TILE columns. A batch is thus at least NOISE_TILE
+    columns wide, and its matmul runs on gemm, whose bits do not depend on
+    the width, where numpy sends a one-column matmul to gemv. Only the
+    batch's own columns are guarded (``_state_update``) and returned; the
+    others may overflow unseen.
 
     One loop runs over the steps. Step k's signals are n.r + sqrt(tau_m/dt) w,
     r the state before the step, whose n.r ``_state_update`` returns as it
     steps the batch. Step k writes its signals into row k // D of the
-    (n_steps // D, n_det, B) array, for ``decimate`` D, if it is the first
-    step of its group of D, and adds them into the row if not; for D > 1 the
-    array is divided by D after the last step. A sample is its D fine
-    samples summed in step order, divided by D, and with D = 1 the signals
-    are the fine samples themselves.
+    (n_steps // D, n_det, tiles, NOISE_TILE) array, for ``decimate`` D, if
+    it is the first step of its group of D, and adds them into the row if
+    not; for D > 1 the array is divided by D after the last step. A sample
+    is its D fine samples summed in step order, divided by D, and with
+    D = 1 the signals are the fine samples themselves.
     """
-    n_steps, n_det, batch = grid.n_steps, len(detectors), traj_hi - traj_lo
-    # numpy sends a one-column matmul to gemv, which rounds differently from
-    # gemm; stepping a lone trajectory as two equal columns keeps it on gemm,
-    # so its bits match the same trajectory inside any larger batch. Its
-    # (n_det, 1) draws broadcast over both columns.
-    width = max(batch, 2)
-    scale = _noise_scale(grid, detectors)
-    states = np.empty((n_steps + 1, 3, width)) if record_states else None
-    update = _state_update(r0, grid.dt, detectors, linear, seg_idx, width, traj_lo, states)
-    shape = (n_steps // decimate, n_det, width)
+    n_steps, n_det = grid.n_steps, len(detectors)
+    tiles = len(_tiles(traj_lo, traj_hi))
+    own = slice(traj_lo % NOISE_TILE, traj_lo % NOISE_TILE + traj_hi - traj_lo)
+    scale = _noise_scale(grid, detectors)[:, :, None]
+    states = np.empty((n_steps + 1, 3, tiles * NOISE_TILE)) if record_states else None
+    update = _state_update(r0, grid.dt, detectors, linear, seg_idx, tiles, traj_lo, traj_hi,
+                           states)
+    shape = (n_steps // decimate, n_det, tiles, NOISE_TILE)
     signals = noise.signals[:math.prod(shape)].reshape(shape)
-    sig = np.empty((n_det, width)) if decimate > 1 else None
+    sig = np.empty(shape[1:]) if decimate > 1 else None
+    steps = (block[:, j].transpose(1, 0, 2)
+             for block in noise.blocks(traj_lo, traj_hi) for j in range(block.shape[1]))
 
-    for k, w in enumerate(itertools.chain.from_iterable(noise.blocks(traj_lo, traj_hi))):
-        nr = update(k, w)
-        row = signals[k // decimate]
-        if k % decimate:
-            np.multiply(scale, w, out=sig)
-            sig += nr
-            row += sig
-        else:
-            np.multiply(scale, w, out=row)
-            row += nr
-    if decimate > 1:
-        signals /= decimate
-    return (signals[:, :, :batch],
-            states[:, :, :batch] if record_states else None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, w in enumerate(steps):
+            nr = update(k, w)
+            row = signals[k // decimate]
+            if k % decimate:
+                np.multiply(scale, w, out=sig)
+                sig += nr
+                row += sig
+            else:
+                np.multiply(scale, w, out=row)
+                row += nr
+        if decimate > 1:
+            signals /= decimate
+    return (signals.reshape(len(signals), n_det, -1)[:, :, own],
+            states[:, :, own] if record_states else None)
 
 
 def _noise_scale(grid: TimeGrid, detectors) -> np.ndarray:
@@ -480,7 +454,7 @@ def _noise_scale(grid: TimeGrid, detectors) -> np.ndarray:
 
 
 def _pole_rows(records, block, k: int, scale, nr, decimate: int) -> None:
-    """Fold the tile-major ``block`` of ``_slice_tiles``, the draws w of
+    """Fold the tile-major ``block`` of ``_tile_blocks``, the draws w of
     fine steps k.., into the step-major (n_samples, n_det, n) ``records`` of
     a stationary slice, whose trajectories sit at r0 with n.r0 the column
     ``nr``. Each fine sample is scale w + n.r0, the stepper's signal in the
@@ -520,10 +494,10 @@ def _run_poles(n_traj: int, plan: NoisePlan, grid: TimeGrid, detectors, nr, deci
     sqrt(tau_m/dt) w, ``nr`` the n.r0 column of ``_pole_signals``: no batch,
     no pool and no batch of signals, only record slices of RECORD_SLICE
     trajectories, cut at its multiples. One noise feed (``_NoiseFeed``)
-    draws each slice's tiles (``_slice_tiles``) on its helper, so slice
+    draws each slice's tiles (``_tile_blocks``) on its helper, so slice
     i + 1 is drawn while slice i is built and handed over. The calling
     thread builds a slice's step-major (n_samples, n_det, n) records in
-    place (``_pole_rows``) in the feed's ``signals``, one slice wide,
+    place (``_pole_rows``) in the feed's ``signals``, at least one slice wide,
     divides them by D, maps them to raw units and hands over their
     (n, n_det, n_samples) transposed view."""
     n_steps, n_det = grid.n_steps, len(detectors)
@@ -532,11 +506,7 @@ def _run_poles(n_traj: int, plan: NoisePlan, grid: TimeGrid, detectors, nr, deci
     responses = np.array([[det.response] for det in detectors])
     offsets = np.array([[det.offset] for det in detectors])
     spans = [(lo, min(lo + RECORD_SLICE, n_traj)) for lo in range(0, n_traj, RECORD_SLICE)]
-    width = spans[0][1]
-    size = -(-width // NOISE_TILE) * _slice_steps(n_steps, n_det) * n_det * NOISE_TILE
-    feed = _NoiseFeed(lambda lo, hi, slots: _slice_tiles(plan, lo, hi, n_steps, n_det, slots),
-                      size, spans, signals=n_samples * n_det * width)
-    with contextlib.closing(feed) as noise:
+    with contextlib.closing(_NoiseFeed(plan, n_steps, n_det, spans, n_samples)) as noise:
         for lo, hi in spans:
             records = noise.signals[:n_samples * n_det * (hi - lo)].reshape(
                 n_samples, n_det, hi - lo)
@@ -565,10 +535,9 @@ def simulate_states(initial_state, grid: TimeGrid, detectors, segments, plan: No
     if not 0 <= traj_lo < traj_hi:
         raise ConfigError(f"need 0 <= traj_lo < traj_hi, got {traj_lo!r}, {traj_hi!r}")
     r0, detectors, linear, seg_idx = _prepare(initial_state, grid, detectors, segments)
-    n_signals = grid.n_steps * len(detectors) * max(traj_hi - traj_lo, 2)
     # closed now, not when a traceback is freed
-    with contextlib.closing(_batch_feed(plan, grid.n_steps, len(detectors),
-                                        [(traj_lo, traj_hi)], signals=n_signals)) as noise:
+    with contextlib.closing(_NoiseFeed(plan, grid.n_steps, len(detectors),
+                                       [(traj_lo, traj_hi)], grid.n_steps)) as noise:
         signals, states = _simulate_batch(r0, grid, detectors, linear, seg_idx, noise,
                                           record_states=True, traj_lo=traj_lo, traj_hi=traj_hi)
     return (np.ascontiguousarray(states.transpose(2, 0, 1)),
@@ -692,10 +661,12 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
 
     Any other start is stepped in batches of ``batch_size``, and its slices
     are cut at multiples of RECORD_SLICE and at batch ends. The calling
-    thread makes W = min(``threads``, batches) noise feeds (``_batch_feed``),
+    thread makes W = min(``threads``, batches) noise feeds (``_NoiseFeed``),
     and batch i steps into the signals buffer of feed i % W, whose helper
-    draws the feed's batches ahead. At W = 1 the batches step on the calling
-    thread. At W > 1 a pool of W workers steps them, and batch i + W is
+    draws the feed's batches ahead as whole tiles; the stepper reads them
+    in place, steps every lane of the tiles a batch meets and keeps only
+    the batch's own (``_simulate_batch``). At W = 1 the batches step on the
+    calling thread. At W > 1 a pool of W workers steps them, and batch i + W is
     submitted once batch i is handed over, when its feed is free: at most W
     batches are in flight, beside W helpers. The calling thread maps a
     batch's step-major signals to raw units, one slice at a time and row by
@@ -715,7 +686,6 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
         return
     offsets = np.array([det.offset for det in detectors])
     responses = np.array([det.response for det in detectors])
-    n_signals = n_samples * n_det * max(min(batch_size, n_traj), 2)
 
     def run_batch(i: int):
         lo, hi = spans[i]
@@ -754,8 +724,8 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     workers = min(threads, len(spans))
     # the pool is closed, its batches done, before the feeds it steps from
     with contextlib.ExitStack() as stack:
-        feeds = [stack.enter_context(contextlib.closing(_batch_feed(
-            plan, grid.n_steps, n_det, spans[w::workers], signals=n_signals)))
+        feeds = [stack.enter_context(contextlib.closing(_NoiseFeed(
+            plan, grid.n_steps, n_det, spans[w::workers], n_samples)))
             for w in range(workers)]
         if workers == 1:
             submit = _inline

@@ -432,6 +432,28 @@ class TestFitPhaseCommand:
         assert "non-finite value in row" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("err_dk", [1.0, 0.0], ids=["weighted", "unweighted"])
+    def test_huge_dk_ends_without_a_traceback(self, tmp_path, err_dk):
+        """dK = 1e200 puts tan(phi_a) near 1e200, whose square overflows: the
+        delta-method width is taken as sigma_tan cos^2(phi_a) instead, so a
+        weighted fit reports a finite interval, and an unweighted one, whose
+        residuals overflow, ends with exit 3 on its non-finite report."""
+        path = write_config(tmp_path, base_config())
+        csv_path = tmp_path / "dk.csv"
+        csv_path.write_text("\n".join(
+            [CSV_HEADER] + [f"{tau},0,0,0,0,1e200,{err_dk}" for tau in (0.2, 0.4, 0.6, 0.8)])
+            + "\n")
+        out = tmp_path / "fit.json"
+        code = main(["fit-phase", "--config", path, "--dk", str(csv_path), "--out", str(out)])
+        if err_dk:
+            assert code == 0
+            report = json.loads(out.read_text())
+            assert report["phi_a_deg"] == pytest.approx(90.0)
+            assert all(math.isfinite(v) for v in report["ci_deg"])
+        else:
+            assert code == 3
+            assert not out.exists()
+
     @pytest.mark.parametrize("errors, bad_row", [
         ({}, None), ({"all": 0.01}, None), ({"all": 0.01, 3: 0.0}, 3),
         ({"all": 0.01, 7: -0.02}, 7), ({"all": -0.01}, 1), ({4: -0.02}, 4),

@@ -32,7 +32,7 @@ from cqmcorr import (
 )
 from cqmcorr import calibration, trajectory
 from cqmcorr.calibration import MOMENT_UNIT
-from cqmcorr.trajectory import NOISE_TILE, RECORD_SLICE, _batch_feed, _batch_normals
+from cqmcorr.trajectory import NOISE_TILE, RECORD_SLICE, _NoiseFeed, _batch_normals
 from conftest import fed_whole, gather
 
 GAMMA = 1.0 / 1.8
@@ -159,7 +159,8 @@ def _sha256(*arrays):
 
 class TestNoiseChunks:
     """Each batch's noise streams through the stepper in blocks of at most
-    ``trajectory.NOISE_CHUNK`` steps; the block length shapes no bit."""
+    ``trajectory.NOISE_CHUNK`` x ``DEFAULT_BATCH_SIZE`` values; the block
+    length shapes no bit."""
 
     N_STEPS = 40
     DETECTORS = (DetectorModel(axis=(0, 0, 1), tau_m=1.2, k_phase=0.9),
@@ -195,23 +196,20 @@ class TestNoiseChunks:
 
     @pytest.mark.parametrize("lo, hi", [(0, 1), (3, 70), (64, 200), (250, 1100)])
     def test_blocks_are_c_contiguous_and_step_ordered(self, lo, hi):
-        chunk = trajectory.NOISE_CHUNK
-        with contextlib.closing(_batch_feed(NoisePlan(5), 70, 2, [(lo, hi)])) as feed:
+        """The feed yields the whole tiles that [lo, hi) meets, tile-major
+        (tiles, m, n_det, 256), in blocks of the most steps that hold at
+        most NOISE_CHUNK x DEFAULT_BATCH_SIZE values: 64 for the five tiles
+        of (250, 1100) at two detectors, the whole record for one tile."""
+        tiles = range(lo // NOISE_TILE, (hi - 1) // NOISE_TILE + 1)
+        steps = min(70, trajectory.NOISE_CHUNK * trajectory.DEFAULT_BATCH_SIZE
+                    // (len(tiles) * 2 * NOISE_TILE))
+        with contextlib.closing(_NoiseFeed(NoisePlan(5), 70, 2, [(lo, hi)], 0)) as feed:
             blocks = [b.copy() for b in feed.blocks(lo, hi)]
-        assert [len(b) for b in blocks] == [min(chunk, 70 - s) for s in range(0, 70, chunk)]
-        assert all(b.flags.c_contiguous and b.shape[1:] == (2, hi - lo) for b in blocks)
-        want = np.stack([stream_v3_oracle(5, j, 70, 2) for j in range(lo, hi)], axis=2)
-        np.testing.assert_array_equal(np.concatenate(blocks), want)
-
-    @pytest.mark.parametrize("tiles", [1, 2, 5])
-    def test_tiles_per_copy_shapes_no_bit(self, monkeypatch, tiles):
-        want = self.outputs()
-        monkeypatch.setattr(trajectory, "TILES_PER_COPY", tiles)
-        assert self.outputs() == want
-        # six tiles, cut at both ends
-        got = _batch_normals(NoisePlan(5), 3, 1290, 30, 2)
-        np.testing.assert_array_equal(
-            got, np.stack([stream_v3_oracle(5, j, 30, 2) for j in range(3, 1290)]))
+        assert [b.shape[1] for b in blocks] == [min(steps, 70 - s) for s in range(0, 70, steps)]
+        assert all(b.flags.c_contiguous and b.shape[0] == len(tiles)
+                   and b.shape[2:] == (2, NOISE_TILE) for b in blocks)
+        want = np.stack([stream_v3_tile(5, tile, 70, 2) for tile in tiles])
+        np.testing.assert_array_equal(np.concatenate(blocks, axis=1), want)
 
 
 class TestNoiseHelper:
@@ -266,7 +264,9 @@ class TestNoiseHelper:
         assert caught.traceback
 
     def test_failed_draw_on_the_helper_reaches_the_caller(self, monkeypatch):
-        assert 2 * trajectory.NOISE_CHUNK < 70  # the second block is drawn ahead
+        # one-tile blocks of 8192 // 256 = 32 steps: the second block of the
+        # 70 is drawn ahead
+        monkeypatch.setattr(trajectory, "NOISE_CHUNK", 1)
         tile_generator, drawers = trajectory._tile_generator, []
 
         class FailsOnce:
@@ -585,6 +585,20 @@ class TestTrajectory:
         with pytest.raises(DiagnosticError, match=message):
             simulate_states([0, 0, 1], grid, [det], drive_segments(), plan, lo, hi)
 
+    @pytest.mark.parametrize("lo, hi", [(0, 256), (110, 113), (0, 1)])
+    def test_guard_checks_only_the_batch(self, lo, hi):
+        """Trajectory 112 is the first to overshoot in tile 0. A batch is
+        stepped on the whole tiles it meets, and only its own trajectories
+        trip the guard: a batch of trajectory 0 alone passes."""
+        args = ([0, 0, 1], TimeGrid(0.008, 300), [reference_detector(70.0)], drive_segments(),
+                NoisePlan(2), lo, hi)
+        if lo <= 112 < hi:
+            with pytest.raises(DiagnosticError, match="^trajectory 112 norm"):
+                simulate_states(*args)
+        else:
+            states, _ = simulate_states(*args)
+            assert states.shape == (1, 301, 3)
+
 
 class TestRunEnsemble:
     def small_args(self, **over):
@@ -653,8 +667,9 @@ class TestRunEnsemble:
 
     def test_batch_memory_stays_near_its_noise(self):
         """A batch handed to a consumer that keeps nothing holds no raw-word
-        array and no full-size signal copy: its peak (1.3 MB traced) stays
-        below 1.5 times the noise of the whole batch (5 MB)."""
+        array and no full-size signal copy: its peak (3.6 MB traced, mostly
+        two 1.3 MB noise blocks of 160 steps of 4 tiles) stays below 1.5
+        times the noise of the whole batch (5 MB)."""
         noise_bytes = 1024 * 610 * 8
         tracemalloc.start()
         try:
@@ -667,10 +682,10 @@ class TestRunEnsemble:
 
     def test_full_batch_peak_memory(self):
         """One full 8192 x 610 batch, decimated by 10 and handed to a
-        consumer that keeps nothing, peaks at 8.3 MB traced: 4 MB of
+        consumer that keeps nothing, peaks at 8.2 MB traced: 4 MB of
         step-major signals, two 1.3 MB noise blocks, one stepped while the
-        other is drawn, a 0.16 MB tile buffer, the stepper's two 0.5 MB
-        state blocks and one 0.5 MB slice of records. Its whole noise,
+        other is drawn, the stepper's two 0.5 MB state blocks and one
+        0.5 MB slice of records. Its whole noise,
         40 MB, is never held at once."""
         tracemalloc.start()
         try:
@@ -741,7 +756,7 @@ class TestRunEnsemble:
     def test_signals_share_the_noise_allocation(self, monkeypatch, threads):
         """Every batch steps into its feed's signals buffer, which lies in
         the allocation of the feed's two noise blocks and makes it the
-        run's largest (``_noise_buffers``); batch i steps from feed
+        run's largest (``_NoiseFeed``); batch i steps from feed
         i % threads."""
         calls, simulate = [], trajectory._simulate_batch
 
@@ -1099,7 +1114,8 @@ class TestRecordSlices:
         (2.62 MB) and the stepper's two (8, 8192) state blocks (1.05 MB),
         plus 10%: 8.90 MB. Traced peak: 12.14 MB when each batch also kept a
         records buffer as large as its signals; 8.20 MB with slices, whose
-        buffer is allocated once the noise blocks are freed. The start sits
+        buffer is allocated once the noise blocks are freed; 8.04 MB since
+        the stepper reads the noise blocks in place. The start sits
         1e-9 below the pole, so the batch is stepped; the pole itself streams
         slices (``TestStationaryStart.test_memory_stays_within_a_slice``)."""
         det = reference_detector(0.0, response=1.005, offset=-0.4)
