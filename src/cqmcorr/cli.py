@@ -516,7 +516,7 @@ def cmd_correlate(args) -> int:
     threads, seed = args.threads, config.ensemble.seed
     r0 = np.asarray(config.initial_state, dtype=np.float64)
 
-    # curve(r, seed): (lags, values, errors) of the state r prepared at t = 0
+    # the preparations r0 and -r0, the latter on noise seed + 1
     if corr.mode == "mc":
         def curve(r, seed):
             records = _run(config, detectors, segments, grid, seed, threads, r)
@@ -525,22 +525,21 @@ def cmd_correlate(args) -> int:
                                          detector_index=corr.detector_index,
                                          max_lag=corr.max_lag_us)
             return result.lags, result.values, result.errors
+
+        lags, kp, ep = curve(r0, seed)
+        _, km, em = curve(-r0, seed + 1)
     else:
         lags = _lag_grid(config, grid)
-
-        def curve(r, seed):
-            if corr.mode == "gcr":
-                values = correlator_time_averaged(lags, det, segments, r, corr.t_skip_us,
-                                                  corr.t_avg_us).values
-            else:
-                values = k_analytic_averaged(RabiCaseParams(
-                    gamma=config.evolution.gamma, omega_r=config.evolution.omega_r,
-                    k_phase=det.k_phase, x0=float(r[0]), t_skip=corr.t_skip_us,
-                    t_avg=corr.t_avg_us), lags)
-            return lags, values, np.zeros_like(lags)
-
-    lags, kp, ep = curve(r0, seed)
-    _, km, em = curve(-r0, seed + 1)
+        ep = em = np.zeros_like(lags)
+        if corr.mode == "gcr":
+            # both curves from one set of propagator stacks
+            kp, km = correlator_time_averaged(lags, det, segments, np.stack((r0, -r0)),
+                                              corr.t_skip_us, corr.t_avg_us).values
+        else:
+            kp, km = (k_analytic_averaged(RabiCaseParams(
+                gamma=config.evolution.gamma, omega_r=config.evolution.omega_r,
+                k_phase=det.k_phase, x0=float(r[0]), t_skip=corr.t_skip_us,
+                t_avg=corr.t_avg_us), lags) for r in (r0, -r0))
     _write_csv(args.out, config, lags, kp, ep, km, em)
     return 0
 

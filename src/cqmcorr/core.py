@@ -38,20 +38,27 @@ class DiagnosticError(RuntimeError):
     closed-form regime, degenerate fit design."""
 
 
-def as_bloch(r) -> np.ndarray:
-    """Coerce to a finite float64 3-vector (always a fresh copy)."""
+def _bloch(r) -> tuple[np.ndarray, list]:
+    """A finite float64 3-vector copied from ``r``, and its components as
+    Python floats, which the checks read without further numpy calls."""
     arr = np.array(r, dtype=np.float64)
     if arr.shape != (3,):
         raise ConfigError(f"Bloch vector must have shape (3,), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    components = arr.tolist()
+    if not all(map(math.isfinite, components)):
         raise ConfigError(f"Bloch vector has non-finite components: {arr}")
-    return arr
+    return arr, components
+
+
+def as_bloch(r) -> np.ndarray:
+    """Coerce to a finite float64 3-vector (always a fresh copy)."""
+    return _bloch(r)[0]
 
 
 def require_physical(r, tol: float = PHYSICAL_NORM_TOL) -> np.ndarray:
     """Coerce to a Bloch vector and enforce |r| <= 1 + tol."""
-    arr = as_bloch(r)
-    norm = math.hypot(*arr)
+    arr, components = _bloch(r)
+    norm = math.hypot(*components)
     if norm > 1.0 + tol:
         raise ConfigError(f"state norm {norm:.12g} exceeds 1 + {tol:g}")
     return arr

@@ -19,6 +19,8 @@ build on these maps.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import ConfigError, EnsembleGenerator, _cross_matrix, as_bloch, check_segments
@@ -72,6 +74,11 @@ PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
            960960.0, 16380.0, 182.0, 1.0)
 
+_EYE3 = np.eye(3)
+_EYE3.setflags(write=False)
+_EYE4 = np.eye(4)
+_EYE4.setflags(write=False)
+
 
 def _expm(gens: np.ndarray) -> np.ndarray:
     """e^A for each A of the (n, 3, 3) stack ``gens``, by Pade-13 scaling and
@@ -88,7 +95,7 @@ def _expm(gens: np.ndarray) -> np.ndarray:
     s = np.maximum(exp - (mant == 0.5), 0)  # ceil(log2(norm / THETA_13)), at least 0
     a = np.ldexp(gens, -s[:, None, None])
     b = PADE_13
-    eye = np.eye(3)
+    eye = _EYE3
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -117,6 +124,30 @@ def _segment_steps(segment: EnsembleGenerator, durations: np.ndarray) -> np.ndar
     return steps
 
 
+def _step_pair(segment: EnsembleGenerator, duration: float) -> np.ndarray:
+    """``_segment_steps`` of one duration, then that step times the identity,
+    which is how ``propagators`` takes a first step (the two agree in the
+    signs of zeros too), as a read-only (2, 4, 4) stack. The same ops as
+    ``_segment_steps`` on a stack of one, bit for bit, built in place."""
+    e = _expm((segment.matrix * duration)[None])[0]
+    steps = np.zeros((2, 4, 4))
+    step = steps[0]
+    step[:3, :3] = e
+    step[:3, 3] = segment.r_st - e.dot(segment.r_st)
+    step[3, 3] = 1.0
+    np.matmul(step, _EYE4, out=steps[1])
+    steps.setflags(write=False)
+    return steps
+
+
+def _require_finite(**times) -> None:
+    """Raise naming the first argument that holds a NaN or an infinity."""
+    for name, t in times.items():
+        finite = np.isfinite(t)
+        if not np.all(finite):
+            raise ConfigError(f"{name} must be finite, got {np.asarray(t)[~finite][0]}")
+
+
 def propagator(t_from: float, t_to: float, segments, cache: dict | None = None) -> np.ndarray:
     """Affine propagator over [t_from, t_to] for a piecewise-constant generator,
     as the augmented 4x4 matrix [[P, s], [0, 1]] that maps (r, 1) to
@@ -128,8 +159,10 @@ def propagator(t_from: float, t_to: float, segments, cache: dict | None = None) 
     duration once. The cache holds each step read-only, beside its product
     with the identity, which an interval inside one segment returns: the
     result may be a read-only view of the cache. An interval across segments
-    chains the steps onto that of its first segment.
+    chains the steps onto that of its first segment. Non-finite times raise.
     """
+    if not (math.isfinite(t_from) and math.isfinite(t_to)):
+        _require_finite(t_from=t_from, t_to=t_to)
     if t_to < t_from:
         raise ConfigError(f"t_to {t_to} precedes t_from {t_from}")
     if t_to == t_from:
@@ -147,12 +180,7 @@ def propagator(t_from: float, t_to: float, segments, cache: dict | None = None) 
         key = (index, hi - lo)
         steps = cache.get(key)
         if steps is None:
-            step = _segment_steps(seg, np.array([hi - lo]))
-            # the step, then the step times the identity, which is how
-            # ``propagators`` takes a first step: the two agree in the signs
-            # of zeros too
-            steps = cache[key] = np.concatenate((step, step @ np.eye(4)))
-            steps.setflags(write=False)
+            steps = cache[key] = _step_pair(seg, hi - lo)
         prop = steps[1] if prop is None else steps[0] @ prop
     return prop
 
@@ -169,17 +197,19 @@ def propagators(t_from, t_to, segments) -> np.ndarray:
     once, on the hull [min t_from, max t_to] of the nonempty intervals: a
     segment gap inside the hull raises even if no interval meets it. The
     time average's intervals cover their hull without holes, so there it
-    equals checking each interval.
+    equals checking each interval. Non-finite times raise, as in
+    ``propagator``.
     """
     t_from = np.asarray(t_from, dtype=np.float64)
     t_to = np.asarray(t_to, dtype=np.float64)
     if t_from.ndim != 1 or t_from.shape != t_to.shape:
         raise ConfigError("t_from and t_to must be 1-D arrays of equal length")
+    _require_finite(t_from=t_from, t_to=t_to)
     backward = t_to < t_from
     if np.any(backward):
         i = int(np.argmax(backward))
         raise ConfigError(f"t_to {t_to[i]} precedes t_from {t_from[i]}")
-    props = np.broadcast_to(np.eye(4), (t_from.size, 4, 4)).copy()
+    props = np.broadcast_to(_EYE4, (t_from.size, 4, 4)).copy()
     moving = t_to > t_from
     if not np.any(moving):
         return props

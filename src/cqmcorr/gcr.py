@@ -24,6 +24,9 @@ stepper applies too.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
+import operator
 
 import numpy as np
 
@@ -44,6 +47,17 @@ GAUSS_LEGENDRE_NODES = 64
 
 # most (lag, start) pairs the time average stacks in one propagators call
 MAX_STACKED_PAIRS = 1024
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The time average's rule on [-1, 1], read-only: computed on the first
+    call only, so a command that never averages pays neither its time nor
+    the memory of the eigenvalue solve behind it."""
+    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_NODES)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def collapsed_state(r_pre, axis, k_phase: float, outcome: int) -> np.ndarray:
@@ -70,23 +84,26 @@ def outcome_probability(r, axis, outcome: int) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class CorrelatorSpec:
-    """N measurement times (strictly increasing), the detector index acting at
-    each, and the state prepared at t = 0."""
+    """N measurement times (finite, strictly increasing), the detector index
+    acting at each, and the state prepared at t = 0, held as a read-only
+    float64 copy. The checks run on Python floats and ints."""
 
     times: tuple
     detector_indices: tuple
     initial_state: np.ndarray
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
+        times = tuple(map(float, self.times))
         object.__setattr__(self, "times", times)
         if not times:
             raise ConfigError("correlator needs at least one measurement time")
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        if not all(map(math.isfinite, times)):
+            raise ConfigError(f"measurement times must be finite: {times}")
+        if not all(map(operator.lt, times, times[1:])):
             raise ConfigError(f"measurement times must increase strictly: {times}")
         if times[0] < 0:
             raise ConfigError(f"first measurement time {times[0]} precedes the preparation at t = 0")
-        indices = tuple(int(i) for i in self.detector_indices)
+        indices = tuple(map(int, self.detector_indices))
         object.__setattr__(self, "detector_indices", indices)
         if len(indices) != len(times):
             raise ConfigError("need one detector index per measurement time")
@@ -96,10 +113,11 @@ class CorrelatorSpec:
 
 
 def _resolve_detectors(spec: CorrelatorSpec, detectors) -> list[DetectorModel]:
-    detectors = list(detectors)
+    detectors = tuple(detectors)
+    n = len(detectors)
     for idx in spec.detector_indices:
-        if not 0 <= idx < len(detectors):
-            raise ConfigError(f"detector index {idx} out of range for {len(detectors)} detectors")
+        if not 0 <= idx < n:
+            raise ConfigError(f"detector index {idx} out of range for {n} detectors")
     return [detectors[idx] for idx in spec.detector_indices]
 
 
@@ -144,7 +162,9 @@ def correlator_recursive(spec: CorrelatorSpec, detectors, segments,
     as the 4-vector v = (Kvec, K) from (r0, 1): each hop applies the
     augmented propagator A_j and each measurement the collapse matrix M_j,
     v_j = M_j A_j v_{j-1}, M_j the detector's ``collapse``. Exactly equal to
-    the enumeration because every step of the recipe is affine in the state."""
+    the enumeration because every step of the recipe is affine in the state.
+    ``ndarray.dot`` makes the same BLAS matrix-vector call as ``@`` with
+    less overhead per call."""
     dets = _resolve_detectors(spec, detectors)
     if cache is None:
         cache = {}
@@ -153,9 +173,9 @@ def correlator_recursive(spec: CorrelatorSpec, detectors, segments,
     v[3] = 1.0
     t_prev = 0.0
     for t, det in zip(spec.times, dets):
-        v = det.collapse @ (propagator(t_prev, t, segments, cache) @ v)
+        v = det.collapse.dot(propagator(t_prev, t, segments, cache).dot(v))
         t_prev = t
-    return float(v[3])
+    return v.item(3)
 
 
 def correlator_time_averaged(lags, detector: DetectorModel, segments, initial_state,
@@ -182,60 +202,76 @@ def correlator_time_averaged(lags, detector: DetectorModel, segments, initial_st
     MAX_STACKED_PAIRS (lag, start) pairs. Each matrix acts on (4, 1) columns
     and the starts are summed per lag in node order, so the values equal a
     loop of scalar ``propagator`` calls bit for bit.
+
+    ``initial_state`` may also be a (k, 3) stack of states. Then ``values``
+    has one row per state, each equal bit for bit to that state's own call,
+    and every propagator stack is built once and applied to each state's
+    columns in turn.
     """
     lags = np.asarray(lags, dtype=np.float64)
     if lags.ndim != 1 or lags.size == 0:
         raise ConfigError("lags must be a non-empty 1-D array")
+    if not np.all(np.isfinite(lags)):
+        raise ConfigError("lags must be finite")
     if np.any(lags < 0):
         raise ConfigError("lags must be >= 0")
+    if not math.isfinite(t_avg):
+        raise ConfigError(f"t_avg must be finite, got {t_avg!r}")
     if not t_avg > 0:
         raise ConfigError(f"t_avg must be positive, got {t_avg!r}")
+    if not math.isfinite(t_skip):
+        raise ConfigError(f"t_skip must be finite, got {t_skip!r}")
     if t_skip < 0:
         raise ConfigError(f"t_skip {t_skip} precedes the preparation at t = 0")
-    r0 = require_physical(initial_state)
+    stacked = np.ndim(initial_state) == 2
+    r0s = [require_physical(r) for r in (initial_state if stacked else (initial_state,))]
 
-    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_LEGENDRE_NODES)
+    nodes, weights = _gauss_legendre()
     t1_nodes = t_skip + 0.5 * t_avg * (nodes + 1.0)
     avg_weights = 0.5 * weights  # sum to 1: quadrature of the mean
 
     segments = list(segments)
     t_max = t_skip + t_avg + float(lags.max())
     collapse = detector.collapse
-    v0 = np.append(r0, 1.0)
-
-    # states (r, 1) at the quadrature nodes, as (64, 4, 1) columns
-    v_nodes = np.matmul(propagators(np.zeros_like(t1_nodes), t1_nodes, segments), v0[:, None])
+    to_nodes = propagators(np.zeros_like(t1_nodes), t1_nodes, segments)
 
     homogeneous = any(
         seg.t_start <= t_skip and seg.t_end >= t_max for seg in segments)
-
     if homogeneous:
-        # one start at t_skip from the averaged state; average the states, not
-        # the 4-vectors: the weights sum to 1 only to rounding, and lag 0 must
-        # stay exactly 1
-        r_mean = np.zeros(3)
-        for w, v in zip(avg_weights, v_nodes):
-            r_mean += w * v[:3, 0]
-        start_weights = np.ones(1)
-        start_times = np.array([t_skip])
-        firsts = np.matmul(collapse, np.append(r_mean, 1.0)[:, None])[None]
+        start_weights, start_times = np.ones(1), np.array([t_skip])
     else:
         start_weights, start_times = avg_weights, t1_nodes
-        firsts = np.matmul(collapse, v_nodes)
+
+    # per state, the collapsed (4, 1) columns at the start times
+    firsts = []
+    for r0 in r0s:
+        # states (r, 1) at the quadrature nodes, as (64, 4, 1) columns
+        v_nodes = np.matmul(to_nodes, np.append(r0, 1.0)[:, None])
+        if homogeneous:
+            # one start at t_skip from the averaged state; average the states,
+            # not the 4-vectors: the weights sum to 1 only to rounding, and
+            # lag 0 must stay exactly 1
+            r_mean = np.zeros(3)
+            for w, v in zip(avg_weights, v_nodes):
+                r_mean += w * v[:3, 0]
+            firsts.append(np.matmul(collapse, np.append(r_mean, 1.0)[:, None])[None])
+        else:
+            firsts.append(np.matmul(collapse, v_nodes))
 
     # every (lag, start) pair of a chunk of lags in one stack
     chunk = MAX_STACKED_PAIRS // start_times.size
-    values = np.zeros(lags.size)
+    values = np.zeros((len(r0s), lags.size))
     for lo in range(0, lags.size, chunk):
         taus = lags[lo:lo + chunk]
         t_to = (start_times + taus[:, None]).ravel()
-        lagged = np.matmul(propagators(np.tile(start_times, taus.size), t_to, segments),
-                           np.tile(firsts, (taus.size, 1, 1)))
-        outs = np.matmul(collapse, lagged)[:, 3, 0].reshape(taus.size, start_times.size)
-        for k, w in enumerate(start_weights):
-            values[lo:lo + chunk] += w * outs[:, k]
+        lag_props = propagators(np.tile(start_times, taus.size), t_to, segments)
+        for row, first in zip(values, firsts):
+            lagged = np.matmul(lag_props, np.tile(first, (taus.size, 1, 1)))
+            outs = np.matmul(collapse, lagged)[:, 3, 0].reshape(taus.size, start_times.size)
+            for k, w in enumerate(start_weights):
+                row[lo:lo + chunk] += w * outs[:, k]
 
-    return CorrelatorResult(lags=lags, values=values)
+    return CorrelatorResult(lags=lags, values=values if stacked else values[0])
 
 
 @dataclasses.dataclass(frozen=True)

@@ -34,6 +34,37 @@ def test_as_bloch_rejects_malformed(bad):
         as_bloch(bad)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ([np.nan, 0, 0], "Bloch vector has non-finite components: [nan  0.  0.]"),
+    ((0, np.inf, 0), "Bloch vector has non-finite components: [ 0. inf  0.]"),
+    (np.array([0.0, 0.0, -np.inf]), "Bloch vector has non-finite components: [  0.   0. -inf]"),
+    ([1, 0], "Bloch vector must have shape (3,), got (2,)"),
+    ([[1, 0, 0]], "Bloch vector must have shape (3,), got (1, 3)"),
+    (0.5, "Bloch vector must have shape (3,), got ()"),
+], ids=["nan", "inf", "-inf", "short", "2-d", "scalar"])
+def test_bloch_checks_keep_their_messages(bad, message):
+    """The checks run on Python floats; type and text are those of the
+    numpy-based checks they replaced."""
+    for check in (as_bloch, require_physical):
+        with pytest.raises(ConfigError) as err:
+            check(bad)
+        assert str(err.value) == message
+
+
+def test_require_physical_message_and_copy():
+    with pytest.raises(ConfigError) as err:
+        require_physical([0.6, 0.8, 1e-3])
+    assert str(err.value) == "state norm 1.0000005 exceeds 1 + 1e-09"
+    with pytest.raises(ConfigError) as err:
+        require_physical((1.2, 0, 0))
+    assert str(err.value) == "state norm 1.2 exceeds 1 + 1e-09"
+    src = np.array([0.6, 0.8, 0.0])
+    out = require_physical(src)
+    assert out.dtype == np.float64 and out is not src
+    src[0] = 0.0
+    assert out[0] == 0.6
+
+
 def test_require_physical_norm_window():
     require_physical([0.6, 0.0, 0.8])
     require_physical([1.0, 0.0, 0.0])

@@ -234,6 +234,36 @@ class TestPropagators:
             propagators(np.array([0.2, t_from]), np.array([0.2, t_to]), segments)
         assert str(stacked.value) == str(scalar.value)
 
+    @pytest.mark.parametrize("t_from, t_to, message", [
+        (0.0, math.nan, "t_to must be finite, got nan"),
+        (0.0, math.inf, "t_to must be finite, got inf"),
+        (math.nan, 1.0, "t_from must be finite, got nan"),
+        (-math.inf, 1.0, "t_from must be finite, got -inf"),
+    ], ids=["nan-end", "inf-end", "nan-start", "-inf-start"])
+    def test_rejects_non_finite_times(self, t_from, t_to, message):
+        """A NaN end used to give the identity here and NaN rows in the
+        scalar propagator; both raise now, with the same message."""
+        segments = [rabi_dephasing_generator(GAMMA, OMEGA)]
+        with pytest.raises(ConfigError) as scalar:
+            propagator(t_from, t_to, segments)
+        with pytest.raises(ConfigError) as stacked:
+            propagators(np.array([0.2, t_from]), np.array([0.3, t_to]), segments)
+        assert str(scalar.value) == str(stacked.value) == message
+
+    def test_cold_step_equals_stacked_step(self, rng):
+        """The scalar propagator's cached step and identity product, built in
+        place, equal the stacked route's bit for bit, signs of zeros too."""
+        for _ in range(50):
+            matrix = rng.normal(size=(3, 3)) * rng.uniform(0.0, 5.0)
+            matrix[rng.integers(3)] = 0.0
+            matrix[:, rng.integers(3)] = -0.0
+            r_st = np.where(rng.random(3) < 0.3, -0.0, rng.uniform(-0.3, 0.3, 3))
+            segments = [EnsembleGenerator(matrix, r_st)]
+            t_to = rng.uniform(0.0, 3.0)
+            scalar = propagator(0.0, t_to, segments)
+            stacked = propagators(np.zeros(1), np.array([t_to]), segments)[0]
+            np.testing.assert_array_equal(scalar.view(np.int64), stacked.view(np.int64))
+
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ConfigError):
             propagators(np.zeros(2), np.ones(3), [rabi_dephasing_generator(GAMMA, OMEGA)])

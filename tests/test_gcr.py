@@ -25,6 +25,7 @@ from cqmcorr import (
     rabi_dephasing_generator,
     rotation_matrix,
 )
+from cqmcorr import cli
 from cqmcorr.cli import main
 from cqmcorr.gcr import MAX_STACKED_PAIRS
 from conftest import random_bloch_vector, random_unit_vector
@@ -133,6 +134,50 @@ class TestCorrelatorSpec:
                               initial_state=[0, 0, 1])
         with pytest.raises(ConfigError):
             correlator_recursive(spec, [z_detector()], [rabi_dephasing_generator(GAMMA, OMEGA)])
+
+    @pytest.mark.parametrize("times, indices, state, message", [
+        ((0.2, 0.2), (0, 0), [0, 0, 1], "measurement times must increase strictly: (0.2, 0.2)"),
+        ((0.3, 0.2), (0, 0), [0, 0, 1], "measurement times must increase strictly: (0.3, 0.2)"),
+        ((-0.1, 0.2), (0, 0), [0, 0, 1],
+         "first measurement time -0.1 precedes the preparation at t = 0"),
+        ((0.1, 0.2), (0,), [0, 0, 1], "need one detector index per measurement time"),
+        ((), (), [0, 0, 1], "correlator needs at least one measurement time"),
+        ((math.nan, 0.2), (0, 0), [0, 0, 1], "measurement times must be finite: (nan, 0.2)"),
+        ((0.1, math.inf), (0, 0), [0, 0, 1], "measurement times must be finite: (0.1, inf)"),
+        ((-math.inf, 0.2), (0, 0), [0, 0, 1], "measurement times must be finite: (-inf, 0.2)"),
+        ((0.1,), (0,), [np.nan, 0, 0], "Bloch vector has non-finite components: [nan  0.  0.]"),
+        ((0.1,), (0,), [0, -np.inf, 0], "Bloch vector has non-finite components: [  0. -inf   0.]"),
+        ((0.1,), (0,), [1, 0], "Bloch vector must have shape (3,), got (2,)"),
+        ((0.1,), (0,), [1.2, 0, 0], "state norm 1.2 exceeds 1 + 1e-09"),
+    ], ids=["equal", "decreasing", "negative", "index-count", "empty", "nan-time",
+            "inf-time", "-inf-time", "nan-state", "-inf-state", "state-shape", "state-norm"])
+    def test_messages(self, times, indices, state, message):
+        """The checks run on Python floats and ints; the exception and text
+        are those of the numpy-based checks, and non-finite times raise
+        instead of reaching the recursion as NaN."""
+        with pytest.raises(ConfigError) as err:
+            CorrelatorSpec(times=times, detector_indices=indices, initial_state=state)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("index", [1, -1])
+    def test_detector_index_message(self, index):
+        spec = CorrelatorSpec(times=(0.1,), detector_indices=(index,), initial_state=[0, 0, 1])
+        with pytest.raises(ConfigError) as err:
+            correlator_recursive(spec, (z_detector(),), [rabi_dephasing_generator(GAMMA, OMEGA)])
+        assert str(err.value) == f"detector index {index} out of range for 1 detectors"
+
+    def test_initial_state_is_a_read_only_copy(self):
+        state = np.array([0.6, 0.0, 0.8])
+        spec = CorrelatorSpec(times=(0.1, 0.2), detector_indices=(0, 0), initial_state=state)
+        state[0] = -0.6
+        assert spec.initial_state.dtype == np.float64
+        assert spec.initial_state.tolist() == [0.6, 0.0, 0.8]
+        assert not spec.initial_state.flags.writeable
+        spec = CorrelatorSpec(times=[np.float32(0.5)], detector_indices=[np.int64(0)],
+                              initial_state=(0, 0, 1))
+        assert spec.times == (0.5,) and type(spec.times[0]) is float
+        assert spec.detector_indices == (0,) and type(spec.detector_indices[0]) is int
+        assert spec.initial_state.dtype == np.float64
 
 
 class TestEnumerationVsRecursion:
@@ -303,6 +348,22 @@ class TestTimeAveraged:
         np.testing.assert_array_equal(
             got, scalar_time_average(lags, det, segments, r0, t_skip=0.28, t_avg=0.28))
 
+    @pytest.mark.parametrize("lags, t_skip, t_avg, message", [
+        ([math.nan, 0.1], 0.28, 0.28, "lags must be finite"),
+        ([0.1, math.inf], 0.28, 0.28, "lags must be finite"),
+        ([0.1], math.nan, 0.28, "t_skip must be finite, got nan"),
+        ([0.1], math.inf, 0.28, "t_skip must be finite, got inf"),
+        ([0.1], 0.28, math.inf, "t_avg must be finite, got inf"),
+        ([0.1], 0.28, math.nan, "t_avg must be finite, got nan"),
+    ], ids=["nan-lag", "inf-lag", "nan-skip", "inf-skip", "inf-avg", "nan-avg"])
+    def test_rejects_non_finite_arguments(self, lags, t_skip, t_avg, message):
+        """These used to return 1.0 (a NaN lag or t_skip) or NaN with
+        RuntimeWarnings (an infinite lag or t_avg)."""
+        with pytest.raises(ConfigError) as err:
+            correlator_time_averaged(np.array(lags), self.det, self.segments, self.r0,
+                                     t_skip=t_skip, t_avg=t_avg)
+        assert str(err.value) == message
+
     def test_input_validation(self):
         with pytest.raises(ConfigError):
             correlator_time_averaged(np.array([-0.1]), self.det, self.segments,
@@ -343,6 +404,49 @@ def test_gcr_correlate_output_is_frozen(tmp_path, config, digest):
     path.write_text(json.dumps(cfg))
     assert main(["correlate", "--config", str(path), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("config", [
+    lambda: json.loads(SAMPLE_CONFIG.read_text()), three_segment_config,
+], ids=["sample", "three-segments"])
+def test_stacked_states_equal_one_state_calls(tmp_path, config):
+    """A (2, 3) stack of states, as ``correlate`` passes its two
+    preparations, gives each state's one-state values bit for bit, over a lag
+    grid spanning three stacks of (lag, start) pairs: one averaged start per
+    lag on the sample config, 64 starts per lag on three segments with a
+    displaced fixed point. Lag 0 stays exactly 1 on the averaged start."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config()))
+    cfg = cli.load_config(str(path))
+    det = cli.build_detector(cfg.detectors[cfg.correlator.detector_index])
+    segments = cli.build_segments(cfg)
+    t_skip, t_avg = cfg.correlator.t_skip_us, cfg.correlator.t_avg_us
+    r0 = np.asarray(cfg.initial_state, dtype=np.float64)
+    homogeneous = len(segments) == 1
+    starts = 1 if homogeneous else 64
+    lags = np.linspace(0.0, 2.0, 2 * (MAX_STACKED_PAIRS // starts) + 3)
+    stacked = correlator_time_averaged(lags, det, segments, np.stack((r0, -r0)), t_skip, t_avg)
+    assert stacked.values.shape == (2, lags.size)
+    for row, r in zip(stacked.values, (r0, -r0)):
+        one = correlator_time_averaged(lags, det, segments, r, t_skip, t_avg).values
+        np.testing.assert_array_equal(row.view(np.int64), one.view(np.int64))
+        # the averaged start keeps lag 0 exact; 64 weighted starts sum to 1
+        # only to rounding
+        assert row[0] == 1.0 if homogeneous else row[0] == pytest.approx(1.0, abs=1e-15)
+
+
+def test_analytic_and_fit_phase_outputs_are_frozen(tmp_path):
+    """sha256 of ``correlate --mode analytic``'s CSV and of ``fit-phase``'s
+    JSON on the sample config; with the gcr pins above, every recipe output
+    of the benchmark's recipe workload is pinned."""
+    csv, fit = tmp_path / "k.csv", tmp_path / "fit.json"
+    assert main(["correlate", "--config", str(SAMPLE_CONFIG), "--out", str(csv)]) == 0
+    assert main(["fit-phase", "--config", str(SAMPLE_CONFIG), "--dk", str(csv),
+                 "--out", str(fit)]) == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == (
+        "d755c492856db067dc41012b53fef5a489018ff025bb91a6678555a48666106a")
+    assert hashlib.sha256(fit.read_bytes()).hexdigest() == (
+        "58d98dca5ca85f0af010c0bcbf272a0853d883f28549d6d00cdd83ee24a9eb82")
 
 
 def test_criterion_1_sweep_is_frozen():
