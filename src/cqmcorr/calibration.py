@@ -5,9 +5,9 @@ qubit prepared in the two measurement-axis eigenstates (no drive, so each
 trajectory sits at its pole for the whole trace). ``run_ensemble`` finds
 such a start stationary and does not step it, so a pole's record is its
 noise alone, offset + response (+-1 + sqrt(tau_m/dt) w), bit for bit what
-the stepper would give; it builds the records one slice of RECORD_SLICE
-trajectories at a time from that slice's noise tiles, which a helper thread
-draws a slice ahead, and ``--threads`` changes nothing in such a run:
+the stepper would give; it builds the records in spans of RECORD_SLICE
+trajectories from each span's noise tiles, which a helper thread draws a
+span ahead, and ``--threads`` changes nothing in such a run:
 
 * the response is the slope of the difference of the mean integrated
   records, which is the full pole separation Delta_I (twice the per-pole
@@ -32,12 +32,13 @@ blocks, or MOMENT_UNIT records for the calibration moments), so the ensemble
 is never held and no batch size or thread count moves a bit. A stream of
 ``stream_ensemble`` feeds slices of at most ``trajectory.RECORD_SLICE``
 records, cut at its multiples, each an (n, n_det, n_samples) view of
-step-major memory, and MOMENT_UNIT equals it, so each calibration unit
-arrives whole, as a view of one slice. Every reduction runs on a fresh step-major array of
-one fixed layout, a row per sample (or lag) across the group's
-trajectories, whatever the layout fed: numpy sums each row pairwise, the
-moments are summed within a unit and merged in unit order, and so what an
-estimator returns depends on its groups alone.
+step-major memory whose rows run across the lanes of the span's whole
+noise tiles, not just its n records, and MOMENT_UNIT equals it, so each
+calibration unit arrives whole, as a view of one slice. Every reduction
+runs on a fresh step-major array of one fixed layout, a row per sample (or
+lag) across the group's trajectories, whatever the layout fed: numpy sums
+each row pairwise, the moments are summed within a unit and merged in unit
+order, and so what an estimator returns depends on its groups alone.
 """
 
 from __future__ import annotations

@@ -38,6 +38,18 @@ class DiagnosticError(RuntimeError):
     closed-form regime, degenerate fit design."""
 
 
+def require_int(name: str, value, least: int | None = None) -> int:
+    """``value`` as a Python int if it is an ``int`` or ``numpy.integer``
+    and at least ``least`` when given; anything else raises ConfigError
+    naming ``name``. A float, string or bool never passes, not even one
+    equal to an integer."""
+    if (not (type(value) is int or isinstance(value, np.integer))
+            or least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
 def _bloch(r) -> tuple[np.ndarray, list]:
     """A finite float64 3-vector copied from ``r``, and its components as
     Python floats, which the checks read without further numpy calls."""

@@ -36,6 +36,7 @@ from .core import (
     DetectorModel,
     EnsembleGenerator,
     as_bloch,
+    require_int,
     require_physical,
 )
 from .ensemble import dephasing_matrix, propagator, propagators
@@ -85,8 +86,9 @@ def outcome_probability(r, axis, outcome: int) -> float:
 @dataclasses.dataclass(frozen=True)
 class CorrelatorSpec:
     """N measurement times (finite, strictly increasing), the detector index
-    acting at each, and the state prepared at t = 0, held as a read-only
-    float64 copy. The checks run on Python floats and ints."""
+    acting at each (an ``int`` or ``numpy.integer``, never a float, string
+    or bool), and the state prepared at t = 0, held as a read-only float64
+    copy. The checks run on Python floats and ints."""
 
     times: tuple
     detector_indices: tuple
@@ -103,7 +105,7 @@ class CorrelatorSpec:
             raise ConfigError(f"measurement times must increase strictly: {times}")
         if times[0] < 0:
             raise ConfigError(f"first measurement time {times[0]} precedes the preparation at t = 0")
-        indices = tuple(map(int, self.detector_indices))
+        indices = tuple([require_int("detector_indices", i) for i in self.detector_indices])
         object.__setattr__(self, "detector_indices", indices)
         if len(indices) != len(times):
             raise ConfigError("need one detector index per measurement time")

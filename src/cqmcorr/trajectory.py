@@ -26,10 +26,11 @@ place, and so does the step when no drive moves them: the drift returns r0
 and its kick direction K (n x r0) + n - (n.r0) r0 is zero, so every sample is
 n.r0 + sqrt(tau_m/dt) w. ``run_ensemble`` tests its start once per run, on
 the step's own matrices and in its own floating-point ops
-(``_pole_signals``), and a start that passes is not stepped: its records
-come straight from the noise, slice by slice, bit for bit those of the
-stepper (``_run_poles``). Any other start, and every ``simulate_states``
-call, is stepped.
+(``_pole_signals``), and a start that passes is not stepped: each span's
+signals come straight from its noise (``_pole_batch``), bit for bit those
+of the stepper and in the stepper's layout, and are handed over as a
+stepped span's are. Any other start, and every ``simulate_states`` call,
+is stepped.
 
 Reproducibility: noise is keyed per tile. The normal for (trajectory, step,
 detector) is a pure function of (seed, trajectory, step, detector), so
@@ -37,15 +38,15 @@ results never depend on thread count, batch size, or evaluation order.
 
 Threads: a noise feed (``_NoiseFeed``) draws its spans' noise on one helper
 thread, ahead of its consumer, and holds the buffer their signals are
-written into. Every span, a batch or a slice, is drawn by one routine
-(``_tile_blocks``) as whole tiles, tile-major, and read in place. A stepped
-run makes W = min(``threads``, batches) feeds, one
-per worker, and batch i steps from feed i % W, so each feed's next batch is
-drawn while its last is handed over; at W = 1 the batches step on the
-calling thread. A stationary run makes one feed, whatever ``threads``: its
-spans are record slices of RECORD_SLICE trajectories, cut at multiples of
-RECORD_SLICE only, and the helper draws slice i + 1's tiles while the
-calling thread builds and hands over slice i.
+written into, mapped to raw units and handed over from. Every span is
+drawn by one routine (``_tile_blocks``) as whole tiles, tile-major, and
+read in place. ``run_ensemble`` runs one loop over spans for every start:
+a stepped run's spans are batches of ``batch_size`` on W = min(``threads``,
+batches) feeds, one per worker, and batch i steps from feed i % W; a
+stationary run's spans are RECORD_SLICE trajectories on one feed, filled
+on the calling thread whatever ``threads``. Either way each feed's next
+span is drawn while its last is handed over, and at W = 1 the spans are
+filled on the calling thread.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from .core import (
     DiagnosticError,
     TimeGrid,
     check_segments,
+    require_int,
     require_physical,
 )
 from .ensemble import _augmented_generator
@@ -112,16 +114,16 @@ class NoisePlan:
     seed: int
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2**64:
+        seed = require_int("seed", self.seed)
+        if not 0 <= seed < 2**64:
             raise ConfigError(f"seed must fit in uint64, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
 
     def normals(self, traj_index: int, n_steps: int, n_detectors: int = 1) -> np.ndarray:
         """Standard normals for one trajectory, shape (n_steps, n_detectors)."""
-        for name, value, least in (("traj_index", traj_index, 0), ("n_steps", n_steps, 1),
-                                   ("n_detectors", n_detectors, 1)):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
-                    or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        require_int("traj_index", traj_index, 0)
+        require_int("n_steps", n_steps, 1)
+        require_int("n_detectors", n_detectors, 1)
         if traj_index >= 2**64:
             raise ConfigError(f"traj_index must fit in uint64, got {traj_index!r}")
         return _batch_normals(self, traj_index, traj_index + 1, n_steps, n_detectors)[0]
@@ -132,10 +134,11 @@ class NoisePlan:
 # (``_block_shape``). A tile drawn in pieces equals the tile drawn at once,
 # so this sets only the memory of a run's noise, never a bit
 NOISE_CHUNK = 20
-# trajectories per hand-over of raw records: a batch is mapped to raw units
-# and handed to the consumer in slices cut at multiples of this, so a run
-# keeps one slice of records, not a batch of them. Like NOISE_CHUNK it shapes
-# no bit; it equals calibration.MOMENT_UNIT, so moment units arrive whole
+# trajectories per hand-over of raw records: a span's signals are mapped to
+# raw units in place and handed to the consumer in slices cut at multiples
+# of this, and a stationary run's spans are this wide. Like NOISE_CHUNK it
+# shapes no bit; it equals calibration.MOMENT_UNIT, so moment units arrive
+# whole
 RECORD_SLICE = 1024
 
 
@@ -181,7 +184,7 @@ def _tile_blocks(plan: NoisePlan, lo: int, hi: int, n_steps: int, n_det: int, sl
 class _NoiseFeed:
     """The noise of the spans [lo, hi) of ``spans``, in that order, drawn
     ahead on one helper thread: each span's ``_tile_blocks``, the batches
-    of the stepper or the record slices of a stationary run, in two
+    of the stepper or the RECORD_SLICE spans of a stationary run, in two
     buffers that alternate, each as large as the largest block of any
     span. A buffer is drawn into as soon as the caller releases it, so
     while the caller hands over span s the helper is already up to two
@@ -194,10 +197,11 @@ class _NoiseFeed:
     ``calibrate``'s peak RSS. ``n_samples`` > 0 adds to the same allocation
     a flat buffer of n_samples x n_det values for every lane of the widest
     span's tiles, as ``feed.signals``, which the caller writes each span's
-    signals or records into. With it inside, the allocation is a run's
-    largest, so glibc's heap-trim threshold, twice the largest mmapped
-    chunk freed, sits above the free space a run leaves at the top of the
-    heap. With the signals buffer apart the margin was 0.13 MB (7.74 MB
+    signals into, maps to raw units in place and hands over as records, so
+    a run allocates no records buffer. With it inside, the allocation is a
+    run's largest, so glibc's heap-trim threshold, twice the largest
+    mmapped chunk freed, sits above the free space a run leaves at the top
+    of the heap. With the signals buffer apart the margin was 0.13 MB (7.74 MB
     free against 7.87 MB), and a process on the wrong side of it had about
     7.3 MB trimmed and faulted in again per run: 3750 minor faults per
     calibrate op instead of 3. An error on the helper reaches the caller
@@ -300,8 +304,9 @@ def _step_matrices(detectors, segments, dt: float):
 
 
 def _pole_signals(r0, linear, n_det: int):
-    """n.r0 of each detector as an (n_det, 1) column if the start r0 is a
-    fixed point of every step, else None.
+    """n.r0 of each detector as an (n_det, 1, 1) array, to broadcast over
+    a span's (n_det, tiles, NOISE_TILE) lanes, if the start r0 is a fixed
+    point of every step, else None.
 
     A probe of two (r0, 1) columns, two so that the product runs on gemm as
     the stepper's does, is multiplied by each step matrix of ``linear``
@@ -324,7 +329,7 @@ def _pole_signals(r0, linear, n_det: int):
                 and (nr is None or np.array_equal(out[4:4 + n_det], nr))):
             return None
         nr = out[4:4 + n_det]
-    return nr[:, :1]
+    return nr[:, :1, None]
 
 
 def _state_update(r0, dt: float, detectors, linear, seg_idx, tiles: int, traj_lo: int,
@@ -453,75 +458,49 @@ def _noise_scale(grid: TimeGrid, detectors) -> np.ndarray:
     return np.array([[math.sqrt(det.tau_m / grid.dt)] for det in detectors])
 
 
-def _pole_rows(records, block, k: int, scale, nr, decimate: int) -> None:
-    """Fold the tile-major ``block`` of ``_tile_blocks``, the draws w of
-    fine steps k.., into the step-major (n_samples, n_det, n) ``records`` of
-    a stationary slice, whose trajectories sit at r0 with n.r0 the column
-    ``nr``. Each fine sample is scale w + n.r0, the stepper's signal in the
-    stepper's ops and order (``_simulate_batch``). With D = ``decimate`` = 1
-    the records are written straight from the tiles; otherwise the fine
-    samples are formed in place in ``block`` and summed into row k // D in
-    step order, written at a group's first step and added at the others
-    (a group may span blocks), and the caller divides by D."""
-    m, n = block.shape[1], records.shape[2]
-    if decimate == 1:
-        rows = records[k:k + m]
-        for t, tile in enumerate(block):
-            a = t * NOISE_TILE
-            np.multiply(scale, tile[..., :n - a], out=rows[..., a:a + NOISE_TILE])
-        rows += nr
-        return
-    np.multiply(scale, block, out=block)
-    block += nr
-    # phase p holds the steps j of this block with j % D == p; taking the
-    # phases in order adds each row's steps in step order
-    for p in sorted({(k + i) % decimate for i in range(min(m, decimate))}):
-        first = k + (p - k) % decimate
-        for t, tile in enumerate(block):
-            a = t * NOISE_TILE
-            fine = tile[first - k::decimate, :, :n - a]
-            rows = records[first // decimate:first // decimate + len(fine), :,
-                           a:a + NOISE_TILE]
-            if p:
-                rows += fine
-            else:
-                rows[...] = fine
-
-
-def _run_poles(n_traj: int, plan: NoisePlan, grid: TimeGrid, detectors, nr, decimate: int,
-               consumer) -> None:
-    """``run_ensemble`` of a stationary start, whose signals are n.r0 +
-    sqrt(tau_m/dt) w, ``nr`` the n.r0 column of ``_pole_signals``: no batch,
-    no pool and no batch of signals, only record slices of RECORD_SLICE
-    trajectories, cut at its multiples. One noise feed (``_NoiseFeed``)
-    draws each slice's tiles (``_tile_blocks``) on its helper, so slice
-    i + 1 is drawn while slice i is built and handed over. The calling
-    thread builds a slice's step-major (n_samples, n_det, n) records in
-    place (``_pole_rows``) in the feed's ``signals``, at least one slice wide,
-    divides them by D, maps them to raw units and hands over their
-    (n, n_det, n_samples) transposed view."""
-    n_steps, n_det = grid.n_steps, len(detectors)
-    n_samples = n_steps // decimate
-    scale = _noise_scale(grid, detectors)
-    responses = np.array([[det.response] for det in detectors])
-    offsets = np.array([[det.offset] for det in detectors])
-    spans = [(lo, min(lo + RECORD_SLICE, n_traj)) for lo in range(0, n_traj, RECORD_SLICE)]
-    with contextlib.closing(_NoiseFeed(plan, n_steps, n_det, spans, n_samples)) as noise:
-        for lo, hi in spans:
-            records = noise.signals[:n_samples * n_det * (hi - lo)].reshape(
-                n_samples, n_det, hi - lo)
-            k = 0
-            for block in noise.blocks(lo, hi):
-                _pole_rows(records, block, k, scale, nr, decimate)
-                k += block.shape[1]
-            if decimate > 1:
-                records /= decimate
-            # as in run_ensemble's hand-over, a huge response or offset
-            # overflows to inf, which the consumer reports
-            with np.errstate(over="ignore"):
-                records *= responses
-                records += offsets
-            consumer(records.transpose(2, 1, 0))
+def _pole_batch(noise: _NoiseFeed, traj_lo: int, traj_hi: int, n_samples: int, scale, nr,
+                decimate: int):
+    """``_simulate_batch`` of a stationary start, whose signals are n.r0 +
+    sqrt(tau_m/dt) w, ``nr`` the n.r0 of ``_pole_signals`` and ``scale``
+    the sqrt(tau_m/dt) of each detector, both (n_det, 1, 1): the same
+    step-major signals in the same buffer, built from the feed's blocks
+    alone, with no state. Step j of a (tiles, m, n_det, NOISE_TILE) block
+    is row j of its (m, n_det, tiles, NOISE_TILE) view
+    ``block.transpose(1, 2, 0, 3)``, and each fine sample is scale w + n.r0,
+    the stepper's signal in the stepper's ops and order. With D =
+    ``decimate`` = 1 a block's rows are written in one multiply and one
+    add; otherwise its fine samples are formed in place in the block and
+    summed into row k // D in step order, a phase at a time, written at a
+    group's first step and added at the others (a group may span blocks),
+    and the rows are divided by D after the last block."""
+    n_det = len(nr)
+    shape = (n_samples, n_det, len(_tiles(traj_lo, traj_hi)), NOISE_TILE)
+    signals = noise.signals[:math.prod(shape)].reshape(shape)
+    k = 0
+    for block in noise.blocks(traj_lo, traj_hi):
+        steps = block.transpose(1, 2, 0, 3)
+        m = len(steps)
+        if decimate == 1:
+            np.multiply(scale, steps, out=signals[k:k + m])
+            signals[k:k + m] += nr
+        else:
+            np.multiply(scale, steps, out=steps)
+            steps += nr
+            # phase p holds the steps j of this block with j % D == p; taking
+            # the phases in order adds each row's steps in step order
+            for p in sorted({(k + i) % decimate for i in range(min(m, decimate))}):
+                first = k + (p - k) % decimate
+                fine = steps[first - k::decimate]
+                rows = signals[first // decimate:first // decimate + len(fine)]
+                if p:
+                    rows += fine
+                else:
+                    rows[...] = fine
+        k += m
+    if decimate > 1:
+        signals /= decimate
+    own = traj_lo % NOISE_TILE
+    return signals.reshape(n_samples, n_det, -1)[:, :, own:own + traj_hi - traj_lo]
 
 
 def simulate_states(initial_state, grid: TimeGrid, detectors, segments, plan: NoisePlan,
@@ -590,10 +569,10 @@ class RecordStream:
     slices, each an (n, n_detectors, n_samples) array of n <= RECORD_SLICE
     trajectories, in trajectory order; the consumer must copy what it keeps
     before it returns. A slice may be a view of any layout: those of
-    ``run_ensemble`` are transposed views of step-major memory, cut at
-    multiples of RECORD_SLICE and, for a stepped start, at batch ends. Each
-    feed runs the ensemble again, with the same bits. ``grid`` is the
-    acquisition grid."""
+    ``run_ensemble`` are transposed views of a span's step-major signals,
+    whose rows run across the span's tile lanes, cut at multiples of
+    RECORD_SLICE and at span ends. Each feed runs the ensemble again, with
+    the same bits. ``grid`` is the acquisition grid."""
 
     grid: TimeGrid
     seed: int
@@ -613,10 +592,11 @@ def stream_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     """The records of ``run_ensemble`` on these arguments as a
     ``RecordStream``: each feed calls ``run_ensemble`` with the consumer,
     which gets slices of at most RECORD_SLICE records, so the ensemble is
-    never held and no batch of records is either. ``options`` are
-    ``run_ensemble``'s ``threads`` and ``batch_size``, which shape no bit;
-    a stationary start ignores them, and its slices are cut at multiples of
-    RECORD_SLICE only."""
+    never held and no batch of records is either. ``n_traj`` and
+    ``decimate`` are checked here, ``options``, ``run_ensemble``'s
+    ``threads`` and ``batch_size``, when fed; they shape no bit, and a
+    stationary start ignores them."""
+    n_traj, decimate = require_int("n_traj", n_traj, 1), require_int("decimate", decimate, 1)
     detectors = tuple(detectors)
     return RecordStream(
         grid=grid.decimated(decimate), seed=plan.seed, n_traj=n_traj,
@@ -640,11 +620,12 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     """Simulate n_traj trajectories and hand their raw output records to
     ``consumer`` in slices, each an (n, n_detectors, n_samples) array of
     n <= RECORD_SLICE trajectories, in trajectory order and on the calling
-    thread. A slice is the transposed view of a C-contiguous step-major
-    (n_samples, n_detectors, n) array, the stepper's order, and its memory
-    is reused for the next slice once ``consumer`` returns, so the consumer
-    copies what it keeps. ``stream_ensemble`` wraps the run as a
-    ``RecordStream``.
+    thread. A slice is a transposed view of its span's step-major
+    (n_samples, n_detectors, L) signals, L the lanes of the span's whole
+    noise tiles, and its memory is reused for a later span once
+    ``consumer`` returns, so the consumer copies what it keeps.
+    ``stream_ensemble`` wraps the run as a ``RecordStream``. ``n_traj``,
+    ``threads``, ``batch_size`` and ``decimate`` are each an integer >= 1.
 
     Trajectory j uses noise stream (plan.seed, j), so the records are a pure
     function of the arguments. ``decimate`` averages each group of that many
@@ -652,80 +633,67 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
     integration grid turns into a coarse acquisition grid. Every output bit
     is independent of ``threads`` and ``batch_size``.
 
-    Before anything is allocated, a two-column probe (``_pole_signals``)
-    decides whether the start is stationary. A stationary run
-    (``_run_poles``) has no batches, no pool and no signals buffer: its
-    slices are cut at multiples of RECORD_SLICE only, whatever ``threads``
-    and ``batch_size``, and one noise feed draws each slice's tiles while
-    the calling thread builds the slice before it from the noise alone.
-
-    Any other start is stepped in batches of ``batch_size``, and its slices
-    are cut at multiples of RECORD_SLICE and at batch ends. The calling
-    thread makes W = min(``threads``, batches) noise feeds (``_NoiseFeed``),
-    and batch i steps into the signals buffer of feed i % W, whose helper
-    draws the feed's batches ahead as whole tiles; the stepper reads them
-    in place, steps every lane of the tiles a batch meets and keeps only
-    the batch's own (``_simulate_batch``). At W = 1 the batches step on the
-    calling thread. At W > 1 a pool of W workers steps them, and batch i + W is
-    submitted once batch i is handed over, when its feed is free: at most W
-    batches are in flight, beside W helpers. The calling thread maps a
-    batch's step-major signals to raw units, one slice at a time and row by
-    step-major row, into one slice buffer per batch. States are not kept;
-    use ``simulate_states`` for a state history.
+    One loop serves every start. Before anything is allocated, a two-column
+    probe (``_pole_signals``) decides whether the start is stationary, and
+    its answer chooses only the span width and the fill. A stepped start
+    has spans of ``batch_size``, filled by the stepper (``_simulate_batch``)
+    on W = min(``threads``, spans) workers; a stationary one has spans of
+    RECORD_SLICE, filled from the noise alone (``_pole_batch``) on W = 1,
+    whatever ``threads`` and ``batch_size``. The calling thread makes W
+    noise feeds (``_NoiseFeed``), and span i fills the signals buffer of
+    feed i % W, whose helper draws the feed's spans ahead as whole tiles,
+    read in place; every lane of the tiles a span meets is filled, and only
+    the span's own are handed over. At W = 1 the spans fill on the calling
+    thread. At W > 1 a pool of W workers fills them, and span i + W is
+    submitted once span i is handed over, when its feed is free: at most W
+    spans are in flight, beside W helpers. The calling thread maps a span's
+    own lanes to raw units in place, one slice at a time, and hands over
+    each slice; slices are cut at multiples of RECORD_SLICE and at span
+    ends. States are not kept; use ``simulate_states`` for a state history.
     """
-    if n_traj < 1:
-        raise ConfigError(f"n_traj must be >= 1, got {n_traj!r}")
-    if threads < 1 or batch_size < 1:
-        raise ConfigError("threads and batch_size must be >= 1")
+    n_traj, threads, batch_size, decimate = (
+        require_int(name, value, 1) for name, value in (
+            ("n_traj", n_traj), ("threads", threads), ("batch_size", batch_size),
+            ("decimate", decimate)))
     n_samples = grid.decimated(decimate).n_steps
     r0, detectors, linear, seg_idx = _prepare(initial_state, grid, detectors, segments)
-    n_det = len(detectors)
-    pole = _pole_signals(r0, linear, n_det)
-    if pole is not None:
-        _run_poles(n_traj, plan, grid, detectors, pole, decimate, consumer)
-        return
-    offsets = np.array([det.offset for det in detectors])
-    responses = np.array([det.response for det in detectors])
+    pole = _pole_signals(r0, linear, len(detectors))
+    scale = _noise_scale(grid, detectors)[:, :, None]
+    responses = np.array([[det.response] for det in detectors])
+    offsets = np.array([[det.offset] for det in detectors])
 
-    def run_batch(i: int):
+    def fill(i: int):
         lo, hi = spans[i]
-        signals, _ = _simulate_batch(r0, grid, detectors, linear, seg_idx,
-                                     feeds[i % workers], record_states=False, traj_lo=lo,
-                                     traj_hi=hi, decimate=decimate)
-        return lo, signals
+        noise = feeds[i % workers]
+        if pole is not None:
+            return lo, _pole_batch(noise, lo, hi, n_samples, scale, pole, decimate)
+        return lo, _simulate_batch(r0, grid, detectors, linear, seg_idx, noise,
+                                   record_states=False, traj_lo=lo, traj_hi=hi,
+                                   decimate=decimate)[0]
 
     def hand_over(lo: int, signals) -> None:
-        """Map the step-major signals of trajectories lo.. to raw units, one
-        slice at a time, into a slice buffer, and hand each slice to the
-        consumer. A slice of n records is mapped into the first
-        n_samples * n_det * n values of the flat slice buffer as a
-        C-contiguous step-major (n_samples, n_det, n) array, row by
-        contiguous row, and handed over as its (n, n_det, n_samples)
-        transposed view: no transposing copy. The slice buffer is allocated
-        once the batch is stepped, when the stepper's state blocks are
-        freed, so it adds nothing to the peak; one kept for the whole call
-        stays alive while the next batch steps, and read 0.5-1.2 MB more
-        peak RSS per process."""
+        """Map the step-major signals of trajectories lo.. to raw units in
+        place, one slice at a time, and hand each slice to the consumer as
+        its (n, n_det, n_samples) transposed view."""
         hi = lo + signals.shape[2]
-        records = np.empty(n_samples * n_det * min(RECORD_SLICE, hi - lo))
         cuts = [lo, *range((lo // RECORD_SLICE + 1) * RECORD_SLICE, hi, RECORD_SLICE), hi]
         for a, b in zip(cuts, cuts[1:]):
             part = signals[:, :, a - lo:b - lo]
-            out = records[:part.size].reshape(part.shape)
             # a huge response or offset overflows to inf here, which the
             # consumer reports; numpy's error state is per thread, so it is
             # set on the thread that maps
             with np.errstate(over="ignore"):
-                np.multiply(responses[:, None], part, out=out)
-                out += offsets[:, None]
-            consumer(out.transpose(2, 1, 0))
+                part *= responses
+                part += offsets
+            consumer(part.transpose(2, 1, 0))
 
-    spans = [(lo, min(lo + batch_size, n_traj)) for lo in range(0, n_traj, batch_size)]
-    workers = min(threads, len(spans))
-    # the pool is closed, its batches done, before the feeds it steps from
+    width, workers = (batch_size, threads) if pole is None else (RECORD_SLICE, 1)
+    spans = [(lo, min(lo + width, n_traj)) for lo in range(0, n_traj, width)]
+    workers = min(workers, len(spans))
+    # the pool is closed, its spans done, before the feeds it fills from
     with contextlib.ExitStack() as stack:
         feeds = [stack.enter_context(contextlib.closing(_NoiseFeed(
-            plan, grid.n_steps, n_det, spans[w::workers], n_samples)))
+            plan, grid.n_steps, len(detectors), spans[w::workers], n_samples)))
             for w in range(workers)]
         if workers == 1:
             submit = _inline
@@ -736,6 +704,6 @@ def run_ensemble(n_traj: int, plan: NoisePlan, initial_state, grid: TimeGrid,
         for i in range(len(spans)):
             if len(in_flight) == workers:
                 hand_over(*in_flight.popleft().result())
-            in_flight.append(submit(run_batch, i))
+            in_flight.append(submit(fill, i))
         while in_flight:
             hand_over(*in_flight.popleft().result())

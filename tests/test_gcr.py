@@ -149,8 +149,13 @@ class TestCorrelatorSpec:
         ((0.1,), (0,), [0, -np.inf, 0], "Bloch vector has non-finite components: [  0. -inf   0.]"),
         ((0.1,), (0,), [1, 0], "Bloch vector must have shape (3,), got (2,)"),
         ((0.1,), (0,), [1.2, 0, 0], "state norm 1.2 exceeds 1 + 1e-09"),
+        ((0.1, 0.2), (0.9, 1.7), [0, 0, 1], "detector_indices must be an integer, got 0.9"),
+        ((0.1, 0.2), ("1", "0"), [0, 0, 1], "detector_indices must be an integer, got '1'"),
+        ((0.1, 0.2), (True, False), [0, 0, 1], "detector_indices must be an integer, got True"),
+        ((0.1, 0.2), (0, 1.0), [0, 0, 1], "detector_indices must be an integer, got 1.0"),
     ], ids=["equal", "decreasing", "negative", "index-count", "empty", "nan-time",
-            "inf-time", "-inf-time", "nan-state", "-inf-state", "state-shape", "state-norm"])
+            "inf-time", "-inf-time", "nan-state", "-inf-state", "state-shape", "state-norm",
+            "float-index", "str-index", "bool-index", "integral-float-index"])
     def test_messages(self, times, indices, state, message):
         """The checks run on Python floats and ints; the exception and text
         are those of the numpy-based checks, and non-finite times raise

@@ -83,6 +83,23 @@ class TestNoisePlan:
         with pytest.raises(ConfigError, match=f"^{name} must"):
             NoisePlan(7).normals(*args)
 
+    @pytest.mark.parametrize("seed, message", [
+        (True, "seed must be an integer, got True"), ("7", "seed must be an integer, got '7'"),
+        (1.5, "seed must be an integer, got 1.5"), (7.0, "seed must be an integer, got 7.0"),
+        (-1, "seed must fit in uint64, got -1"),
+        (2**64, "seed must fit in uint64, got 18446744073709551616")])
+    def test_seed_must_be_an_integer(self, seed, message):
+        """The integer rule of ``normals``' arguments: a bool, string or
+        float seed raises instead of drawing noise."""
+        with pytest.raises(ConfigError) as err:
+            NoisePlan(seed)
+        assert str(err.value) == message
+
+    def test_numpy_integer_seed(self):
+        plan = NoisePlan(np.uint64(2**64 - 1))
+        assert plan.seed == 2**64 - 1 and type(plan.seed) is int
+        np.testing.assert_array_equal(plan.normals(300, 20), NoisePlan(2**64 - 1).normals(300, 20))
+
 
 @functools.lru_cache(maxsize=64)
 def stream_v3_tile(seed, tile, n_steps, n_det):
@@ -812,6 +829,38 @@ class TestRunEnsemble:
             run_ensemble(**self.small_args(), config_digest="abc123",
                          consumer=lambda records: None)
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_traj", 10.0), ("n_traj", True), ("n_traj", 0), ("threads", 1.5), ("threads", True),
+        ("threads", 0), ("batch_size", 2.5), ("batch_size", True), ("batch_size", "16"),
+        ("decimate", 2.0), ("decimate", True), ("decimate", -1)])
+    def test_counts_must_be_integers(self, name, value):
+        """n_traj, threads, batch_size and decimate are each an int or a
+        numpy integer >= 1: a float, a bool, a string or a count below 1
+        raises naming the argument, even where it would run."""
+        args = {**self.small_args(), name: value, "consumer": lambda records: None}
+        with pytest.raises(ConfigError) as err:
+            run_ensemble(**args)
+        assert str(err.value) == f"{name} must be an integer >= 1, got {value!r}"
+
+    def test_numpy_integer_counts(self):
+        want = gather(stream_ensemble(**self.small_args(), decimate=4, batch_size=16))
+        got = gather(stream_ensemble(**self.small_args(n_traj=np.int64(64)),
+                                     decimate=np.int32(4), threads=np.int64(2),
+                                     batch_size=np.uint16(16)))
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("name, value", [("n_traj", 10.0), ("decimate", 2.0),
+                                             ("decimate", True)])
+    def test_stream_checks_its_counts_when_made(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer >= 1, got"):
+            stream_ensemble(**{**self.small_args(), name: value})
+
+    @pytest.mark.parametrize("name, value", [("threads", 1.5), ("batch_size", True)])
+    def test_stream_checks_its_options_when_fed(self, name, value):
+        stream = stream_ensemble(**self.small_args(), **{name: value})
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer >= 1, got"):
+            gather(stream)
+
 
 def undriven(*detectors):
     """The one segment of an undriven qubit under ``detectors``: their
@@ -1010,9 +1059,10 @@ class TestStationaryStart:
 
 
 class TestRecordSlices:
-    """The calling thread maps each batch to raw units and hands it over in
-    slices of at most RECORD_SLICE records, cut at multiples of RECORD_SLICE
-    and at batch ends, so a run holds one slice of records, not a batch."""
+    """The calling thread maps each batch to raw units in place and hands it
+    over in slices of at most RECORD_SLICE records, cut at multiples of
+    RECORD_SLICE and at batch ends: each slice is a view of the signals
+    buffer of the batch's noise feed, so a run holds no records buffer."""
 
     N_TRAJ = 2 * RECORD_SLICE + 37
     # (batch_size, slice lengths of each batch): one batch wider than a
@@ -1030,6 +1080,28 @@ class TestRecordSlices:
                     initial_state=[1, 0, 0], grid=TimeGrid(0.004, 12), detectors=(det,),
                     segments=drive_segments())
 
+    @staticmethod
+    def batch_lanes(lo, hi, batch_size):
+        """The signals row of the batch that holds trajectories lo..hi-1:
+        the lanes of the whole noise tiles it meets, or None if [lo, hi)
+        crosses a batch end."""
+        first = lo // batch_size * batch_size
+        last = min(first + batch_size, TestRecordSlices.N_TRAJ)
+        return len(trajectory._tiles(first, last)) * NOISE_TILE if hi <= last else None
+
+    @staticmethod
+    def recorded_feeds(monkeypatch):
+        """The noise feeds that runs make, in the order made."""
+        feeds = []
+
+        class Recorded(_NoiseFeed):
+            def __init__(self, *args):
+                super().__init__(*args)
+                feeds.append(self)
+
+        monkeypatch.setattr(trajectory, "_NoiseFeed", Recorded)
+        return feeds
+
     def test_slice_matches_the_calibration_unit(self):
         """A slice is whole noise tiles and one calibration moment unit, so
         ``calibrate``'s units arrive whole, as views of a slice."""
@@ -1037,21 +1109,30 @@ class TestRecordSlices:
 
     @pytest.mark.parametrize("batch_size, batches", LAYOUTS, ids=LAYOUT_IDS)
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_consumer_gets_ordered_slices_on_the_caller(self, batch_size, batches, threads):
-        """Each batch's slices are mapped into one buffer of its own."""
-        got, callers, buffers = [], [], []
+    def test_consumer_gets_ordered_slices_on_the_caller(self, monkeypatch, batch_size, batches,
+                                                        threads):
+        """Each batch's slices are consecutive views of the signals of its
+        noise feed, batch i's feed i % threads: the first starts at the
+        batch's lane lo % NOISE_TILE, and each next one where the last
+        ended."""
+        feeds = self.recorded_feeds(monkeypatch)
+        got, callers, starts = [], [], []
 
         def consumer(records):
             got.append(records.copy())
             callers.append(threading.current_thread())
-            buffers.append(records.ctypes.data)
+            starts.append(records.ctypes.data)
 
         assert run_ensemble(**self.args(), threads=threads, batch_size=batch_size,
                             consumer=consumer) is None
         assert max(len(records) for records in got) <= RECORD_SLICE
         assert [len(records) for records in got] == sum(batches, [])
-        firsts = np.cumsum([0] + [len(lengths) for lengths in batches])
-        assert all(len(set(buffers[i:j])) == 1 for i, j in zip(firsts, firsts[1:]))
+        assert len(feeds) == min(threads, len(batches))
+        want = []
+        for i, lengths in enumerate(batches):
+            first = feeds[i % len(feeds)].signals.ctypes.data + 8 * (i * batch_size % NOISE_TILE)
+            want.extend(first + 8 * np.cumsum([0, *lengths[:-1]]))
+        assert starts == want
         assert set(callers) == {threading.current_thread()}
         np.testing.assert_array_equal(np.concatenate(got), gather(stream_ensemble(**self.args())))
 
@@ -1079,7 +1160,14 @@ class TestRecordSlices:
         monkeypatch.setattr(calibration, "integrate_traces", watched)
         got = CalibrationRun(plus=stream, minus=stream)
         assert [len(unit) for unit in units] == 2 * [RECORD_SLICE, RECORD_SLICE, 37]
-        assert all(unit.T.flags.c_contiguous for unit in units)
+        # a unit inside one batch is a view of its slice, whose rows run
+        # across the batch's tile lanes; one across a batch end is gathered
+        # into a C-contiguous step-major array of its own
+        bounds = [(lo, min(lo + MOMENT_UNIT, self.N_TRAJ))
+                  for lo in range(0, self.N_TRAJ, MOMENT_UNIT)]
+        for unit, (lo, hi) in zip(units, 2 * bounds):
+            lanes = self.batch_lanes(lo, hi, batch_size) or hi - lo
+            assert unit.strides == (8, 8 * lanes, 8 * lanes)
         for side in ("plus_moments", "minus_moments"):
             a, b = getattr(got, side), getattr(want, side)
             assert (a.n_traj, a.peak) == (b.n_traj, b.peak)
@@ -1088,25 +1176,44 @@ class TestRecordSlices:
 
     @pytest.mark.parametrize("batch_size, batches", LAYOUTS, ids=LAYOUT_IDS)
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_slices_are_views_of_step_major_memory(self, batch_size, batches, threads):
+    def test_slices_are_views_of_step_major_memory(self, monkeypatch, batch_size, batches,
+                                                   threads):
         """A slice of n records is the (n, n_det, n_samples) transposed view
-        of a C-contiguous step-major array, carved from the one flat buffer
-        that all slices of its batch share: the hand-over makes no
-        transposing copy."""
+        of step-major signals whose rows run across the L lanes of its
+        batch's whole noise tiles, strides (8, 8 L, 8 L n_det), in the flat
+        allocation of the batch's noise feed: one buffer per feed, and the
+        hand-over makes no copy."""
+        feeds = self.recorded_feeds(monkeypatch)
         slices = []
         run_ensemble(**self.args(), threads=threads, batch_size=batch_size,
                      consumer=slices.append)
         n_samples = self.args()["grid"].n_steps
+        lo = 0
         for records in slices:
             n, n_det = records.shape[:2]
+            lanes = self.batch_lanes(lo, lo + n, batch_size)
             assert records.shape == (n, n_det, n_samples)
-            assert records.strides == (8, 8 * n, 8 * n * n_det)
+            assert records.strides == (8, 8 * lanes, 8 * lanes * n_det)
             assert records.base.ndim == 1 and records.base.flags.c_contiguous
+            lo += n
         firsts = np.cumsum([0] + [len(lengths) for lengths in batches])
         bases = [{id(records.base) for records in slices[i:j]}
                  for i, j in zip(firsts, firsts[1:])]
-        assert all(len(ids) == 1 for ids in bases)
-        assert len(set.union(*bases)) == len(batches)
+        assert bases == [{id(feeds[i % len(feeds)]._buffers.base)} for i in range(len(batches))]
+        assert len(set.union(*bases)) == min(threads, len(batches))
+
+    def test_stationary_tail_slice_keeps_the_tile_rows(self):
+        """A stationary run of 2 RECORD_SLICE + 300 trajectories hands over
+        its last slice as a view of the same buffer as its other slices,
+        with rows across its two whole tiles: row stride 512, not 300."""
+        det = reference_detector(0.0, response=0.7, offset=-0.3)
+        slices = []
+        run_ensemble(2 * RECORD_SLICE + 300, NoisePlan(seed=4), det.axis, TimeGrid(0.04, 12),
+                     (det,), undriven(det), consumer=slices.append)
+        assert [len(records) for records in slices] == [RECORD_SLICE, RECORD_SLICE, 300]
+        assert [records.strides for records in slices] == (
+            2 * [(8, 8 * RECORD_SLICE, 8 * RECORD_SLICE)] + [(8, 8 * 512, 8 * 512)])
+        assert len({id(records.base) for records in slices}) == 1
 
     def test_consumer_run_holds_one_batch_of_signals(self):
         """A full 8192 x 60 batch handed to a consumer peaks below one
